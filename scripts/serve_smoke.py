@@ -16,8 +16,13 @@ operator would:
 6. ``POST /v1/batch`` with three jobs and walk every returned id to a
    valid per-job receipt — the batched path must be indistinguishable
    past admission;
-7. check ``GET /v1/stats`` saw the traffic;
-8. send SIGTERM and require a clean, graceful exit.
+7. on one keep-alive connection, make 10 POST → poll → done round
+   trips (the median POST must answer in under 20 ms: each answer is
+   one write on a ``TCP_NODELAY`` socket), then ``POST`` to an unknown
+   path and require the ``GET`` after it on that connection to answer
+   200;
+8. check ``GET /v1/stats`` saw the traffic;
+9. send SIGTERM and require a clean, graceful exit.
 
 Exit status 0 on success; any failure prints a diagnostic and exits 1.
 Stdlib only — run as ``python scripts/serve_smoke.py``.
@@ -27,12 +32,14 @@ import json
 import os
 import signal
 import socket
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
@@ -54,6 +61,8 @@ SOURCE = (
 START_TIMEOUT_S = 30.0
 JOB_TIMEOUT_S = 60.0
 EXIT_TIMEOUT_S = 30.0
+#: a POST answer split over two writes waits ~40 ms for a delayed ACK
+POST_MEDIAN_MAX_MS = 20.0
 
 
 def fail(msg):
@@ -95,6 +104,51 @@ def poll_done(base, job_id):
             return payload
         time.sleep(0.2)
     fail(f"job {job_id} not terminal within {JOB_TIMEOUT_S}s")
+
+
+def keepalive_round_trips(port):
+    conn = HTTPConnection("127.0.0.1", port, timeout=10.0)
+
+    def call(method, path, body=None):
+        conn.request(method, path, body=body)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+
+    try:
+        posts = []
+        for i in range(10):
+            body = json.dumps({"id": 100 + i, "source": SOURCE})
+            start = time.perf_counter()
+            status, accepted = call("POST", "/v1/jobs", body)
+            posts.append((time.perf_counter() - start) * 1000)
+            if status != 202:
+                fail(f"keep-alive submit {i} answered {status}: {accepted}")
+            deadline = time.monotonic() + JOB_TIMEOUT_S
+            while True:
+                _, payload = call("GET", f"/v1/jobs/{accepted['id']}")
+                if payload["state"] == "done":
+                    break
+                if payload["state"] == "failed" or time.monotonic() > deadline:
+                    fail(f"keep-alive job {accepted['id']} not done: {payload}")
+                time.sleep(0.01)
+        median = statistics.median(posts)
+        if median >= POST_MEDIAN_MAX_MS:
+            fail(
+                f"median keep-alive POST took {median:.1f} ms "
+                f"(limit {POST_MEDIAN_MAX_MS:g} ms)"
+            )
+        status, _ = call("POST", "/v1/nope", json.dumps({"source": SOURCE}))
+        if status != 404:
+            fail(f"POST to an unknown path answered {status}")
+        status, health = call("GET", "/v1/healthz")
+        if status != 200:
+            fail(f"GET after an early answer answered {status}: {health}")
+        print(
+            f"serve-smoke: 10 keep-alive round trips, median POST "
+            f"{median:.1f} ms; connection in sync after a 404"
+        )
+    finally:
+        conn.close()
 
 
 def main():
@@ -193,6 +247,8 @@ def main():
                 if problems:
                     fail(f"batch receipt {job_id} invalid: {problems}")
             print(f"serve-smoke: batch {batch['ids']} done, receipts valid")
+
+            keepalive_round_trips(port)
 
             _, stats = http("GET", base + "/v1/stats")
             counters = stats.get("counters", {})

@@ -23,7 +23,7 @@ from repro.symbolic.simplify import integerize, tighten_le
 
 Number = Union[int, Fraction]
 
-_RAW = perf.memo_table("constraint.raw")
+_RAW = perf.memo_table("constraint.raw", cap=16384)
 _INTERN = perf.memo_table("constraint.intern")
 
 

@@ -88,8 +88,8 @@ _NUMPY_MIN_PAIRS = 64
 #: (two such terms are summed, so each must stay below 2**62)
 _INT64_SAFE = 2**62
 
-_LOWER = perf.memo_table("fm.packed.lower")
-_REUSE = perf.memo_table("fm.packed.reuse")
+_LOWER = perf.memo_table("fm.packed.lower", cap=4096)
+_REUSE = perf.memo_table("fm.packed.reuse", cap=2048)
 
 #: a packed row is ``(is_eq, coeffs, const)`` with integer coefficients
 #: aligned to the packed system's variable order

@@ -23,9 +23,9 @@ from repro.symbolic.affine import AffineExpr
 
 Number = Union[int, Fraction]
 
-_RAW = perf.memo_table("system.raw")
+_RAW = perf.memo_table("system.raw", cap=16384)
 _INTERN = perf.memo_table("system.intern")
-_RENAME = perf.memo_table("system.rename")
+_RENAME = perf.memo_table("system.rename", cap=8192)
 
 
 class LinearSystem:

@@ -63,15 +63,26 @@ class Memo:
         self.misses = 0
 
     def trim(self) -> int:
-        """Drop oldest entries down to ``cap``; returns entries dropped."""
+        """Drop oldest entries down to ``cap``; returns entries dropped.
+
+        Safe while other threads look up, insert and trim: one fleet
+        worker trims at its job boundary while the others are mid-job.
+        """
         cap = self.cap
-        if cap is None or len(self.data) <= cap:
-            return 0
         data = self.data
-        drop = len(data) - cap
-        for key in list(islice(iter(data), drop)):
-            del data[key]
-        return drop
+        if cap is None or len(data) <= cap:
+            return 0
+        while True:
+            try:
+                # oldest first; an insert landing between creating and
+                # draining the iterator raises, so count and scan again
+                keys = list(islice(data, max(0, len(data) - cap)))
+                break
+            except RuntimeError:
+                continue
+        for key in keys:
+            data.pop(key, None)
+        return len(keys)
 
     def stats(self) -> Dict[str, float]:
         total = self.hits + self.misses
@@ -161,6 +172,10 @@ def memo_caps() -> Dict[str, int]:
     return {n: t.cap for n, t in _memos.items() if t.cap is not None}
 
 
+#: serializes :func:`enforce_memo_caps` across worker threads
+_trim_lock = threading.Lock()
+
+
 def enforce_memo_caps() -> int:
     """Trim every capped memo table back down to its cap.
 
@@ -168,13 +183,13 @@ def enforce_memo_caps() -> int:
     the boundedness half of that bargain.  Trimming is insertion-ordered
     (oldest entries first) and runs only at run/chunk/job boundaries, so
     per-lookup hot paths never pay for it.  Returns (and counts, as
-    ``perf.memo_trims``) the entries dropped.
+    ``perf.memo_trims``) the entries dropped.  Concurrent callers (fleet
+    workers finishing jobs at once) trim one at a time.
     """
-    trimmed = 0
-    for table in _memos.values():
-        trimmed += table.trim()
-    if trimmed:
-        bump("perf.memo_trims", trimmed)
+    with _trim_lock:
+        trimmed = sum(table.trim() for table in list(_memos.values()))
+        if trimmed:
+            bump("perf.memo_trims", trimmed)
     return trimmed
 
 

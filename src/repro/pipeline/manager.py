@@ -64,7 +64,7 @@ class PipelineWiringError(Exception):
 
 
 #: memoized region dependence structures (see module docstring)
-_schedule_memo = perf.memo_table("pipeline.schedule")
+_schedule_memo = perf.memo_table("pipeline.schedule", cap=64)
 
 
 def _build_region_schedule(

@@ -30,8 +30,10 @@ REGION_BUDGET = 12
 
 #: may-union results keyed by the (value-hashable) operand pair and
 #: budget; warm re-analyses replay identical union chains, and the
-#: regions inside are interned so re-returning a cached set is safe
-_UNION = perf.memo_table("summary.union", cap=16384)
+#: regions inside are interned so re-returning a cached set is safe.
+#: An entry holds ~0.9 KB (two operand sets and the result), several
+#: times a region-algebra entry, hence the smaller cap
+_UNION = perf.memo_table("summary.union", cap=4096)
 
 
 class SummarySet:

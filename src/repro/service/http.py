@@ -39,6 +39,10 @@ job queue and a worker fleet.  The API surface:
 Shutdown (SIGTERM/SIGINT) is a graceful drain: the listener stops
 accepting, the fleet stops claiming, running jobs finish, receipts are
 written — then the process exits.
+
+Every answer leaves in one write on a ``TCP_NODELAY`` socket, and a
+``POST``'s declared body is read before any answer, so keep-alive
+connections stay fast and in sync (``docs/SERVICE.md``, Transport).
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import re
 import signal
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from repro import perf
 from repro.service.queue import JobQueue, QueueFull
@@ -86,18 +90,36 @@ class ServiceHandler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
 
+    # answers leave in one write (see _send); with the whole answer in
+    # hand, Nagle's algorithm has nothing to wait for
+    disable_nagle_algorithm = True
+
     # ------------------------------------------------------------------
-    def _send_json(
-        self, code: int, payload: Dict, headers: Optional[Dict] = None
+    def _send(
+        self,
+        code: int,
+        body: Union[Dict, bytes],
+        headers: Optional[Dict] = None,
     ) -> None:
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode()
+        """Answer with *body* — a JSON-able payload, or bytes sent as
+        they are — in one socket write.
+
+        ``end_headers()`` would write the header block by itself and the
+        body would follow as a second small segment, which Nagle's
+        algorithm holds until the client's delayed ACK (~40 ms).
+        """
+        if not isinstance(body, bytes):
+            body = (json.dumps(body, sort_keys=True) + "\n").encode()
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        head = getattr(self, "_headers_buffer", [])  # none for HTTP/0.9
+        if head:
+            head.append(b"\r\n")
+        self.wfile.write(b"".join(head) + body)
+        head.clear()
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # stay quiet; the journal is the record
@@ -105,28 +127,40 @@ class ServiceHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 - stdlib casing
         perf.bump("http.requests")
+        # read the declared body before any answer: an early 404 or 503
+        # must leave a keep-alive connection at the next request line
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        if length < 0:
+            # where the body ends is unknown, so the connection cannot
+            # carry another request
+            self._send(
+                400,
+                {"ok": False, "error": "bad Content-Length"},
+                headers={"Connection": "close"},
+            )
+            return
+        raw = self.rfile.read(length)
         path = self.path.rstrip("/")
         if path not in ("/v1/jobs", "/v1/batch"):
-            self._send_json(404, {"ok": False, "error": "not found"})
+            self._send(404, {"ok": False, "error": "not found"})
             return
         if self.server.draining:
-            self._send_json(
+            self._send(
                 503,
                 {"ok": False, "error": "draining"},
                 headers={"Retry-After": "5"},
             )
             return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            raw = self.rfile.read(length)
             body = json.loads(raw or b"null")
         except ValueError as exc:
-            self._send_json(400, {"ok": False, "error": f"bad JSON: {exc}"})
+            self._send(400, {"ok": False, "error": f"bad JSON: {exc}"})
             return
         if not isinstance(body, dict):
-            self._send_json(
-                400, {"ok": False, "error": "request must be an object"}
-            )
+            self._send(400, {"ok": False, "error": "request must be an object"})
             return
         kind = body.pop("kind", "analyze")
         priority = body.pop("priority", 0)
@@ -142,14 +176,12 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 ids = self.server.queue.submit_batch(
                     kind, jobs, priority=priority
                 )
-                self._send_json(
-                    202, {"ok": True, "ids": ids, "state": "queued"}
-                )
+                self._send(202, {"ok": True, "ids": ids, "state": "queued"})
                 return
             job_id = self.server.queue.submit(kind, body, priority=priority)
         except QueueFull as exc:
             perf.bump("http.rejected")
-            self._send_json(
+            self._send(
                 429,
                 {
                     "ok": False,
@@ -160,40 +192,34 @@ class ServiceHandler(BaseHTTPRequestHandler):
             )
             return
         except (ValueError, TypeError) as exc:
-            self._send_json(400, {"ok": False, "error": str(exc)})
+            self._send(400, {"ok": False, "error": str(exc)})
             return
-        self._send_json(202, {"ok": True, "id": job_id, "state": "queued"})
+        self._send(202, {"ok": True, "id": job_id, "state": "queued"})
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - stdlib casing
         perf.bump("http.requests")
         path = self.path.split("?", 1)[0]
         if path == "/v1/healthz":
-            self._send_json(
-                200, {"ok": True, "draining": self.server.draining}
-            )
+            self._send(200, {"ok": True, "draining": self.server.draining})
             return
         if path == "/v1/stats":
-            self._send_json(
-                200, service_stats(self.server.queue, self.server.fleet)
-            )
+            self._send(200, service_stats(self.server.queue, self.server.fleet))
             return
         m = _JOB_PATH.match(path)
         if m is None:
-            self._send_json(404, {"ok": False, "error": "not found"})
+            self._send(404, {"ok": False, "error": "not found"})
             return
         job_id, want_receipt = m.group(1), bool(m.group(2))
         queue = self.server.queue
         state = queue.state(job_id)
         if state is None:
-            self._send_json(
-                404, {"ok": False, "error": f"unknown job {job_id!r}"}
-            )
+            self._send(404, {"ok": False, "error": f"unknown job {job_id!r}"})
             return
         if want_receipt:
             receipt = queue.receipt(job_id)
             if receipt is None:
-                self._send_json(
+                self._send(
                     404,
                     {
                         "ok": False,
@@ -202,17 +228,12 @@ class ServiceHandler(BaseHTTPRequestHandler):
                     },
                 )
                 return
-            body = receipt_bytes(receipt)
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self._send(200, receipt_bytes(receipt))
             return
         payload: Dict = {"id": job_id, "state": state}
         if state in ("done", "failed"):
             payload["response"] = queue.response(job_id)
-        self._send_json(200, payload)
+        self._send(200, payload)
 
 
 class ServiceServer(ThreadingHTTPServer):

@@ -28,12 +28,27 @@ degradation and cost.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Dict, Optional, Tuple
 
+# The whole analysis stack loads with this module, in the thread that
+# imports it, before any fleet starts worker threads: two workers first
+# importing one package at once can each get it partially initialized.
+# The first five are modules the analysis imports lazily, inside calls.
+import repro.arraydf.screen  # noqa: F401
+import repro.ir.scalarprop  # noqa: F401
+import repro.linalg.packed  # noqa: F401
+import repro.pipeline  # noqa: F401
+import repro.service.degrade  # noqa: F401
 from repro import perf
+from repro.arraydf.options import AnalysisOptions
+from repro.codegen.report import format_report
+from repro.lang.parser import parse_program
+from repro.partests.driver import ParallelizationDriver
 from repro.service import receipts
 from repro.service.budgets import Budget, budget_scope
+from repro.service.cache import default_cache
 
 for _name in (
     "job.analyze",
@@ -42,16 +57,19 @@ for _name in (
     "job.failed",
     "job.degraded",
     "job.receipt",
+    "job.trim_failed",
 ):
     perf.declare(_name)
 
 #: experiment ids an ``experiment`` job may name (module resolved lazily)
 EXPERIMENTS = ("fig1", "tab1", "tab2", "tab3", "figs", "figo")
 
+#: experiments load on first use (eagerly they would add ~280 ms to
+#: every server start), one worker thread at a time
+_experiments_lock = threading.Lock()
+
 
 def _options_named(name: str):
-    from repro.arraydf.options import AnalysisOptions
-
     if name == "base":
         return AnalysisOptions.base()
     if name == "predicated":
@@ -60,14 +78,19 @@ def _options_named(name: str):
 
 
 def _experiment_module(which: str):
-    from repro.experiments import (
-        fig1_examples,
-        fig_overhead,
-        fig_speedups,
-        table1_loops,
-        table2_programs,
-        table3_categories,
-    )
+    with _experiments_lock:
+        from repro.experiments import (
+            fig1_examples,
+            fig_overhead,
+            fig_speedups,
+            table1_loops,
+            table2_programs,
+            table3_categories,
+        )
+
+        # and the modules their runs import lazily
+        import repro.runtime.bytecode  # noqa: F401
+        from repro.suites import extra, nas, perfect, specfp  # noqa: F401
 
     return {
         "fig1": fig1_examples,
@@ -119,10 +142,6 @@ def run_analyze(
         budget = Budget.from_dict(body.get("budget"))
         extras["budget"] = budget
 
-        from repro.lang.parser import parse_program
-        from repro.partests.driver import ParallelizationDriver
-        from repro.service.cache import default_cache
-
         program = parse_program(source)
         extras["program"] = program
         driver = ParallelizationDriver(
@@ -162,8 +181,6 @@ def run_analyze(
             "loops": loops,
         }
         if body.get("report"):
-            from repro.codegen.report import format_report
-
             resp["report"] = format_report(result)
         return resp, extras
     except Exception as exc:  # one bad request must not kill the worker
@@ -287,6 +304,11 @@ def execute_job(
     )
     perf.bump("job.receipt")
     # job boundary: a long-lived fleet keeps memo tables warm across
-    # jobs; trim the capped ones so that warmth stays bounded
-    perf.enforce_memo_caps()
+    # jobs; trim the capped ones so that warmth stays bounded.  The job
+    # is complete by now, so a failing trim must neither fail it nor
+    # kill the worker that ran it.
+    try:
+        perf.enforce_memo_caps()
+    except Exception:
+        perf.bump("job.trim_failed")
     return resp, receipt

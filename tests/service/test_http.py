@@ -1,5 +1,6 @@
 """Tests for the HTTP front door."""
 
+import http.client
 import json
 import socket
 import threading
@@ -8,7 +9,12 @@ import urllib.request
 
 import pytest
 
-from repro.service.http import ServiceServer, parse_addr, service_stats
+from repro.service.http import (
+    ServiceHandler,
+    ServiceServer,
+    parse_addr,
+    service_stats,
+)
 from repro.service.queue import JobQueue
 from repro.service.workers import WorkerFleet
 
@@ -201,6 +207,143 @@ class TestErrors:
             base, "/v1/batch", {"kind": "bogus", "jobs": [{}]}
         )
         assert code == 400 and "bogus" in payload["error"]
+
+
+def _keepalive(base):
+    host, port = base.rsplit("//", 1)[1].split(":")
+    return http.client.HTTPConnection(host, int(port), timeout=30)
+
+
+def _call(conn, method, path, body=None, headers=None):
+    conn.request(method, path, body=body, headers=headers or {})
+    resp = conn.getresponse()
+    return resp.status, json.loads(resp.read())
+
+
+class TestKeepAlive:
+    """Early answers leave a keep-alive connection ready for the next
+    request: the declared body is read before any answer."""
+
+    BODY = json.dumps({"id": 1, "source": SRC})
+
+    @pytest.mark.parametrize(
+        "path, body, draining, code",
+        [
+            ("/v1/nope", BODY, False, 404),
+            ("/v1/jobs", BODY, True, 503),
+            ("/v1/jobs", "{nope", False, 400),
+        ],
+    )
+    def test_early_answer_then_get(self, service, path, body, draining, code):
+        base, _, _, server = service
+        conn = _keepalive(base)
+        server.draining = draining
+        try:
+            assert _call(conn, "POST", path, body)[0] == code
+            assert _call(conn, "GET", "/v1/healthz") == (
+                200,
+                {"ok": True, "draining": draining},
+            )
+        finally:
+            server.draining = False
+            conn.close()
+
+    def test_bad_content_length_closes_the_connection(self, service):
+        """With no known body end the server answers, then hangs up; the
+        client reconnects on its own for the next request."""
+        base, *_ = service
+        conn = _keepalive(base)
+        try:
+            conn.putrequest("POST", "/v1/jobs")
+            conn.putheader("Content-Length", "twelve")
+            conn.endheaders(self.BODY.encode())
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert resp.getheader("Connection") == "close"
+            assert "Content-Length" in json.loads(resp.read())["error"]
+            assert _call(conn, "GET", "/v1/healthz")[0] == 200
+        finally:
+            conn.close()
+
+    def test_round_trips_on_one_connection(self, service):
+        base, *_ = service
+        conn = _keepalive(base)
+        try:
+            for i in range(3):
+                code, sub = _call(
+                    conn, "POST", "/v1/jobs", json.dumps({"id": i, "source": SRC})
+                )
+                assert code == 202
+                while True:
+                    code, job = _call(conn, "GET", f"/v1/jobs/{sub['id']}")
+                    assert code == 200
+                    if job["state"] in ("done", "failed"):
+                        break
+                assert job["response"]["id"] == i
+            code, receipt = _call(conn, "GET", f"/v1/jobs/{sub['id']}/receipt")
+            assert code == 200 and receipt["job"]["id"] == sub["id"]
+        finally:
+            conn.close()
+
+
+class TestOneWrite:
+    def test_every_answer_is_one_write_on_a_nodelay_socket(self, tmp_path):
+        """Status line, headers and body leave in one write, so Nagle's
+        algorithm never holds a body back for a delayed ACK."""
+        writes = []
+        nodelay = []
+
+        class Counting(ServiceHandler):
+            def setup(self):
+                super().setup()
+                nodelay.append(
+                    self.connection.getsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY
+                    )
+                )
+                raw = self.wfile
+
+                class Writer:
+                    def write(self, data):
+                        writes.append(bytes(data))
+                        return raw.write(data)
+
+                    def __getattr__(self, name):
+                        return getattr(raw, name)
+
+                self.wfile = Writer()
+
+        queue = JobQueue(tmp_path / "q", capacity=4)
+        server = ServiceServer(("127.0.0.1", 0), queue, None)
+        server.RequestHandlerClass = Counting
+        t = threading.Thread(target=server.serve_forever, daemon=True)
+        t.start()
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        conn = _keepalive(base)
+        try:
+            jid = queue.submit("analyze", {"id": 0, "source": SRC})
+            queue.finish(jid, {"id": 0, "ok": True}, {"job": {"id": jid}})
+            requests = [
+                ("GET", "/v1/healthz", None),
+                ("GET", "/v1/stats", None),
+                ("GET", f"/v1/jobs/{jid}", None),
+                ("GET", f"/v1/jobs/{jid}/receipt", None),
+                ("GET", "/v1/nope", None),
+                ("POST", "/v1/jobs", json.dumps({"source": SRC})),
+                ("POST", "/v1/nope", "{}"),
+            ]
+            for method, path, body in requests:
+                del writes[:]
+                conn.request(method, path, body=body)
+                resp = conn.getresponse()
+                payload = resp.read()
+                assert len(writes) == 1, (path, writes)
+                assert writes[0].endswith(b"\r\n\r\n" + payload), path
+            assert nodelay == [1]  # one connection, Nagle off
+        finally:
+            conn.close()
+            server.shutdown()
+            server.server_close()
 
 
 class TestBackpressure:

@@ -1,5 +1,9 @@
 """Tests for the worker fleet draining the job queue."""
 
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 import warnings
@@ -81,6 +85,71 @@ class TestFleet:
         assert not bad_resp["ok"] and "ParseError" in bad_resp["error"]
         assert q.state(bad) == "failed"
         assert good_resp["ok"]  # the worker survived the poisoned job
+
+    def test_failing_trim_does_not_kill_the_worker(self, tmp_path, monkeypatch):
+        """A memo trim that raises at a job boundary fails neither the
+        finished job nor the worker that runs the next one."""
+        from repro import perf
+
+        def broken_trim():
+            raise KeyError("trim")
+
+        monkeypatch.setattr(perf, "enforce_memo_caps", broken_trim)
+        failed = perf.counter("job.trim_failed")
+        q = JobQueue(tmp_path)
+        ids = [
+            q.submit("analyze", {"id": i, "source": INDEPENDENT})
+            for i in range(3)
+        ]
+        with WorkerFleet(q, workers=1):
+            responses = [q.wait(i, timeout=30.0) for i in ids]
+        assert all(r is not None and r["ok"] for r in responses)
+        assert [q.state(i) for i in ids] == ["done"] * 3
+        assert perf.counter("job.trim_failed") == failed + 3
+
+    def test_workers_import_no_repro_module(self, tmp_path):
+        """The analysis stack is loaded before worker threads start: two
+        workers first importing one package at once can each get it
+        partially initialized (ImportError, KeyError)."""
+        script = textwrap.dedent(
+            """
+            import sys, threading
+
+            first = set()
+
+            class Recorder:
+                def find_spec(self, name, path=None, target=None):
+                    thread = threading.current_thread().name
+                    if name.startswith("repro") and thread.startswith("worker-"):
+                        first.add(name)
+                    return None
+
+            sys.meta_path.insert(0, Recorder())
+            from repro.service.queue import JobQueue
+            from repro.service.workers import WorkerFleet
+
+            q = JobQueue(sys.argv[1])
+            with WorkerFleet(q, workers=2):
+                jid = q.submit(
+                    "analyze", {"source": sys.argv[2], "report": True}
+                )
+                resp = q.wait(jid, timeout=60.0)
+            assert resp["ok"], resp
+            print(sorted(first))
+            """
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path), SRC],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_concurrent_budgets_do_not_cross_meter(self, tmp_path):
         """One tiny-budget job degrades; its unlimited neighbors don't.

@@ -147,52 +147,6 @@ def check_oracle_pairs(info: dict):
     return failures
 
 
-def check_parity_pairs(info: dict):
-    """Enforce paired ``<key>[packed=on]`` == ``<key>[packed=off]`` counters.
-
-    The linalg micro-benchmarks record the deterministic ``fm.*``
-    counters for both kernel modes; the packed kernel must do *exactly*
-    the same eliminations and pair combinations as the legacy one — any
-    difference means the identical-results contract is broken, not that
-    one mode is cheaper.
-    """
-    failures = []
-    for name in sorted(info):
-        for key in sorted(info[name]):
-            if not key.endswith("[packed=on]"):
-                continue
-            off_key = key[: -len("[packed=on]")] + "[packed=off]"
-            if off_key not in info[name]:
-                continue
-            on, off = info[name][key], info[name][off_key]
-            if on != off:
-                failures.append((name, key, on, off))
-    return failures
-
-
-def check_bytecode_pairs(info: dict):
-    """Enforce paired ``<key>[bytecode=on]`` == ``<key>[bytecode=off]``.
-
-    The runtime micro-benchmarks record deterministic run facts (step
-    counts, loop-event counts, ELPD verdict tallies) for both
-    interpreter engines; the bytecode engine must produce *exactly* the
-    tree walker's results — any difference means the identical-execution
-    contract is broken, not that one engine is cheaper.
-    """
-    failures = []
-    for name in sorted(info):
-        for key in sorted(info[name]):
-            if not key.endswith("[bytecode=on]"):
-                continue
-            off_key = key[: -len("[bytecode=on]")] + "[bytecode=off]"
-            if off_key not in info[name]:
-                continue
-            on, off = info[name][key], info[name][off_key]
-            if on != off:
-                failures.append((name, key, on, off))
-    return failures
-
-
 def check_max_ratios(current: dict, specs):
     """Enforce ``NUM:DEN:R`` pairs on the *current* means.
 
@@ -548,20 +502,6 @@ def main(argv=None) -> int:
         print(
             f"\nFAIL: {name}: {key} = {on} must be strictly below "
             f"its [oracle=off] pair = {off}"
-        )
-        failures += 1
-
-    for name, key, on, off in check_parity_pairs(current_info):
-        print(
-            f"\nFAIL: {name}: {key} = {on} must equal its "
-            f"[packed=off] pair = {off} (kernel parity broken)"
-        )
-        failures += 1
-
-    for name, key, on, off in check_bytecode_pairs(current_info):
-        print(
-            f"\nFAIL: {name}: {key} = {on} must equal its "
-            f"[bytecode=off] pair = {off} (runtime parity broken)"
         )
         failures += 1
 

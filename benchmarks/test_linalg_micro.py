@@ -1,15 +1,9 @@
-"""Micro-benchmarks of the linalg elimination kernels, packed vs legacy.
+"""Micro-benchmarks of the linalg Fourier–Motzkin kernel.
 
-Each workload is timed twice — once with the packed integer-matrix
-kernel (``REPRO_PACKED_KERNEL``, the default) and once on the legacy
-symbolic path — from cold caches on the *same* deterministic constraint
-corpus, so the pair of benchmarks isolates exactly the kernel cost.  The
-packed variant of each pair must be strictly faster (gated by
-``--max-ratio`` in ``make perfgate``), and the deterministic ``fm.*``
-counters recorded in ``extra_info`` must be *equal* across modes — the
-packed kernel does the same eliminations and pair combinations, it just
-runs them on plain integer tuples (``check_parity_pairs`` in
-``benchmarks/check_regression.py`` gates that equality).
+Each workload is timed from cold caches on a deterministic constraint
+corpus, and records the deterministic ``fm.*`` counters of one cold run
+in ``extra_info`` (the regression gate holds them at or below the
+baseline's).
 
 Compare runs against the committed recordings with
 ``benchmarks/check_regression.py`` (which runs this file alongside the
@@ -26,7 +20,7 @@ from repro.linalg.fourier_motzkin import eliminate_all
 from repro.linalg.system import LinearSystem
 from repro.symbolic.affine import AffineExpr
 
-PARITY_COUNTERS = ("fm.eliminate", "fm.pair_combine", "fm.fallback_drop")
+COUNTERS = ("fm.eliminate", "fm.pair_combine", "fm.fallback_drop")
 
 
 def _corpus(seed=7, count=120):
@@ -52,38 +46,19 @@ def _corpus(seed=7, count=120):
     return systems
 
 
-def _measure(enabled, workload):
-    """Cold-cache deterministic counter deltas for one kernel mode."""
-    perf.set_packed_kernel(enabled)
-    perf.reset_all_caches()
-    perf.reset_counters()
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            workload()
-        return {c: perf.counter(c) for c in PARITY_COUNTERS}
-    finally:
-        perf.set_packed_kernel(None)
-
-
-def _bench_pair(benchmark, enabled, workload):
-    """Record parity counters for both modes, then time one of them."""
-    counts_on = _measure(True, workload)
-    counts_off = _measure(False, workload)
-    for key in PARITY_COUNTERS:
-        benchmark.extra_info[f"{key}[packed=on]"] = counts_on[key]
-        benchmark.extra_info[f"{key}[packed=off]"] = counts_off[key]
+def _bench(benchmark, workload):
+    """Time *workload* from cold caches; record its deterministic counters."""
 
     def probe():
-        perf.set_packed_kernel(enabled)
         perf.reset_all_caches()
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                return workload()
-        finally:
-            perf.set_packed_kernel(None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return workload()
 
+    perf.reset_counters()
+    probe()
+    for key in COUNTERS:
+        benchmark.extra_info[key] = perf.counter(key)
     return benchmark(probe)
 
 
@@ -108,19 +83,10 @@ def _feasibility_workload():
     return run
 
 
-def test_linalg_eliminate_packed(benchmark):
-    _bench_pair(benchmark, True, _eliminate_workload())
+def test_linalg_eliminate(benchmark):
+    _bench(benchmark, _eliminate_workload())
 
 
-def test_linalg_eliminate_legacy(benchmark):
-    _bench_pair(benchmark, False, _eliminate_workload())
-
-
-def test_linalg_feasibility_packed(benchmark):
-    feasible = _bench_pair(benchmark, True, _feasibility_workload())
-    assert 0 < feasible <= 120
-
-
-def test_linalg_feasibility_legacy(benchmark):
-    feasible = _bench_pair(benchmark, False, _feasibility_workload())
+def test_linalg_feasibility(benchmark):
+    feasible = _bench(benchmark, _feasibility_workload())
     assert 0 < feasible <= 120

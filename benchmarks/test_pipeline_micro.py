@@ -4,20 +4,16 @@ Times the full pass pipeline (cold caches each round) on the largest
 multi-procedure program in the suite, once with the serial pass-major
 schedule (``jobs=1``) and once with the dependency-driven thread
 schedule (``jobs=4``).  Results are byte-identical by construction (the
-integration suite pins that); these benchmarks gate the *cost* of the
-scheduler instead:
-
-* ``test_pipeline_serial`` keeps the pipeline no slower than the legacy
-  monolithic driver (``test_pipeline_legacy_driver``), and
-* ``test_pipeline_parallel`` bounds scheduling overhead — on a
-  single-core runner threads cannot win, so ``make perfgate`` checks
-  the parallel mean stays within a constant factor of the serial one
-  (``--max-ratio``) rather than demanding a speedup.
+integration suite pins that); these benchmarks time the *cost* of the
+scheduler instead.  ``test_pipeline_parallel`` bounds scheduling
+overhead — on a single-core runner threads cannot win, so ``make
+perfgate`` checks the parallel mean stays within a constant factor of
+the serial one (``--max-ratio``) rather than demanding a speedup.
 """
 
 from repro import perf
 from repro.arraydf.options import AnalysisOptions
-from repro.pipeline import run_pipeline, set_pipeline
+from repro.pipeline import run_pipeline
 from repro.suites import get_program
 
 #: largest multi-procedure program in the suite (by statement count)
@@ -45,22 +41,4 @@ def test_pipeline_serial(benchmark):
 
 def test_pipeline_parallel(benchmark):
     result = benchmark(_pipeline_run, 4)
-    assert result.total_loops > 0
-
-
-def test_pipeline_legacy_driver(benchmark):
-    from repro.partests.driver import analyze_program
-
-    def run():
-        perf.reset_all_caches()
-        try:
-            set_pipeline(False)
-            return analyze_program(
-                get_program(PROGRAM).fresh_program(),
-                AnalysisOptions.predicated(),
-            )
-        finally:
-            set_pipeline(None)
-
-    result = benchmark(run)
     assert result.total_loops > 0

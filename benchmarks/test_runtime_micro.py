@@ -1,15 +1,11 @@
-"""Micro-benchmarks of the runtime interpreter, bytecode vs tree.
+"""Micro-benchmarks of the runtime: the bytecode engine and ELPD.
 
-Each workload is timed twice — once on the compile-once bytecode engine
-(``REPRO_BYTECODE``, the default) and once on the legacy tree walker —
-on the *same* deterministic program and inputs, so each pair isolates
-exactly the execution-engine cost.  The bytecode variant of each pair
-must be faster by the ``--max-ratio`` margins in ``make perfgate``, and
-the deterministic run facts recorded in ``extra_info`` (step counts,
-loop-event counts, ELPD verdict tallies) must be *equal* across modes —
-the engines execute identical semantics, one just dispatches less
-(``check_bytecode_pairs`` in ``benchmarks/check_regression.py`` gates
-that equality).
+Each workload runs from cold caches on a deterministic program and
+inputs, and records its deterministic run facts (step counts, loop-event
+counts, ELPD verdict tallies) in ``extra_info``.  Both are checked
+against the test-only reference runtime by the differential suites
+(``tests/runtime/test_bytecode_fuzz.py``,
+``tests/integration/test_bytecode_identity.py``).
 
 The exec workload mixes a vectorizable inner loop with a recurrence the
 vectorizer must reject (``b(i) = ... b(i-1)``), so both the NumPy fast
@@ -62,7 +58,7 @@ ELPD_INPUTS = [600]
 
 
 def _exec_facts():
-    """Deterministic facts of one exec run (must be mode-independent)."""
+    """Deterministic facts of one exec run."""
     program = parse_program(EXEC_SRC)
     result = run_program(program, EXEC_INPUTS)
     return {
@@ -73,7 +69,7 @@ def _exec_facts():
 
 
 def _elpd_facts():
-    """Deterministic facts of one ELPD run (must be mode-independent)."""
+    """Deterministic facts of one ELPD run."""
     report = run_elpd(parse_program(ELPD_SRC), ELPD_INPUTS)
     classes = [o.classification for o in report.observations.values()]
     return {
@@ -84,50 +80,23 @@ def _elpd_facts():
     }
 
 
-def _measure(enabled, facts_fn):
-    """Cold-cache deterministic run facts for one engine mode."""
-    perf.set_bytecode(enabled)
-    perf.reset_all_caches()
-    try:
-        return facts_fn()
-    finally:
-        perf.set_bytecode(None)
-
-
-def _bench_pair(benchmark, enabled, facts_fn):
-    """Record run facts for both modes, then time one of them."""
-    facts_on = _measure(True, facts_fn)
-    facts_off = _measure(False, facts_fn)
-    for key in sorted(facts_on):
-        benchmark.extra_info[f"{key}[bytecode=on]"] = facts_on[key]
-        benchmark.extra_info[f"{key}[bytecode=off]"] = facts_off[key]
+def _bench(benchmark, facts_fn):
+    """Time *facts_fn* from cold caches; record the facts of one run."""
 
     def probe():
-        perf.set_bytecode(enabled)
         perf.reset_all_caches()
-        try:
-            return facts_fn()
-        finally:
-            perf.set_bytecode(None)
+        return facts_fn()
 
+    for key, value in sorted(probe().items()):
+        benchmark.extra_info[key] = value
     return benchmark(probe)
 
 
 def test_runtime_exec_bytecode(benchmark):
-    facts = _bench_pair(benchmark, True, _exec_facts)
-    assert facts["steps"] > 20000
-
-
-def test_runtime_exec_tree(benchmark):
-    facts = _bench_pair(benchmark, False, _exec_facts)
+    facts = _bench(benchmark, _exec_facts)
     assert facts["steps"] > 20000
 
 
 def test_runtime_elpd_bytecode(benchmark):
-    facts = _bench_pair(benchmark, True, _elpd_facts)
-    assert facts["elpd.dependent"] >= 1
-
-
-def test_runtime_elpd_tree(benchmark):
-    facts = _bench_pair(benchmark, False, _elpd_facts)
+    facts = _bench(benchmark, _elpd_facts)
     assert facts["elpd.dependent"] >= 1

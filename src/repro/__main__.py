@@ -31,10 +31,9 @@ door over the persistent job queue and a worker fleet (see
 ``--max-wall``/``--max-ops``/``--max-fm`` bound one request's resources
 (exhaustion degrades the answer soundly instead of failing).
 
-``analyze`` runs the pass pipeline (``REPRO_PIPELINE=0`` selects the
-legacy monolithic path): ``--jobs N`` schedules independent callgraph
-subtrees on N workers — threads by default (GIL-bound: little real
-overlap), or worker *processes* with ``--executor process`` /
+``analyze`` runs the pass pipeline: ``--jobs N`` schedules independent
+callgraph subtrees on N workers — threads by default (GIL-bound: little
+real overlap), or worker *processes* with ``--executor process`` /
 ``REPRO_EXECUTOR=process`` — and ``--explain-pipeline`` dumps the pass
 graph, the per-unit schedule and per-pass timings as JSON.  Output is
 byte-identical for every executor and job count; the execution model is
@@ -188,7 +187,7 @@ def _cmd_analyze(args) -> int:
     from repro.codegen.report import format_report
     from repro.lang.parser import parse_program
     from repro.lang.prettyprint import pretty
-    from repro.pipeline import pipeline_enabled, run_pipeline
+    from repro.pipeline import run_pipeline
     from repro.service import Budget, budget_scope, default_cache
     from repro.service import set_default_cache_dir
 
@@ -204,42 +203,21 @@ def _cmd_analyze(args) -> int:
     )
     goals = ("result", "transformed") if args.emit else ("result",)
     with budget_scope(budget):
-        if pipeline_enabled():
-            ctx = run_pipeline(
-                program,
-                opts,
-                cache=default_cache(),
-                jobs=args.jobs,
-                goals=goals,
-                explain=args.explain_pipeline,
-                executor=args.executor,
-            )
-            result = ctx.get("result")
-            transformed = ctx.get("transformed") if args.emit else None
-        else:
-            from repro.codegen.plan import build_plan
-            from repro.codegen.twoversion import transform_program
-            from repro.partests.driver import analyze_program
-
-            ctx = None
-            result = analyze_program(program, opts, cache=default_cache())
-            transformed = (
-                transform_program(program, build_plan(result))
-                if args.emit
-                else None
-            )
-    print(format_report(result, title=args.file))
-    if transformed is not None:
+        ctx = run_pipeline(
+            program,
+            opts,
+            cache=default_cache(),
+            jobs=args.jobs,
+            goals=goals,
+            explain=args.explain_pipeline,
+            executor=args.executor,
+        )
+    print(format_report(ctx.get("result"), title=args.file))
+    if args.emit:
         print()
-        print(pretty(transformed))
+        print(pretty(ctx.get("transformed")))
     if args.explain_pipeline:
-        if ctx is not None and ctx.explain is not None:
-            print(json.dumps(ctx.explain, indent=2, sort_keys=True))
-        else:
-            print(
-                '{"error": "pipeline disabled (REPRO_PIPELINE=0): '
-                'nothing to explain"}'
-            )
+        print(json.dumps(ctx.explain, indent=2, sort_keys=True))
     if args.profile:
         _print_profile()
     return 0

@@ -245,112 +245,3 @@ def build_region_tree(unit: Subroutine) -> ProcRegion:
     _stamp(proc, counter, unit.name)
     body.parent = proc
     return proc
-
-
-# ----------------------------------------------------------------------
-# control-flow edges
-# ----------------------------------------------------------------------
-
-
-class FlowGraph:
-    """Control-flow successor/predecessor edges over a region tree.
-
-    The *atomic* regions of a procedure — statements, call sites, and
-    the header nodes of loops and conditionals — become graph nodes,
-    numbered in source (pre-)order after two synthetic nodes: ``ENTRY``
-    (0) and ``EXIT`` (1).  Edge construction follows the structured
-    control flow:
-
-    * sequence items chain left to right;
-    * an ``If`` header fans out to the first node of each arm (or
-      through itself when an arm is empty) and the arms re-join at the
-      successor;
-    * a ``DoLoop`` header starts the body, the last body nodes run the
-      back edge to the header, and the header is also the loop's exit
-      (zero-trip or completed) — an empty body degenerates to a header
-      self-loop;
-    * ``Return`` jumps straight to ``EXIT``, so loops containing one
-      have multiple exits and statements after it are unreachable
-      (no predecessors).
-
-    This is the graph the :mod:`repro.ir.dataflow` worklist engine
-    iterates over; dedicated edge tests live in
-    ``tests/ir/test_regiongraph_edges.py``.
-    """
-
-    ENTRY = 0
-    EXIT = 1
-
-    def __init__(self) -> None:
-        self.nodes: List[Optional[Region]] = [None, None]  # ENTRY, EXIT
-        self.succs: List[List[int]] = [[], []]
-        self.preds: List[List[int]] = [[], []]
-        self._index: dict = {}  # id(region) -> node index
-
-    # -- construction ---------------------------------------------------
-    def _add_node(self, region: Region) -> int:
-        idx = len(self.nodes)
-        self.nodes.append(region)
-        self.succs.append([])
-        self.preds.append([])
-        self._index[id(region)] = idx
-        return idx
-
-    def _add_edge(self, src: int, dst: int) -> None:
-        if dst not in self.succs[src]:
-            self.succs[src].append(dst)
-            self.preds[dst].append(src)
-
-    # -- queries --------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def node_for(self, region: Region) -> int:
-        """The node index of an atomic region (KeyError if structural)."""
-        return self._index[id(region)]
-
-    def is_reachable(self, idx: int) -> bool:
-        """Entry, or has at least one predecessor."""
-        return idx == self.ENTRY or bool(self.preds[idx])
-
-
-def _wire_seq(graph: FlowGraph, seq: SeqRegion, frontier: List[int]) -> List[int]:
-    """Wire one region sequence; returns the nodes that flow past it."""
-    for item in seq.items:
-        if isinstance(item, (StmtRegion, CallRegion)):
-            node = graph._add_node(item)
-            for src in frontier:
-                graph._add_edge(src, node)
-            if isinstance(item, StmtRegion) and isinstance(item.stmt, Return):
-                graph._add_edge(node, FlowGraph.EXIT)
-                frontier = []  # nothing flows past a return
-            else:
-                frontier = [node]
-        elif isinstance(item, IfRegion):
-            node = graph._add_node(item)
-            for src in frontier:
-                graph._add_edge(src, node)
-            then_exits = _wire_seq(graph, item.then_seq, [node])
-            else_exits = _wire_seq(graph, item.else_seq, [node])
-            frontier = []
-            for x in then_exits + else_exits:
-                if x not in frontier:
-                    frontier.append(x)
-        elif isinstance(item, LoopRegion):
-            node = graph._add_node(item)
-            for src in frontier:
-                graph._add_edge(src, node)
-            for x in _wire_seq(graph, item.body_seq, [node]):
-                graph._add_edge(x, node)  # back edge (self-loop if empty)
-            frontier = [node]  # the header is also the loop exit
-        else:  # pragma: no cover - seqs never nest directly
-            raise TypeError(f"unexpected region in sequence: {item!r}")
-    return frontier
-
-
-def build_flow_graph(proc: ProcRegion) -> FlowGraph:
-    """The control-flow graph of one procedure's region tree."""
-    graph = FlowGraph()
-    for x in _wire_seq(graph, proc.body_seq, [FlowGraph.ENTRY]):
-        graph._add_edge(x, FlowGraph.EXIT)
-    return graph

@@ -30,22 +30,16 @@ order, fresh statement objects, renumbered identically), so loop labels
 and ``nid``s line up with the original — plans computed on the
 propagated program drive the original's execution unchanged.
 
-Since PR 8 the pass runs on the generic worklist engine
-(:mod:`repro.ir.dataflow`): candidate definitions become bits of a
-FORWARD/ALLPATH availability problem over the unit's flow graph, and a
-statement is rewritten with exactly the definitions available on every
-path into it.  The pre-engine implementation is kept as
-:func:`propagate_scalars_legacy`; ``tests/ir/test_scalarprop_engine.py``
-pins the two byte-identical across all suite programs.
+Because every eligible definition sits in the top-level straight-line
+prefix and is never rewritten, one sequential scan finds them all: a
+definition reaches every statement after it on every path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-from repro.ir.dataflow import ALLPATH, FORWARD, DataflowProblem, solve
 from repro.ir.exprtools import to_affine
-from repro.ir.regiongraph import build_flow_graph, build_region_tree
 from repro.lang.astnodes import (
     ArrayRef,
     Assign,
@@ -168,95 +162,6 @@ def _rewrite_stmt(stmt: Stmt, env: Dict[str, Expr]) -> Stmt:
     return new
 
 
-def _find_candidates(unit: Subroutine) -> List[Tuple[int, str, Expr]]:
-    """The eligible definitions: (top-level position, name, rendering).
-
-    This is the same sequential scan the legacy pass runs — eligibility
-    is inherently positional (each rendering substitutes the earlier
-    candidates) — but here it only *names* the candidates; where they
-    apply is decided by the dataflow solution.
-    """
-    writes = _writes_of_unit(unit)
-    stable: Set[str] = {
-        name
-        for name, decl in unit.decls.items()
-        if not decl.is_array and writes.get(name, 0) <= 1
-    }
-    env: Dict[str, Expr] = {}
-    candidates: List[Tuple[int, str, Expr]] = []
-    prefix = True
-    for pos, stmt in enumerate(unit.body):
-        if isinstance(stmt, (DoLoop, If, Call)):
-            prefix = False
-        if (
-            prefix
-            and isinstance(stmt, Assign)
-            and isinstance(stmt.target, VarRef)
-            and stmt.target.name in stable
-        ):
-            affine = to_affine(_subst_expr(stmt.value, env))
-            if affine is not None and all(
-                v in stable for v in affine.variables()
-            ):
-                rendered = _affine_to_expr(affine)
-                if rendered is not None:
-                    env[stmt.target.name] = rendered
-                    candidates.append((pos, stmt.target.name, rendered))
-    return candidates
-
-
-class _AvailableDefs(DataflowProblem):
-    """FORWARD/ALLPATH: candidate defs reaching a node on *every* path.
-
-    One bit per candidate, generated at its defining statement's flow
-    node and never killed (candidates are written exactly once).
-    """
-
-    direction = FORWARD
-    meet = ALLPATH
-
-    def __init__(self, nbits: int, gen_by_node: Dict[int, Tuple[int, ...]]):
-        self._nbits = nbits
-        self._gen = gen_by_node
-
-    def num_bits(self) -> int:
-        return self._nbits
-
-    def gen(self, node: int):
-        return self._gen.get(node, ())
-
-
-def _propagate_unit_flow(unit: Subroutine) -> Subroutine:
-    candidates = _find_candidates(unit)
-    if not candidates:
-        body = [_rewrite_stmt(s, {}) for s in unit.body]
-        return Subroutine(
-            unit.name, list(unit.params), dict(unit.decls), body, unit.is_main
-        )
-
-    proc = build_region_tree(unit)
-    graph = build_flow_graph(proc)
-    items = proc.body_seq.items  # 1:1 with unit.body
-    gen_by_node = {
-        graph.node_for(items[pos]): (j,)
-        for j, (pos, _, _) in enumerate(candidates)
-    }
-    solution = solve(_AvailableDefs(len(candidates), gen_by_node), graph)
-
-    body: List[Stmt] = []
-    for pos, stmt in enumerate(unit.body):
-        avail = solution.in_mask(graph.node_for(items[pos]))
-        env = {
-            name: rendered
-            for j, (cpos, name, rendered) in enumerate(candidates)
-            if cpos < pos and (avail >> j) & 1
-        }
-        body.append(_rewrite_stmt(stmt, env))
-    return Subroutine(
-        unit.name, list(unit.params), dict(unit.decls), body, unit.is_main
-    )
-
-
 def _propagate_unit(unit: Subroutine) -> Subroutine:
     writes = _writes_of_unit(unit)
     stable: Set[str] = {
@@ -293,18 +198,6 @@ def _propagate_unit(unit: Subroutine) -> Subroutine:
 
 def propagate_scalars(program: Program) -> Program:
     """Forward-propagate straight-line scalar definitions in every unit."""
-    units = {
-        name: _propagate_unit_flow(unit)
-        for name, unit in program.units.items()
-    }
-    out = Program(program.name, units, program.main)
-    assign_nids(out)
-    return out
-
-
-def propagate_scalars_legacy(program: Program) -> Program:
-    """The pre-engine sequential implementation, kept as the identity
-    reference for ``tests/ir/test_scalarprop_engine.py``."""
     units = {
         name: _propagate_unit(unit) for name, unit in program.units.items()
     }

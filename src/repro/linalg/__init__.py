@@ -8,10 +8,7 @@ Omega/Fourier–Motzkin substrate:
 * :class:`~repro.linalg.system.LinearSystem` — a conjunction of
   constraints (a convex polyhedron, interpreted over the integers);
 * :mod:`~repro.linalg.fourier_motzkin` — exact projection (variable
-  elimination) with integer tightening, dispatching to the packed
-  integer-matrix kernel in :mod:`~repro.linalg.packed` by default
-  (``REPRO_PACKED_KERNEL=0`` selects the legacy symbolic path;
-  results are identical either way);
+  elimination) with integer tightening;
 * :mod:`~repro.linalg.feasibility` — emptiness testing;
 * :mod:`~repro.linalg.implication` — containment and entailment tests.
 """

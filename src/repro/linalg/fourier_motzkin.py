@@ -20,13 +20,11 @@ interned identity of their arguments; region projection repeatedly
 eliminates the same loop indices from the same systems, and the memo
 turns those repeats into dictionary lookups.
 
-Two kernels implement the projection itself.  The **packed** kernel
-(:mod:`repro.linalg.packed`, the default) lowers the system once into a
-dense integer-matrix form and runs the whole pipeline there, re-interning
-only final results; the **legacy** kernel below materializes interned
-symbolic objects for every intermediate bound pair.  Both produce
-pointer-identical results and identical ``fm.*`` counter deltas; the
-switch is ``REPRO_PACKED_KERNEL`` / :func:`repro.perf.set_packed_kernel`.
+The kernel works on the interned symbolic objects directly: every
+combined bound pair is a normalized, interned
+:class:`~repro.linalg.constraint.Constraint`.  Region systems stay tiny
+(a handful of constraints over two or three variables), so there is no
+lowered matrix form to amortize.
 """
 
 from __future__ import annotations
@@ -117,19 +115,6 @@ def replay_fallback_warnings(records) -> None:
             warnings.warn(message, RuntimeWarning, stacklevel=2)
 
 
-_packed_mod = None
-
-
-def _packed():
-    """Lazy import of the packed kernel (it imports our constants)."""
-    global _packed_mod
-    if _packed_mod is None:
-        from repro.linalg import packed
-
-        _packed_mod = packed
-    return _packed_mod
-
-
 def _note_fallback(var: str, n_pairs: int) -> None:
     """Record a precision-losing fallback drop.
 
@@ -192,10 +177,6 @@ def eliminate(system: LinearSystem, var: str) -> LinearSystem:
     """
     if var not in system.variables():
         return system
-    if perf.packed_kernel_enabled():
-        # the packed kernel keeps its own per-step memo (fm.packed.reuse)
-        # keyed on the canonical packed form, bijective with (system, var)
-        return _packed().eliminate_packed(system, var)
     key = (system, var)
     cached = _ELIM.data.get(key)
     if cached is not None:
@@ -280,15 +261,12 @@ def eliminate_all(system: LinearSystem, variables: Iterable[str]) -> LinearSyste
         _ELIM_ALL.hits += 1
         return cached
     _ELIM_ALL.misses += 1
-    if perf.packed_kernel_enabled():
-        current = _packed().eliminate_all_packed(system, todo0)
-    else:
-        current = _eliminate_all_legacy(system, todo0)
+    current = _eliminate_all_uncached(system, todo0)
     _ELIM_ALL.data[key] = current
     return current
 
 
-def _eliminate_all_legacy(
+def _eliminate_all_uncached(
     system: LinearSystem, todo0: Tuple[str, ...]
 ) -> LinearSystem:
     todo = list(todo0)

@@ -32,7 +32,6 @@ The driver carries the serving-substrate hooks through the pipeline:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -48,7 +47,7 @@ from repro.partests.runtime_tests import (
 )
 from repro.predicates.formula import Predicate, TRUE
 from repro.service.budgets import BudgetExceeded
-from repro.service.cache import SummaryCache, program_key
+from repro.service.cache import SummaryCache
 
 
 @dataclass
@@ -129,10 +128,7 @@ class ParallelizationDriver:
     independent callgraph subtrees concurrently — on threads by
     default, or on real cores under ``executor="process"`` /
     ``REPRO_EXECUTOR=process`` (results are byte-identical for any job
-    count and either executor).  :meth:`run_legacy` keeps the original
-    monolithic path — the pinned reference the integration tests
-    compare the pipeline against, also selectable process-wide via
-    ``REPRO_PIPELINE=0``; it is always serial and ignores *executor*.
+    count and either executor).
     """
 
     def __init__(
@@ -151,10 +147,8 @@ class ParallelizationDriver:
         self._degraded = False
 
     def run(self) -> ProgramResult:
-        from repro.pipeline import pipeline_enabled, run_pipeline
+        from repro.pipeline import run_pipeline
 
-        if not pipeline_enabled():
-            return self.run_legacy()
         ctx = run_pipeline(
             self.program,
             self.opts,
@@ -181,100 +175,37 @@ class ParallelizationDriver:
         """
         return self._degraded
 
-    def run_legacy(self) -> ProgramResult:
-        start = time.perf_counter()
-        # program-level fast path: when nothing changed, one load covers
-        # the whole pipeline (no scalar propagation, no data-flow walk);
-        # an edit anywhere falls through to the per-unit incremental path
-        pkey = None
-        if self.cache is not None:
-            pkey = program_key(self.program, self.opts)
-            payload = self.cache.load(pkey, "program")
-            if payload is not None:
-                with perf.phase("driver.rebind"):
-                    result = self._rebind_program(payload)
-                if result is not None:
-                    result.analysis_seconds = time.perf_counter() - start
-                    return result
 
-        with perf.phase("driver.arraydf"):
-            dataflow = ArrayDataflow(
-                self.program, self.opts, cache=self.cache
-            ).run()
-        if dataflow.tainted_units:
-            self._degraded = True
-        result = ProgramResult(self.program, self.opts)
+def rebind_program(
+    program: Program, opts: AnalysisOptions, payload
+) -> Optional[ProgramResult]:
+    """Reattach a whole-program payload of decision rows to *program*.
 
-        unit_rows: List = []
-        with perf.phase("driver.decide"):
-            for unit_name, unit in self.program.units.items():
-                summary = dataflow.units[unit_name]
-                symtab = dataflow.symtabs[unit_name]
-                decided = self._decide_unit(
-                    dataflow, unit_name, summary, symtab
-                )
-                unit_rows.append((unit_name, decided))
-                result.loops.extend(decided)
-            self._mark_enclosed(result)
-        if (
-            self.cache is not None
-            and not self._degraded
-            and not dataflow.tainted_units
-        ):
-            self.cache.store(
-                pkey,
-                "program",
-                [(name, _decision_rows(rows)) for name, rows in unit_rows],
-            )
-        result.analysis_seconds = time.perf_counter() - start
-        return result
-
-    def _rebind_program(self, payload) -> Optional[ProgramResult]:
-        """Reattach a cached whole-program payload to the current parse.
-
-        Loop decisions are matched by label against the *unpropagated*
-        program (labels are stable across scalar propagation); the
-        ``enclosed`` flags are derived state and recomputed.  Returns
-        ``None`` — a miss — on any shape mismatch.
-        """
-        result = ProgramResult(self.program, self.opts)
-        try:
-            if len(payload) != len(self.program.units):
-                return None
-            for unit_name, rows in payload:
-                unit = self.program.units.get(unit_name)
-                if unit is None:
-                    return None
-                loops_by_label = {
-                    s.label: s
-                    for s in walk_stmts(unit.body)
-                    if isinstance(s, DoLoop)
-                }
-                rebound = _rebind_rows(rows, loops_by_label, {}, unit_name)
-                if rebound is None:
-                    return None
-                result.loops.extend(rebound)
-        except (TypeError, ValueError):
+    The payload is what the program-level cache stores and what a batch
+    worker ships back.  Loop decisions are matched by label against the
+    *unpropagated* program (labels are stable across scalar
+    propagation); the ``enclosed`` flags are derived state and
+    recomputed.  Returns ``None`` — a miss — on any shape mismatch.
+    """
+    result = ProgramResult(program, opts)
+    try:
+        if len(payload) != len(program.units):
             return None
-        self._mark_enclosed(result)
-        return result
-
-    def _decide_unit(
-        self, dataflow: ArrayDataflow, unit_name: str, summary, symtab
-    ) -> List[LoopResult]:
-        out, degraded = decide_unit(
-            dataflow, unit_name, summary, symtab, self.opts, self.cache
-        )
-        if degraded:
-            self._degraded = True
-        return out
-
-    # ------------------------------------------------------------------
-    def _decide(self, summary: LoopSummary, symtab) -> LoopResult:
-        return decide_loop(summary, symtab, self.opts)
-
-    def _mark_enclosed(self, result: ProgramResult) -> None:
-        mark_enclosed(result)
+        for unit_name, rows in payload:
+            unit = program.units.get(unit_name)
+            if unit is None:
+                return None
+            loops_by_label = {
+                s.label: s for s in walk_stmts(unit.body) if isinstance(s, DoLoop)
+            }
+            rebound = _rebind_rows(rows, loops_by_label, {}, unit_name)
+            if rebound is None:
+                return None
+            result.loops.extend(rebound)
+    except (TypeError, ValueError):
+        return None
+    mark_enclosed(result)
+    return result
 
 
 def decide_unit(

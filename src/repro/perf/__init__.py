@@ -18,7 +18,6 @@ from repro.perf.counters import (
     analysis_context,
     bump,
     bump_epoch,
-    bytecode_enabled,
     counter,
     current_context,
     declare,
@@ -29,26 +28,21 @@ from repro.perf.counters import (
     memo_caps,
     memo_table,
     on_reset,
-    packed_kernel_enabled,
     phase,
     pred_oracle_enabled,
     register_cache,
     registered_names,
     reset_all_caches,
     reset_counters,
-    set_bytecode,
     set_dep_screen,
     set_memo_cap,
-    set_packed_kernel,
     set_pred_oracle,
-    set_warm_fleet,
     snapshot,
     snapshot_delta,
     snapshot_max,
     total_ops,
     track_cache_object,
     tracked_cache,
-    warm_fleet_enabled,
 )
 
 __all__ = [
@@ -58,7 +52,6 @@ __all__ = [
     "analysis_context",
     "bump",
     "bump_epoch",
-    "bytecode_enabled",
     "counter",
     "current_context",
     "declare",
@@ -69,24 +62,19 @@ __all__ = [
     "memo_caps",
     "memo_table",
     "on_reset",
-    "packed_kernel_enabled",
     "phase",
     "pred_oracle_enabled",
     "register_cache",
     "registered_names",
     "reset_all_caches",
     "reset_counters",
-    "set_bytecode",
     "set_dep_screen",
     "set_memo_cap",
-    "set_packed_kernel",
     "set_pred_oracle",
-    "set_warm_fleet",
     "snapshot",
     "snapshot_delta",
     "snapshot_max",
     "total_ops",
     "track_cache_object",
     "tracked_cache",
-    "warm_fleet_enabled",
 ]

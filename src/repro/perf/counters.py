@@ -297,75 +297,6 @@ def set_pred_oracle(enabled: Optional[bool]) -> None:
 
 
 # ----------------------------------------------------------------------
-# packed-kernel switch
-# ----------------------------------------------------------------------
-# The packed Fourier–Motzkin kernel (repro.linalg.packed) runs variable
-# elimination on flat integer coefficient rows instead of interned
-# AffineExpr/Constraint/LinearSystem objects.  It is a pure cost
-# optimization: on or off, every projected system, feasibility answer
-# and fm.* counter is identical.  The switch lives here — not in the
-# linalg package — for the same reason as the oracle switch: the
-# dependency-free perf layer is importable from anywhere.  Controlled by
-# the REPRO_PACKED_KERNEL environment variable ("0"/"off"/"false"/"no"
-# disable) or programmatically via set_packed_kernel().
-
-_packed_kernel: Optional[bool] = None
-
-
-def packed_kernel_enabled() -> bool:
-    """Is the packed Fourier–Motzkin kernel enabled?"""
-    global _packed_kernel
-    if _packed_kernel is None:
-        raw = os.environ.get("REPRO_PACKED_KERNEL", "1").strip().lower()
-        _packed_kernel = raw not in ("0", "off", "false", "no")
-    return _packed_kernel
-
-
-def set_packed_kernel(enabled: Optional[bool]) -> None:
-    """Force the packed kernel on/off; ``None`` re-reads the environment."""
-    global _packed_kernel
-    if _packed_kernel != enabled:
-        bump_epoch()
-    _packed_kernel = enabled
-
-
-# ----------------------------------------------------------------------
-# bytecode-runtime switch
-# ----------------------------------------------------------------------
-# The bytecode runtime (repro.runtime.bytecode) compiles each program
-# unit once into pre-bound closures — with a NumPy-vectorized fast path
-# for eligible inner loops — and the ELPD oracle packs its shadow state
-# into parallel int columns with bulk conflict checks.  It is a pure
-# cost optimization: on or off, every ExecutionResult (outputs, steps,
-# scalars, arrays, loop events) and every ELPD verdict is identical.
-# The switch lives here for the same reason as the kernel switches: the
-# dependency-free perf layer is importable from anywhere (the runtime
-# *and* the ELPD layer gate on it without importing each other).
-# Controlled by the REPRO_BYTECODE environment variable
-# ("0"/"off"/"false"/"no" disable) or programmatically via
-# set_bytecode().
-
-_bytecode: Optional[bool] = None
-
-
-def bytecode_enabled() -> bool:
-    """Is the bytecode runtime (and the packed ELPD shadow) enabled?"""
-    global _bytecode
-    if _bytecode is None:
-        raw = os.environ.get("REPRO_BYTECODE", "1").strip().lower()
-        _bytecode = raw not in ("0", "off", "false", "no")
-    return _bytecode
-
-
-def set_bytecode(enabled: Optional[bool]) -> None:
-    """Force the bytecode runtime on/off; ``None`` re-reads the environment."""
-    global _bytecode
-    if _bytecode != enabled:
-        bump_epoch()
-    _bytecode = enabled
-
-
-# ----------------------------------------------------------------------
 # dependence-screen switch
 # ----------------------------------------------------------------------
 # The tier-0 dependence screen (repro.arraydf.screen) classifies each
@@ -375,7 +306,7 @@ def set_bytecode(enabled: Optional[bool]) -> None:
 # cost optimization: on or off, every decision row, plan and experiment
 # table is identical — the screen only fires where the full analysis
 # provably agrees.  The switch lives here for the same reason as the
-# kernel switches: the dependency-free perf layer is importable from
+# oracle switch: the dependency-free perf layer is importable from
 # anywhere.  Controlled by the REPRO_DEP_SCREEN environment variable
 # ("0"/"off"/"false"/"no" disable) or programmatically via
 # set_dep_screen().
@@ -398,40 +329,6 @@ def set_dep_screen(enabled: Optional[bool]) -> None:
     if _dep_screen != enabled:
         bump_epoch()
     _dep_screen = enabled
-
-
-# ----------------------------------------------------------------------
-# warm-fleet switch
-# ----------------------------------------------------------------------
-# The warm fleet (docs/EXECUTION.md §7) lets pool workers keep the
-# interned substrate, the pred.oracle.* / fm.* / region-algebra memo
-# tables and content-keyed analysis engines alive *across runs* within
-# one fleet epoch, instead of rebuilding per (worker, run).  It is a
-# pure cost optimization: warm or cold, every decision row is byte-
-# identical — the epoch above invalidates everything a knob change
-# could have affected, and degraded state is never retained.  Controlled
-# by the REPRO_WARM_FLEET environment variable ("0"/"off"/"false"/"no"
-# restore the per-run-nonce engine keys of the cold fleet) or
-# programmatically via set_warm_fleet().
-
-_warm_fleet: Optional[bool] = None
-
-
-def warm_fleet_enabled() -> bool:
-    """May pool workers reuse substrate and engines across runs?"""
-    global _warm_fleet
-    if _warm_fleet is None:
-        raw = os.environ.get("REPRO_WARM_FLEET", "1").strip().lower()
-        _warm_fleet = raw not in ("0", "off", "false", "no")
-    return _warm_fleet
-
-
-def set_warm_fleet(enabled: Optional[bool]) -> None:
-    """Force the warm fleet on/off; ``None`` re-reads the environment."""
-    global _warm_fleet
-    if _warm_fleet != enabled:
-        bump_epoch()
-    _warm_fleet = enabled
 
 
 def bump(name: str, n: int = 1) -> None:

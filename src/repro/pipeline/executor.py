@@ -12,9 +12,8 @@ The pass pipeline can run its unit-scope task graph on two executors:
     tasks run on a persistent, fork-preferred
     :class:`~concurrent.futures.ProcessPoolExecutor`.  Each worker
     builds the hash-consed substrate for a program it has not seen
-    (``pipeline.executor.builds``) and — under the warm fleet
-    (``REPRO_WARM_FLEET``, the default) — keeps it, with the memo
-    tables, alive across runs within a fleet epoch
+    (``pipeline.executor.builds``) and keeps it, with the memo tables,
+    alive across runs within a fleet epoch
     (``pipeline.executor.reuses``; epoch invalidation and taint
     eviction force ``.rebuilds``).  It hydrates shipped callee results
     back into interned values (``pipeline.executor.hydrations``), runs
@@ -47,7 +46,6 @@ import os
 import pickle
 import time
 from dataclasses import dataclass
-from itertools import count
 from typing import Any, Dict, Optional
 
 from repro import perf
@@ -87,7 +85,7 @@ perf.declare("pipeline.executor.chunks")
 # ----------------------------------------------------------------------
 # executor / jobs selection
 # ----------------------------------------------------------------------
-# Same shape as the REPRO_PACKED_KERNEL-style switches in repro.perf:
+# Same shape as the REPRO_PRED_ORACLE-style switches in repro.perf:
 # environment-controlled with a programmatic override so tests can pin
 # both executors against each other in one process.
 
@@ -263,26 +261,19 @@ def remaining_budget() -> Optional[Budget]:
 # task shipping
 # ----------------------------------------------------------------------
 
-_run_nonce = count()
-
-
 @dataclass(frozen=True)
 class TaskHeader:
     """Everything a worker needs to (re)build the substrate for one run.
 
-    Under the warm fleet (``REPRO_WARM_FLEET``, the default)
     ``engine_key`` is a pure content hash of (program, options, cache
     root): two runs of the same inputs share a worker-side engine, so a
     fleet re-analyzing the same program pays the substrate build once
-    per worker per *epoch* instead of once per run.  What made the
-    per-run nonce necessary — mutable engine state leaking between runs
-    — is handled by construction instead: degraded (tainted) engines
-    are evicted after the task that degraded them, every other piece of
-    engine state is a pure function of the key's content, and ``epoch``
-    (the :func:`repro.perf.epoch` at submit) invalidates all warm state
-    when any semantic knob changes.  With the warm fleet off the key
-    keeps the per-run nonce, restoring the cold per-(worker, run)
-    behavior byte for byte.
+    per worker per *epoch* instead of once per run.  Mutable engine state
+    cannot leak between runs: degraded (tainted) engines are evicted
+    after the task that degraded them, every other piece of engine state
+    is a pure function of the key's content, and ``epoch`` (the
+    :func:`repro.perf.epoch` at submit) invalidates all warm state when
+    any semantic knob changes.
     """
 
     engine_key: str
@@ -301,11 +292,7 @@ def make_header(program, opts, cache) -> TaskHeader:
     h = hashlib.sha256(blob)
     h.update(pickle.dumps(opts, protocol=pickle.HIGHEST_PROTOCOL))
     h.update(repr(root).encode())
-    if perf.warm_fleet_enabled():
-        key = h.hexdigest()[:24]
-    else:
-        key = h.hexdigest()[:16] + f":{next(_run_nonce)}"
-    return TaskHeader(key, blob, opts, root, perf.epoch())
+    return TaskHeader(h.hexdigest()[:24], blob, opts, root, perf.epoch())
 
 
 #: worker-side engines keyed by TaskHeader.engine_key (bounded: a

@@ -26,8 +26,7 @@ when every region pass is distributable and ``executor="process"`` /
 and merges the hydrated results back in the parent (see
 ``docs/EXECUTION.md`` for the end-to-end model).
 
-The serial order (``jobs=1``) is pass-major with units bottom-up, which
-is the legacy driver's exact execution order.
+The serial order (``jobs=1``) is pass-major with units bottom-up.
 
 The dependence structure of a region is a pure function of
 ``(units, callgraph edges, region passes)`` and is memoized in the

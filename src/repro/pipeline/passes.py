@@ -1,7 +1,6 @@
 """The concrete passes of the parallelization compile flow.
 
-The passes reproduce the legacy monolithic driver exactly — each stage
-is the same code the legacy path runs, lifted behind the declared-I/O
+Each stage of the compile flow sits behind the declared-I/O
 :class:`~repro.pipeline.base.Pass` contract so the
 :class:`~repro.pipeline.manager.PassManager` can schedule it.  The flow:
 
@@ -28,9 +27,9 @@ is the same code the legacy path runs, lifted behind the declared-I/O
 
 Budget boundaries: ``summarize`` checkpoints on entry and degrades a
 tripped unit to the conservative whole-array summary (tainting it out of
-the cache); ``decide`` demotes each tripped loop to ``serial``.  Both
-are the exact legacy semantics — the manager never checkpoints itself,
-so a budget trip can only ever *weaken* answers, never abort a run.
+the cache); ``decide`` demotes each tripped loop to ``serial``.  The
+manager never checkpoints itself, so a budget trip can only ever
+*weaken* answers, never abort a run.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Compile-once bytecode runtime for the mini-Fortran interpreter.
 
-The tree-walking :class:`~repro.runtime.interp.Interpreter` re-examines
-every AST node on every execution — ``isinstance`` dispatch, operator
-string compares, per-access ``ArrayStorage.offset`` calls.  This module
-lowers each :class:`~repro.lang.astnodes.Subroutine` **once** into a
-compact instruction form — a flat list of pre-bound closures with
+Walking the AST on every execution re-examines every node —
+``isinstance`` dispatch, operator string compares, per-access
+``ArrayStorage.offset`` calls.  This module executes
+:class:`~repro.runtime.interp.Interpreter` runs by lowering each
+:class:`~repro.lang.astnodes.Subroutine` **once** into a compact
+instruction form — a flat list of pre-bound closures with
 
 * constant-folded operand slots,
 * array slots resolved to per-frame registers (no per-access dict
@@ -25,17 +26,16 @@ only when every safety precondition verifies at loop entry — integer
 affine subscripts, in-bounds at both endpoints, injective write
 offsets, no cross-name buffer aliasing, step budget not exceeded —
 and otherwise falls back to the scalar instruction loop, which
-reproduces the tree-walker's behaviour (including the exact error at
-the exact iteration).
+reproduces the reference semantics (including the exact error at the
+exact iteration).
 
-Contract: with the bytecode runtime on or off, every
-:class:`~repro.runtime.interp.ExecutionResult` — outputs, step count,
-final scalars and array snapshots, loop events including two-version
-outcomes — and every hook-observable event sequence is identical.
-``tests/runtime/test_bytecode_fuzz.py`` and
-``tests/integration/test_bytecode_identity.py`` pin this differentially
-against the tree walker, exactly as the packed FM kernel is pinned
-against the symbolic path.
+Contract: every :class:`~repro.runtime.interp.ExecutionResult` —
+outputs, step count, final scalars and array snapshots, loop events
+including two-version outcomes — and every hook-observable event
+sequence is identical to those of the test-only reference tree walker
+(``tests/runtime/reference.py``).  ``tests/runtime/test_bytecode_fuzz.py``
+and ``tests/integration/test_bytecode_identity.py`` pin this
+differentially.
 
 Hook dispatch is *compiled in only when requested*: the engine compiles
 one unit variant per ``(access_hook?, loop_hook?)`` configuration, so
@@ -1206,9 +1206,8 @@ def _unit_code(
 def execute(interp) -> ExecutionResult:
     """Run *interp*'s program on the bytecode engine.
 
-    Reuses the Interpreter's configuration and result fields so callers
-    (and hooks reading ``interp.steps``) observe the same object state
-    as the tree-walking path.
+    Reuses the Interpreter's configuration and result fields, so callers
+    and hooks read ``interp.steps`` and ``interp.outputs`` as they run.
     """
     program = interp.program
     variant = (interp.access_hook is not None, interp.loop_hook is not None)

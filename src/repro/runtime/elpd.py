@@ -17,7 +17,7 @@ for the tested input, which is exactly ELPD's contract.
 
 The implementation shadows every array element (keyed by underlying
 storage buffer and flat offset, so reshaped views alias correctly) for
-each dynamically active instrumented loop.
+each dynamically active instrumented loop, in packed integer columns.
 """
 
 from __future__ import annotations
@@ -40,85 +40,8 @@ Number = Union[int, float]
 _RANKING = {"not_executed": 0, "independent": 1, "privatizable": 2, "dependent": 3}
 
 
-class _ElementState:
-    """Shadow state of one array element within one loop instance."""
-
-    __slots__ = (
-        "first_ord",
-        "last_access_ord",
-        "last_write_ord",
-        "any_write",
-        "multi_ord",
-        "flow",
-    )
-
-    def __init__(self) -> None:
-        self.first_ord = -1
-        self.last_access_ord = -1
-        self.last_write_ord = -1
-        self.any_write = False
-        self.multi_ord = False
-        self.flow = False
-
-    def access(self, kind: str, ord_: int) -> None:
-        if self.first_ord < 0:
-            self.first_ord = ord_
-        first_in_ord = ord_ != self.last_access_ord
-        if first_in_ord and kind == "r" and 0 <= self.last_write_ord < ord_:
-            # this iteration's first touch reads a value some earlier
-            # iteration wrote: cross-iteration flow
-            self.flow = True
-        if self.last_access_ord >= 0 and ord_ != self.first_ord:
-            self.multi_ord = True
-        self.last_access_ord = ord_
-        if kind == "w":
-            self.any_write = True
-            self.last_write_ord = ord_
-
-    @property
-    def conflicts(self) -> bool:
-        return self.multi_ord and self.any_write
-
-
-class _ActiveInstance:
-    """One dynamic execution of an instrumented loop."""
-
-    __slots__ = ("label", "ordinal", "elements", "array_of")
-
-    def __init__(self, label: str) -> None:
-        self.label = label
-        self.ordinal = -1
-        self.elements: Dict[Tuple[int, int], _ElementState] = {}
-        self.array_of: Dict[int, str] = {}
-
-    def record(self, kind: str, storage: ArrayStorage, offset: int) -> None:
-        if self.ordinal < 0:
-            return  # access outside any iteration (loop bounds eval)
-        key = (id(storage.data), offset)
-        state = self.elements.get(key)
-        if state is None:
-            state = _ElementState()
-            self.elements[key] = state
-            self.array_of[id(storage.data)] = storage.name
-        state.access(kind, self.ordinal)
-
-    def classify(self) -> Tuple[str, Set[str], Set[str]]:
-        conflict_arrays: Set[str] = set()
-        flow_arrays: Set[str] = set()
-        for (buf, _off), st in self.elements.items():
-            if st.flow:
-                flow_arrays.add(self.array_of[buf])
-            elif st.conflicts:
-                conflict_arrays.add(self.array_of[buf])
-        if flow_arrays:
-            return "dependent", conflict_arrays, flow_arrays
-        if conflict_arrays:
-            return "privatizable", conflict_arrays, flow_arrays
-        return "independent", conflict_arrays, flow_arrays
-
-
 # ----------------------------------------------------------------------
-# packed shadow state (REPRO_BYTECODE=1, the default)
+# packed shadow state
 # ----------------------------------------------------------------------
 #: below this element count the scalar classify loop beats the NumPy
 #: bulk masks (fromiter setup cost)
@@ -169,14 +92,14 @@ perf.declare("elpd.shadow.elements")
 class _PackedInstance:
     """Packed shadow state for one dynamic loop instance.
 
-    Replaces one ``_ElementState`` object per touched element with
-    parallel integer columns indexed by a ``(buffer id, flat offset) ->
-    row`` dict: first-ordinal / last-access / last-write columns plus a
-    flags column (bit 1 = any_write, bit 2 = multi_ord, bit 4 = flow).
-    ``classify`` reduces the flags/bufs columns in bulk with NumPy masks
-    instead of walking per-element objects.  Behaviour is pinned
-    element-for-element against :class:`_ElementState.access` — the
-    differential suites assert identical verdicts with the switch off.
+    Instead of one shadow object per touched element, parallel integer
+    columns indexed by a ``(buffer id, flat offset) -> row`` dict:
+    first-ordinal / last-access / last-write columns plus a flags column
+    (bit 1 = any_write, bit 2 = multi_ord, bit 4 = flow).  ``classify``
+    reduces the flags/bufs columns in bulk with NumPy masks.  Behaviour
+    is pinned element for element against the per-element reference
+    shadow in ``tests/runtime/reference.py`` — the differential suites
+    assert identical verdicts.
     """
 
     __slots__ = (
@@ -209,7 +132,7 @@ class _PackedInstance:
         key = (buf, offset)
         row = self.index.get(key)
         if row is None:
-            # fresh element: inline _ElementState.access on zero state
+            # fresh element: the first access on zero state
             self.index[key] = len(self._flags)
             self.array_of[buf] = storage.name
             self._first.append(ord_)
@@ -327,23 +250,16 @@ class _ElpdHook:
 
     def __init__(self, targets: Optional[Set[str]]) -> None:
         self.targets = targets
-        self.active: List[_ActiveInstance] = []
+        self.active: List[Optional[_PackedInstance]] = []
         self.report = ElpdReport()
         self._iter_counts: List[int] = []
-        # the packed shadow rides the same switch as the bytecode
-        # engine; captured once so one run never mixes representations
-        self._packed = perf.bytecode_enabled()
 
     def enter_loop(self, stmt, frame, ran_parallel):
         if self.targets is not None and stmt.label not in self.targets:
             self.active.append(None)  # placeholder to keep stack aligned
             self._iter_counts.append(0)
             return len(self.active) - 1
-        if self._packed:
-            inst = _PackedInstance(stmt.label)
-        else:
-            inst = _ActiveInstance(stmt.label)
-        self.active.append(inst)
+        self.active.append(_PackedInstance(stmt.label))
         self._iter_counts.append(0)
         return len(self.active) - 1
 
@@ -358,12 +274,9 @@ class _ElpdHook:
         iters = self._iter_counts.pop()
         if inst is None:
             return
-        if type(inst) is _PackedInstance:
-            with perf.phase("elpd.shadow"):
-                cls, conflicts, flows = inst.classify()
-            inst.release()
-        else:
+        with perf.phase("elpd.shadow"):
             cls, conflicts, flows = inst.classify()
+        inst.release()
         obs = self.report.observations.setdefault(
             inst.label, LoopObservation(inst.label)
         )

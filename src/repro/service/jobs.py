@@ -35,10 +35,9 @@ from typing import Dict, Optional, Tuple
 # The whole analysis stack loads with this module, in the thread that
 # imports it, before any fleet starts worker threads: two workers first
 # importing one package at once can each get it partially initialized.
-# The first five are modules the analysis imports lazily, inside calls.
+# The first four are modules the analysis imports lazily, inside calls.
 import repro.arraydf.screen  # noqa: F401
 import repro.ir.scalarprop  # noqa: F401
-import repro.linalg.packed  # noqa: F401
 import repro.pipeline  # noqa: F401
 import repro.service.degrade  # noqa: F401
 from repro import perf

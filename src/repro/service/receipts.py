@@ -17,15 +17,15 @@ contract.
 
 Stable sections::
 
-    schema       "repro.receipt/1"
+    schema       "repro.receipt/2"
     job          id, kind, priority
     inputs       program name / experiment id, the per-procedure
                  content keys (chained exactly like the summary cache:
                  source + callee keys + options), and a combined hash
                  recomputable from the receipt alone
     knobs        analysis options + fingerprint, every feature switch
-                 (oracle / packed kernel / bytecode / screen), pipeline
-                 on/off, executor and job count, cache attached?
+                 (oracle / screen), executor and job count, cache
+                 attached?
     budgets      the limits *granted* (consumption is volatile → timings)
     degradation  the degraded flag and per-kind budget-trip counts
     result       terminal state and a deterministic result summary
@@ -42,7 +42,7 @@ import json
 from typing import Dict, List, Optional
 
 #: bump when the receipt layout changes incompatibly
-RECEIPT_SCHEMA = "repro.receipt/1"
+RECEIPT_SCHEMA = "repro.receipt/2"
 
 #: required top-level sections of every receipt
 SECTIONS = (
@@ -135,7 +135,7 @@ def knobs_in_effect(
 ) -> Dict:
     """Every switch that shaped this job's answer or its cost."""
     from repro import perf
-    from repro.pipeline import executor_kind, pipeline_enabled
+    from repro.pipeline import executor_kind
     from repro.service.cache import default_cache, options_fingerprint
 
     return {
@@ -144,10 +144,7 @@ def knobs_in_effect(
             options_fingerprint(opts) if opts is not None else None
         ),
         "pred_oracle": perf.pred_oracle_enabled(),
-        "packed_kernel": perf.packed_kernel_enabled(),
-        "bytecode": perf.bytecode_enabled(),
         "dep_screen": perf.dep_screen_enabled(),
-        "pipeline": pipeline_enabled(),
         "executor": executor_kind(executor),
         "jobs": int(jobs),
         "cache": default_cache() is not None,
@@ -241,8 +238,7 @@ def validate_receipt(receipt: Dict) -> List[str]:
         )
 
     knobs = receipt["knobs"]
-    for field in ("pred_oracle", "packed_kernel", "bytecode", "dep_screen",
-                  "pipeline", "cache"):
+    for field in ("pred_oracle", "dep_screen", "cache"):
         if not isinstance(knobs.get(field), bool):
             problems.append(f"knobs.{field} missing or not a boolean")
     if not isinstance(knobs.get("jobs"), int):

@@ -3,8 +3,8 @@
 ``ArrayDataflow._rebind_summary`` reattaches a cached per-unit payload
 to the current parse; the conservative call value is the sound fallback
 for call sites without a usable callee summary.  Both paths feed the
-parallelization decisions, so these tests pin them structurally — on
-the legacy monolithic path and through the pass pipeline.
+parallelization decisions, so these tests pin them structurally,
+through the pass pipeline.
 """
 
 import pytest
@@ -16,7 +16,6 @@ from repro.ir.regiongraph import CallRegion, build_region_tree
 from repro.lang.astnodes import walk_stmts
 from repro.lang.parser import parse_program
 from repro.partests.driver import analyze_program
-from repro.pipeline import set_pipeline
 from repro.service.cache import SummaryCache
 
 SRC = """
@@ -147,41 +146,18 @@ class TestConservativeCallValue:
         assert len(value.e) == 1 and value.e[0].summary == value.r
         assert value.scalar_writes == frozenset()
 
-    @pytest.mark.parametrize("pipeline", [True, False])
-    def test_no_interproc_decisions_are_conservative(self, pipeline):
+    def test_no_interproc_decisions_are_conservative(self):
         """With summaries unusable, the caller loop over filled arrays
-        must not be proven parallel from callee facts (legacy path and
-        pipeline agree)."""
-        try:
-            set_pipeline(pipeline)
-            opts = AnalysisOptions.predicated().without(interprocedural=False)
-            conservative = analyze_program(parse_program(SRC), opts)
-            precise = analyze_program(
-                parse_program(SRC), AnalysisOptions.predicated()
-            )
-        finally:
-            set_pipeline(None)
+        must not be proven parallel from callee facts."""
+        opts = AnalysisOptions.predicated().without(interprocedural=False)
+        conservative = analyze_program(parse_program(SRC), opts)
+        precise = analyze_program(parse_program(SRC), AnalysisOptions.predicated())
         by_label_cons = conservative.by_label()
         by_label_prec = precise.by_label()
         assert by_label_cons.keys() == by_label_prec.keys()
         # the callee's own loop is independent either way
         assert by_label_prec["fill:L1"].is_parallelized
         assert by_label_cons["fill:L1"].is_parallelized
-
-    def test_pipeline_and_legacy_agree_without_interproc(self):
-        opts = AnalysisOptions.predicated().without(interprocedural=False)
-        rows = {}
-        try:
-            for pipeline in (True, False):
-                set_pipeline(pipeline)
-                result = analyze_program(parse_program(SRC), opts)
-                rows[pipeline] = [
-                    (l.label, l.status, l.reason, str(l.condition))
-                    for l in result.loops
-                ]
-        finally:
-            set_pipeline(None)
-        assert rows[True] == rows[False]
 
 
 def _walk_regions(region):

@@ -1,14 +1,15 @@
-"""Bit-identity of every suite program under both interpreter engines.
+"""Bit-identity of every suite program against the reference runtime.
 
-The bytecode engine is a pure cost optimization: for each of the suite
-programs (the paper's benchmark set) the full ``ExecutionResult`` —
-printed output, step count, final scalar and array state down to the
-IEEE-754 bit pattern, and the loop-event stream including two-version
-dispatch outcomes under a real ``ParallelPlan`` — must match the tree
-walker exactly, and the ELPD / combined-oracle reports (the dynamic
-ground truth the paper's tables compare against) must be identical too.
-Any divergence here would mean the experiment figures depend on which
-engine happened to run them.
+The bytecode engine and the packed ELPD shadow are pure cost
+optimizations: for each of the suite programs (the paper's benchmark
+set) the full ``ExecutionResult`` — printed output, step count, final
+scalar and array state down to the IEEE-754 bit pattern, and the
+loop-event stream including two-version dispatch outcomes under a real
+``ParallelPlan`` — must match the test-only tree walker
+(``tests/runtime/reference.py``) exactly, and the ELPD / combined-oracle
+reports (the dynamic ground truth the paper's tables compare against)
+must match its per-element shadow too.  Any divergence here would mean
+the experiment figures depend on an implementation detail.
 """
 
 import struct
@@ -19,9 +20,10 @@ from repro import perf
 from repro.arraydf.options import AnalysisOptions
 from repro.codegen.plan import build_plan
 from repro.partests.driver import analyze_program
-from repro.runtime.elpd import run_elpd, run_oracle
+from repro.runtime import elpd
 from repro.runtime.interp import Interpreter
 from repro.suites import all_programs
+from tests.runtime import reference
 
 PROGRAMS = [b.name for b in all_programs()]
 
@@ -49,13 +51,14 @@ def _facts(result):
     }
 
 
-def _in_mode(enabled, fn):
-    perf.set_bytecode(enabled)
+def _run(engine, program, inputs, plan=None):
     perf.reset_all_caches()
-    try:
-        return fn()
-    finally:
-        perf.set_bytecode(None)
+    return _facts(engine(program, inputs, plan=plan).run())
+
+
+def _oracle(fn, bench):
+    perf.reset_all_caches()
+    return _report_facts(fn(bench.fresh_program(), bench.inputs))
 
 
 def _report_facts(report):
@@ -80,45 +83,20 @@ def test_execution_identity(name):
     program = bench.fresh_program()
     plan = build_plan(analyze_program(program, AnalysisOptions.predicated()))
 
-    plain = [
-        _in_mode(m, lambda: _facts(Interpreter(program, bench.inputs).run()))
-        for m in (True, False)
-    ]
+    engines = (Interpreter, reference.TreeInterpreter)
+    plain = [_run(e, program, bench.inputs) for e in engines]
     assert plain[0] == plain[1], f"{name}: plain run diverged"
 
-    planned = [
-        _in_mode(
-            m,
-            lambda: _facts(
-                Interpreter(program, bench.inputs, plan=plan).run()
-            ),
-        )
-        for m in (True, False)
-    ]
+    planned = [_run(e, program, bench.inputs, plan) for e in engines]
     assert planned[0] == planned[1], f"{name}: planned run diverged"
 
 
 @pytest.mark.parametrize("name", PROGRAMS)
 def test_oracle_identity(name):
     bench = next(b for b in all_programs() if b.name == name)
-    elpd = [
-        _in_mode(
-            m,
-            lambda: _report_facts(
-                run_elpd(bench.fresh_program(), bench.inputs)
-            ),
-        )
-        for m in (True, False)
-    ]
-    assert elpd[0] == elpd[1], f"{name}: ELPD report diverged"
+    modules = (elpd, reference)
+    shadow = [_oracle(m.run_elpd, bench) for m in modules]
+    assert shadow[0] == shadow[1], f"{name}: ELPD report diverged"
 
-    oracle = [
-        _in_mode(
-            m,
-            lambda: _report_facts(
-                run_oracle(bench.fresh_program(), bench.inputs)
-            ),
-        )
-        for m in (True, False)
-    ]
+    oracle = [_oracle(m.run_oracle, bench) for m in modules]
     assert oracle[0] == oracle[1], f"{name}: oracle report diverged"

@@ -93,6 +93,82 @@ class TestPropagation:
         assert reparsed is not None
 
 
+# a definition reaching a join along one arm only: the else arm
+# redefines m, so m is not stable and nothing is propagated
+JOIN_SRC = (
+    "program p\n"
+    "  integer n, m, k\n"
+    "  real a(100)\n"
+    "  read n\n"
+    "  m = n + 1\n"
+    "  if (n > 3) then\n"
+    "    k = m\n"
+    "  else\n"
+    "    m = n + 2\n"
+    "    k = m\n"
+    "  endif\n"
+    "  do i = 1, m\n"
+    "    a(i) = 0.0\n"
+    "  enddo\n"
+    "end\n"
+)
+
+# a loop-carried redefinition must not propagate into the loop
+LOOP_CARRIED_SRC = (
+    "program p\n"
+    "  integer n, m\n"
+    "  real a(100)\n"
+    "  read n\n"
+    "  m = 2\n"
+    "  do i = 1, n\n"
+    "    a(m) = 1.0\n"
+    "    m = m + 1\n"
+    "  enddo\n"
+    "end\n"
+)
+
+# dead code after a return is still rewritten, deterministically
+POST_RETURN_SRC = (
+    "subroutine f(x, n)\n"
+    "  integer n, m\n"
+    "  real x(*)\n"
+    "  m = n + 1\n"
+    "  return\n"
+    "  x(m) = 0.0\n"
+    "end\n"
+    "program p\n"
+    "  integer n\n"
+    "  real a(100)\n"
+    "  read n\n"
+    "  call f(a, n)\n"
+    "end\n"
+)
+
+
+class TestControlFlow:
+    def test_redefinition_in_one_arm_blocks_propagation(self):
+        p = prop(JOIN_SRC)
+        assert pretty(p) == pretty(parse_program(JOIN_SRC))
+        loop = next(
+            s for s in walk_stmts(p.main_unit.body) if isinstance(s, DoLoop)
+        )
+        assert expr_str(loop.hi) == "m"
+
+    def test_loop_carried_redefinition_not_propagated(self):
+        p = prop(LOOP_CARRIED_SRC)
+        assert pretty(p) == pretty(parse_program(LOOP_CARRIED_SRC))
+
+    def test_statement_after_return_is_rewritten(self):
+        text = pretty(prop(POST_RETURN_SRC))
+        assert "x(n + 1) = 0.0" in text
+        assert "m = n + 1" in text  # the definition itself stays
+
+    def test_propagation_is_idempotent(self):
+        for src in (JOIN_SRC, LOOP_CARRIED_SRC, POST_RETURN_SRC):
+            once = propagate_scalars(parse_program(src))
+            assert pretty(propagate_scalars(once)) == pretty(once)
+
+
 class TestAnalysisPrecision:
     """The win scalar propagation buys: relating derived bounds."""
 

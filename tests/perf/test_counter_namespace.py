@@ -96,15 +96,11 @@ def test_every_documented_prefix_is_live(registry):
     )
 
 
-def test_dataflow_and_screen_namespaces_are_documented(registry):
-    """The PR-8 namespaces: the worklist engine and the tier-0 screen."""
+def test_screen_namespace_is_documented(registry):
+    """The tier-0 dependence screen's counters."""
     prefixes = _documented_prefixes()
-    assert "dataflow" in prefixes
     assert "screen" in prefixes
     for name in (
-        "dataflow.engine.runs",
-        "dataflow.engine.nodes",
-        "dataflow.iterations",
         "screen.independent",
         "screen.unknown",
         "screen.agree",

@@ -1,12 +1,11 @@
 """The warm fleet: content keys, epoch invalidation, taint eviction.
 
-PR 10 lets pool workers keep their engines and memo tables alive across
-runs within a *fleet epoch* (``docs/EXECUTION.md`` §7).  The contract
+Pool workers keep their engines and memo tables alive across runs
+within a *fleet epoch* (``docs/EXECUTION.md`` §7).  The contract
 under test:
 
-* engine keys are pure content hashes when the fleet is warm, per-run
-  nonces when it is off (``REPRO_WARM_FLEET=0`` restores PR-9 behavior
-  byte for byte);
+* engine keys are pure content hashes of (program, options, cache
+  root);
 * every semantic knob change bumps the epoch, and a worker seeing a
   newer epoch drops *all* warm state before touching the task;
 * a degraded (budget-tainted) engine never survives into another run;
@@ -35,7 +34,6 @@ from repro.suites import all_programs
 def _restore_state():
     yield
     pexec.set_executor(None)
-    perf.set_warm_fleet(None)
     pexec._worker_engines.clear()
     pexec._worker_built_keys.clear()
     pexec._worker_epoch = None
@@ -54,7 +52,6 @@ def _opts():
 # ----------------------------------------------------------------------
 class TestEngineKeys:
     def test_warm_keys_are_stable_content_hashes(self):
-        perf.set_warm_fleet(True)
         p = _bench().fresh_program()
         h1 = pexec.make_header(p, _opts(), None)
         h2 = pexec.make_header(p, _opts(), None)
@@ -63,7 +60,6 @@ class TestEngineKeys:
         int(h1.engine_key, 16)  # pure hex: no nonce suffix
 
     def test_warm_keys_separate_distinct_inputs(self):
-        perf.set_warm_fleet(True)
         p, q = _bench(0).fresh_program(), _bench(1).fresh_program()
         keys = {
             pexec.make_header(p, _opts(), None).engine_key,
@@ -71,14 +67,6 @@ class TestEngineKeys:
             pexec.make_header(p, AnalysisOptions.base(), None).engine_key,
         }
         assert len(keys) == 3
-
-    def test_cold_keys_keep_the_per_run_nonce(self):
-        perf.set_warm_fleet(False)
-        p = _bench().fresh_program()
-        h1 = pexec.make_header(p, _opts(), None)
-        h2 = pexec.make_header(p, _opts(), None)
-        assert h1.engine_key != h2.engine_key
-        assert ":" in h1.engine_key
 
     def test_header_carries_the_current_epoch(self):
         p = _bench().fresh_program()
@@ -92,32 +80,31 @@ class TestEngineKeys:
 # the epoch counter
 # ----------------------------------------------------------------------
 class TestEpochBumps:
+    # Each knob is flipped away from its current value: the environment
+    # (e.g. REPRO_DEP_SCREEN=0) or an earlier test may already have set
+    # it, and setting a knob to the value it holds is no change.
     def test_knob_change_bumps_epoch_once(self):
+        flipped = not perf.dep_screen_enabled()
         e0 = perf.epoch()
-        perf.set_dep_screen(False)
+        perf.set_dep_screen(flipped)
         try:
             e1 = perf.epoch()
             assert e1 == e0 + 1
-            perf.set_dep_screen(False)  # no-op: same value, no bump
+            perf.set_dep_screen(flipped)  # no-op: same value, no bump
             assert perf.epoch() == e1
         finally:
             perf.set_dep_screen(None)
         assert perf.epoch() > e1
 
     def test_every_semantic_knob_setter_bumps(self):
-        from repro.pipeline import set_pipeline
-
-        setters = [
-            perf.set_pred_oracle,
-            perf.set_packed_kernel,
-            perf.set_bytecode,
-            perf.set_dep_screen,
-            perf.set_warm_fleet,
-            set_pipeline,
+        knobs = [
+            (perf.set_pred_oracle, perf.pred_oracle_enabled),
+            (perf.set_dep_screen, perf.dep_screen_enabled),
         ]
-        for setter in setters:
+        for setter, enabled in knobs:
+            flipped = not enabled()
             e0 = perf.epoch()
-            setter(False)
+            setter(flipped)
             try:
                 assert perf.epoch() > e0, setter.__name__
             finally:
@@ -142,7 +129,6 @@ class TestEpochBumps:
 # ----------------------------------------------------------------------
 class TestWorkerEngineLifecycle:
     def _header(self):
-        perf.set_warm_fleet(True)
         return pexec.make_header(_bench().fresh_program(), _opts(), None)
 
     def test_first_touch_builds_then_reuses(self):
@@ -190,7 +176,6 @@ class TestWorkerEngineLifecycle:
         assert perf.counter("pipeline.executor.rebuilds") == rb0 + 1
 
     def test_engine_lru_is_bounded(self):
-        perf.set_warm_fleet(True)
         pexec._sync_epoch(perf.epoch())
         for i in range(pexec._WORKER_ENGINE_MAX + 2):
             h = pexec.make_header(
@@ -293,18 +278,11 @@ class TestEpochInvalidationProperty:
 # batch chunking
 # ----------------------------------------------------------------------
 class TestBatchChunking:
-    def test_resolve_batch_chunk_precedence(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_CHUNK", raising=False)
+    def test_resolve_batch_chunk_precedence(self):
         assert resolve_batch_chunk(5, 100, 4) == 5  # explicit wins
         assert resolve_batch_chunk(0, 100, 4) == 1  # clamped
-        monkeypatch.setenv("REPRO_BATCH_CHUNK", "7")
-        assert resolve_batch_chunk(None, 100, 4) == 7
-        monkeypatch.setenv("REPRO_BATCH_CHUNK", "seven")
-        with pytest.raises(ValueError, match="REPRO_BATCH_CHUNK"):
-            resolve_batch_chunk(None, 100, 4)
 
-    def test_resolve_batch_chunk_auto_shape(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_CHUNK", raising=False)
+    def test_resolve_batch_chunk_auto_shape(self):
         # ~4 chunks per worker, never above 32, never below 1
         assert resolve_batch_chunk(None, 64, 4) == 4
         assert resolve_batch_chunk(None, 3, 4) == 1
@@ -351,27 +329,3 @@ class TestBatchChunking:
         run_pipeline_batch(programs, _opts(), jobs=2, executor="process", chunk=2)
         assert perf.counter("pipeline.executor.chunks") == c0 + 3
         assert perf.counter("pipeline.executor.batch_programs") == p0 + 6
-
-
-# ----------------------------------------------------------------------
-# the warm-fleet switch
-# ----------------------------------------------------------------------
-class TestWarmFleetSwitch:
-    def test_environment_default_and_override(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WARM_FLEET", raising=False)
-        perf.set_warm_fleet(None)
-        assert perf.warm_fleet_enabled() is True  # on by default
-        monkeypatch.setenv("REPRO_WARM_FLEET", "0")
-        perf.set_warm_fleet(None)
-        assert perf.warm_fleet_enabled() is False
-        perf.set_warm_fleet(True)
-        assert perf.warm_fleet_enabled() is True
-
-    def test_disabled_fleet_still_answers_identically(self):
-        bench = _bench(2)
-        perf.set_warm_fleet(True)
-        perf.reset_all_caches()
-        warm = _result_hash(bench, "process", 2)
-        perf.set_warm_fleet(False)
-        perf.reset_all_caches()
-        assert _result_hash(bench, "process", 2) == warm

@@ -1,6 +1,7 @@
-"""Targeted parity tests: bytecode engine vs the tree walker.
+"""Targeted parity tests: bytecode engine vs the reference tree walker.
 
-Every test here runs the *same* program through both engines and
+Every test here runs the *same* program through the shipped bytecode
+engine and the test-only tree walker (``tests/runtime/reference.py``) and
 asserts the observable behaviour is identical — results, step counts,
 loop events, hook call sequences, and (for failing programs) the exact
 exception type and message.  The broad suite-wide sweep lives in
@@ -18,24 +19,22 @@ from repro.arraydf.options import AnalysisOptions
 from repro.codegen.plan import build_plan
 from repro.lang.parser import parse_program
 from repro.partests.driver import analyze_program
-from repro.runtime.interp import Interpreter, RuntimeError_, run_program
+from repro.runtime.interp import Interpreter, run_program
+from repro.runtime.values import RuntimeError_
+from tests.runtime.reference import TreeInterpreter
+
+ENGINES = (Interpreter, TreeInterpreter)
 
 
-def _run_mode(enabled, src, inputs=(), plan=None, max_steps=10_000_000):
-    perf.set_bytecode(enabled)
+def _run_on(engine, src, inputs=(), plan=None, max_steps=10_000_000):
     perf.reset_all_caches()
-    try:
-        return Interpreter(
-            parse_program(src), inputs, plan=plan, max_steps=max_steps
-        ).run()
-    finally:
-        perf.set_bytecode(None)
+    return engine(parse_program(src), inputs, plan=plan, max_steps=max_steps).run()
 
 
 def both(src, inputs=(), max_steps=10_000_000):
-    """Run in both modes; assert full ExecutionResult equality."""
-    bc = _run_mode(True, src, inputs, max_steps=max_steps)
-    tree = _run_mode(False, src, inputs, max_steps=max_steps)
+    """Run on both engines; assert full ExecutionResult equality."""
+    bc = _run_on(Interpreter, src, inputs, max_steps=max_steps)
+    tree = _run_on(TreeInterpreter, src, inputs, max_steps=max_steps)
     assert bc.outputs == tree.outputs
     assert bc.steps == tree.steps
     assert bc.main_scalars == tree.main_scalars
@@ -45,11 +44,11 @@ def both(src, inputs=(), max_steps=10_000_000):
 
 
 def both_raise(src, inputs=(), max_steps=10_000_000):
-    """Both modes must raise the same exception type and message."""
+    """Both engines must raise the same exception type and message."""
     errs = []
-    for enabled in (True, False):
+    for engine in ENGINES:
         with pytest.raises((RuntimeError_, KeyError, ValueError)) as ei:
-            _run_mode(enabled, src, inputs, max_steps=max_steps)
+            _run_on(engine, src, inputs, max_steps=max_steps)
         errs.append((type(ei.value), str(ei.value)))
     assert errs[0] == errs[1]
     return errs[0]
@@ -201,23 +200,19 @@ class TestTwoVersionParity:
         "end\n"
     )
 
-    def _run(self, enabled, inputs):
+    def _run(self, engine, inputs):
         program = parse_program(self.SRC)
         plan = build_plan(
             analyze_program(program, AnalysisOptions.predicated())
         )
         assert plan.two_version_count() >= 1
-        perf.set_bytecode(enabled)
         perf.reset_all_caches()
-        try:
-            return Interpreter(program, inputs, plan=plan).run()
-        finally:
-            perf.set_bytecode(None)
+        return engine(program, inputs, plan=plan).run()
 
     @pytest.mark.parametrize("inputs", [[200, 3000], [200, 3], [200, 0]])
     def test_two_version_outcome_identical(self, inputs):
-        bc = self._run(True, inputs)
-        tree = self._run(False, inputs)
+        bc = self._run(Interpreter, inputs)
+        tree = self._run(TreeInterpreter, inputs)
         assert bc.loop_events == tree.loop_events
         assert bc.main_arrays == tree.main_arrays
         assert bc.steps == tree.steps
@@ -226,8 +221,8 @@ class TestTwoVersionParity:
 
     def test_dispatch_matches_dependence(self):
         # k >= n: disjoint ranges, test passes; 1 <= k < n: test fails
-        assert self._run(True, [200, 3000]).loop_events[0].ran_parallel_version
-        assert not self._run(True, [200, 3]).loop_events[0].ran_parallel_version
+        assert self._run(Interpreter, [200, 3000]).loop_events[0].ran_parallel_version
+        assert not self._run(Interpreter, [200, 3]).loop_events[0].ran_parallel_version
 
 
 class TestHookSequenceParity:
@@ -254,29 +249,25 @@ class TestHookSequenceParity:
         def exit_loop(self, token):
             self.events.append(("exit", token))
 
-    def _trace(self, enabled):
+    def _trace(self, engine):
         hook = self._TraceHook()
         accesses = []
 
         def access(kind, storage, offset):
             accesses.append((kind, storage.name, offset))
 
-        perf.set_bytecode(enabled)
         perf.reset_all_caches()
-        try:
-            result = Interpreter(
-                parse_program(self.SRC),
-                [20],
-                access_hook=access,
-                loop_hook=hook,
-            ).run()
-        finally:
-            perf.set_bytecode(None)
+        result = engine(
+            parse_program(self.SRC),
+            [20],
+            access_hook=access,
+            loop_hook=hook,
+        ).run()
         return result, hook.events, accesses
 
     def test_identical_hook_streams(self):
-        bc_result, bc_loops, bc_access = self._trace(True)
-        tr_result, tr_loops, tr_access = self._trace(False)
+        bc_result, bc_loops, bc_access = self._trace(Interpreter)
+        tr_result, tr_loops, tr_access = self._trace(TreeInterpreter)
         assert bc_loops == tr_loops
         assert bc_access == tr_access
         assert bc_result.steps == tr_result.steps
@@ -294,14 +285,10 @@ class TestVectorizedPath:
 
     def _vec_count(self, src, inputs):
         """Run on the bytecode engine; return the rt.vec_loop delta."""
-        perf.set_bytecode(True)
         perf.reset_all_caches()
         perf.reset_counters()
-        try:
-            run_program(parse_program(src), inputs)
-            return perf.counter("rt.vec_loop")
-        finally:
-            perf.set_bytecode(None)
+        run_program(parse_program(src), inputs)
+        return perf.counter("rt.vec_loop")
 
     def test_affine_body_vectorizes(self):
         assert self._vec_count(self.VEC_SRC, [200]) == 1
@@ -340,19 +327,15 @@ class TestVectorizedPath:
     def test_hooked_runs_never_vectorize(self):
         # access hooks observe every element access in order; the
         # batched path is compiled out of the hooked variants entirely
-        perf.set_bytecode(True)
         perf.reset_all_caches()
         perf.reset_counters()
         seen = []
-        try:
-            Interpreter(
-                parse_program(self.VEC_SRC),
-                [200],
-                access_hook=lambda k, s, o: seen.append((k, s.name, o)),
-            ).run()
-            assert perf.counter("rt.vec_loop") == 0
-        finally:
-            perf.set_bytecode(None)
+        Interpreter(
+            parse_program(self.VEC_SRC),
+            [200],
+            access_hook=lambda k, s, o: seen.append((k, s.name, o)),
+        ).run()
+        assert perf.counter("rt.vec_loop") == 0
         assert len(seen) == 400  # one read + one write per iteration
 
     def test_min_max_first_on_ties(self):
@@ -381,15 +364,11 @@ class TestCompileCache:
         program = parse_program(
             "program t\nreal a(10)\ndo i = 1, 10\na(i) = 1.0\nenddo\nend\n"
         )
-        perf.set_bytecode(True)
         perf.reset_all_caches()
         perf.reset_counters()
-        try:
-            Interpreter(program).run()
-            first = perf.counter("rt.compile_unit")
-            Interpreter(program).run()
-            second = perf.counter("rt.compile_unit")
-        finally:
-            perf.set_bytecode(None)
+        Interpreter(program).run()
+        first = perf.counter("rt.compile_unit")
+        Interpreter(program).run()
+        second = perf.counter("rt.compile_unit")
         assert first >= 1
         assert second == first  # second run reused the compiled code

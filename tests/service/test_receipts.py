@@ -82,15 +82,11 @@ class TestReceiptContract:
     def test_knobs_record_every_switch(self):
         _, receipt = _execute({"source": SRC})
         knobs = receipt["knobs"]
-        for switch in (
-            "pred_oracle",
-            "packed_kernel",
-            "bytecode",
-            "dep_screen",
-            "pipeline",
-            "cache",
-        ):
+        for switch in ("pred_oracle", "dep_screen", "cache"):
             assert isinstance(knobs[switch], bool)
+        # retired switches: one implementation each, nothing to record
+        for retired in ("packed_kernel", "bytecode", "pipeline"):
+            assert retired not in knobs
         assert knobs["options"] == "predicated"
         assert "predicates=True" in knobs["options_fingerprint"]
         assert knobs["executor"] in ("thread", "process")

@@ -126,24 +126,42 @@ def compare_extra_info(baseline: dict, current: dict):
     return regressions, rows
 
 
-def check_oracle_pairs(info: dict):
+ON, OFF = "[oracle=on]", "[oracle=off]"
+
+
+def check_oracle_pairs(info: dict, require: bool = False):
     """Enforce paired ``<key>[oracle=on]`` < ``<key>[oracle=off]`` counters.
 
     The predicate micro-benchmarks record deterministic op counts for
-    both oracle modes; the enabled mode must do strictly less work or
-    the oracle is not earning its keep.
+    the tiered oracle (``on``) and for the ground path of
+    ``tests/predicates/reference.py`` (``off``); the tiered path must do
+    strictly less work or the oracle is not earning its keep.  Returns
+    failure messages.  A count without its partner fails, and with
+    *require* (a live run) so does recording no pair at all: a missing
+    count never passes as a win.
     """
     failures = []
+    pairs = 0
     for name in sorted(info):
-        for key in sorted(info[name]):
-            if not key.endswith("[oracle=on]"):
+        counts = info[name]
+        for key in sorted(counts):
+            for mine, other in ((ON, OFF), (OFF, ON)):
+                if key.endswith(mine) and key[: -len(mine)] + other not in counts:
+                    failures.append(f"{name}: {key} has no {other} pair")
+            if not key.endswith(ON):
                 continue
-            off_key = key[: -len("[oracle=on]")] + "[oracle=off]"
-            if off_key not in info[name]:
+            off_key = key[: -len(ON)] + OFF
+            if off_key not in counts:
                 continue
-            on, off = info[name][key], info[name][off_key]
+            pairs += 1
+            on, off = counts[key], counts[off_key]
             if on >= off:
-                failures.append((name, key, on, off))
+                failures.append(
+                    f"{name}: {key} = {on} must be strictly below "
+                    f"its {OFF} pair = {off}"
+                )
+    if require and not pairs:
+        failures.append(f"no {ON}/{OFF} op-count pair was recorded")
     return failures
 
 
@@ -498,11 +516,10 @@ def main(argv=None) -> int:
         )
         failures += 1
 
-    for name, key, on, off in check_oracle_pairs(current_info):
-        print(
-            f"\nFAIL: {name}: {key} = {on} must be strictly below "
-            f"its [oracle=off] pair = {off}"
-        )
+    for message in check_oracle_pairs(
+        current_info, require=args.current is None
+    ):
+        print(f"\nFAIL: {message}")
         failures += 1
 
     for name in args.require_faster:

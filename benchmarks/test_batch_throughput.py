@@ -57,9 +57,7 @@ def _rows(results):
 
 
 def _run_batch():
-    return run_pipeline_batch(
-        _stream(), AnalysisOptions.predicated(), jobs=JOBS, executor="process"
-    )
+    return run_pipeline_batch(_stream(), AnalysisOptions.predicated(), jobs=JOBS)
 
 
 def _run_cold():
@@ -83,9 +81,7 @@ def test_batch_warm(benchmark):
     assert warm == _rows(_run_cold())
     perf.reset_all_caches()
     assert warm == _rows(
-        run_pipeline_batch(
-            _stream(), AnalysisOptions.predicated(), jobs=1, executor="thread"
-        )
+        run_pipeline_batch(_stream(), AnalysisOptions.predicated(), jobs=1)
     )
     benchmark.extra_info["programs"] = len(results)
     benchmark.extra_info["cpus"] = os.cpu_count()

@@ -9,7 +9,7 @@ rebinds their decision payloads in input order (`docs/PERF.md` §9).
 * ``test_suite_serial`` — the whole suite analyzed one program at a
   time, cold caches each round.  The reference cost; runs everywhere.
 * ``test_suite_process_pool`` — the same suite through
-  ``run_pipeline_batch(jobs=4, executor="process")``, cold caches each
+  ``run_pipeline_batch(jobs=4)``, cold caches each
   round, with byte-identical per-loop decisions asserted in the body.
   On a single-core runner this measures pool overhead only, so the
   live speedup gate (``check_regression.py --multicore``) skips there
@@ -39,24 +39,19 @@ def _rows(results):
     ]
 
 
-def _run(jobs, executor):
+def _run(jobs):
     perf.reset_all_caches()
-    return run_pipeline_batch(
-        _programs(),
-        AnalysisOptions.predicated(),
-        jobs=jobs,
-        executor=executor,
-    )
+    return run_pipeline_batch(_programs(), AnalysisOptions.predicated(), jobs=jobs)
 
 
 def test_suite_serial(benchmark):
-    results = benchmark(_run, 1, "thread")
+    results = benchmark(_run, 1)
     assert len(results) == len(all_programs())
     benchmark.extra_info["programs"] = len(results)
 
 
 def test_suite_process_pool(benchmark):
-    results = benchmark(_run, JOBS, "process")
-    assert _rows(results) == _rows(_run(1, "thread"))
+    results = benchmark(_run, JOBS)
+    assert _rows(results) == _rows(_run(1))
     benchmark.extra_info["programs"] = len(results)
     benchmark.extra_info["cpus"] = os.cpu_count()

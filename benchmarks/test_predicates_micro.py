@@ -4,9 +4,9 @@ Three workloads mirror how the analysis exercises the oracle —
 unsatisfiability of extracted guard conjunctions, implication chains
 between guards, and semantic guarded-list compaction — plus one
 whole-pipeline probe that analyzes a predicated (tab2) configuration
-and records the deterministic op counts with the oracle enabled vs
-disabled in ``extra_info``, asserting the enabled path does strictly
-less ground feasibility work.
+and records the deterministic op counts of the tiered oracle and of the
+ground path (``tests/predicates/reference.py``) in ``extra_info``,
+asserting the tiered path does strictly less ground feasibility work.
 
 Compare runs against the committed recordings with
 ``benchmarks/check_regression.py`` (which runs this file alongside
@@ -24,6 +24,8 @@ from repro.predicates.formula import p_and, p_atom, p_not, p_or
 from repro.regions.region import ArrayRegion
 from repro.regions.summary import SummarySet
 from repro.symbolic.affine import AffineExpr
+
+from tests.predicates.reference import ground_oracle
 
 C = AffineExpr.const
 N = AffineExpr.var("n")
@@ -113,18 +115,18 @@ def test_dedup_guarded_semantic(benchmark):
 def test_predicated_analysis_ops(benchmark):
     """Whole predicated (tab2-config) analysis of a branchy program.
 
-    Times the oracle-enabled run and records the deterministic op
-    counters for both oracle modes in ``extra_info`` — the enabled path
-    must do strictly less ground feasibility work while producing the
-    same decisions (byte-identity is asserted by the integration suite).
+    Times the tiered-oracle run and records the deterministic op
+    counters of it and of the ground path in ``extra_info`` — the tiered
+    path must do strictly less ground feasibility work while producing
+    the same decisions (byte-identity is asserted by the integration
+    suite).
     """
     from repro.partests.driver import analyze_program
     from repro.suites import get_program
 
     prog = get_program("hydro2d")
 
-    def measure(enabled):
-        perf.set_pred_oracle(enabled)
+    def measure():
         perf.reset_all_caches()
         perf.reset_counters()
         analyze_program(prog.fresh_program(), AnalysisOptions.predicated())
@@ -134,11 +136,9 @@ def test_predicated_analysis_ops(benchmark):
             snap["total_ops"],
         )
 
-    try:
-        ground_on, ops_on = measure(True)
-        ground_off, ops_off = measure(False)
-    finally:
-        perf.set_pred_oracle(None)
+    ground_on, ops_on = measure()
+    with ground_oracle():
+        ground_off, ops_off = measure()
 
     assert ground_on < ground_off, (
         f"oracle must reduce ground feasibility work: "

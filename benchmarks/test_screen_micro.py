@@ -4,16 +4,14 @@ Three questions, matching the PR's optimization claims:
 
 * what does the screen itself cost (pure syntax, no analysis)?
 * what does a screened whole-program analysis cost against the
-  screen-off analysis on the same program (``test_whole_program_analysis``
+  unscreened analysis on the same program (``test_whole_program_analysis``
   in ``test_core_micro.py`` is the screened default; the ``_unscreened``
-  variant here pins the switch off)?
+  variant here runs the reference of ``tests/pipeline/reference.py``)?
 * how much summarization work does the suite skip on the screen's word?
 
 Compare runs against the recorded baselines with
 ``benchmarks/check_regression.py``.
 """
-
-import pytest
 
 from repro import perf
 from repro.arraydf.options import AnalysisOptions
@@ -21,6 +19,8 @@ from repro.arraydf.screen import screen_unit
 from repro.ir.symboltable import SymbolTable
 from repro.partests.driver import analyze_program
 from repro.suites import all_programs, get_program
+
+from tests.pipeline.reference import unscreened
 
 
 def test_screen_unit_syntax_only(benchmark):
@@ -48,60 +48,38 @@ def _analyze_suite():
 
 def test_whole_suite_screened(benchmark):
     """All 30 programs, screen on (the shipping default)."""
-
-    def probe():
-        perf.set_dep_screen(True)
-        try:
-            return _analyze_suite()
-        finally:
-            perf.set_dep_screen(None)
-
-    assert benchmark(probe) > 0
+    assert benchmark(_analyze_suite) > 0
 
 
 def test_whole_suite_unscreened(benchmark):
-    """The same sweep with the screen pinned off, for the ratio."""
-
-    def probe():
-        perf.set_dep_screen(False)
-        try:
-            return _analyze_suite()
-        finally:
-            perf.set_dep_screen(None)
-
-    assert benchmark(probe) > 0
+    """The same sweep without the screen, for the ratio."""
+    with unscreened():
+        assert benchmark(_analyze_suite) > 0
 
 
 def test_whole_program_analysis_unscreened(benchmark):
-    """hydro2d with the screen pinned off — the pre-screen baseline of
+    """hydro2d without the screen — the pre-screen baseline of
     ``test_whole_program_analysis``."""
     bench_prog = get_program("hydro2d")
 
     def probe():
-        perf.set_dep_screen(False)
-        try:
-            return analyze_program(
-                bench_prog.fresh_program(), AnalysisOptions.predicated()
-            )
-        finally:
-            perf.set_dep_screen(None)
+        return analyze_program(
+            bench_prog.fresh_program(), AnalysisOptions.predicated()
+        )
 
-    result = benchmark(probe)
+    with unscreened():
+        result = benchmark(probe)
     assert result.total_loops > 0
 
 
 def test_screen_saves_projection_work():
     """Not a timing: the screen's saved-work counter must fire on the
     suite (elided loop projections and skipped unit walks)."""
-    perf.set_dep_screen(True)
-    try:
-        perf.reset_all_caches()
-        perf.reset_counters()
-        _analyze_suite()
-        counters = perf.snapshot()["counters"]
-    finally:
-        perf.set_dep_screen(None)
-        perf.reset_all_caches()
+    perf.reset_all_caches()
+    perf.reset_counters()
+    _analyze_suite()
+    counters = perf.snapshot()["counters"]
+    perf.reset_all_caches()
     assert counters["screen.saved_units"] > 0
     assert counters["screen.independent"] > 0
     assert counters["screen.disagree"] == 0

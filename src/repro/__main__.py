@@ -4,17 +4,16 @@ Usage::
 
     python -m repro analyze FILE [--base] [--report] [--emit]
                     [--cache DIR] [--profile] [--jobs N]
-                    [--executor {thread,process}] [--explain-pipeline]
+                    [--explain-pipeline]
                     [--max-wall S] [--max-ops N] [--max-fm N]
     python -m repro run FILE [inputs...]
     python -m repro elpd FILE [inputs...]
     python -m repro experiments [fig1|tab1|tab2|tab3|figs|figo|all]
                     [--jobs N] [--profile] [--cache DIR]
     python -m repro serve [--stdio] [--jobs N] [--cache DIR] [--profile]
-                    [--executor {thread,process}] [--queue-dir DIR]
+                    [--queue-dir DIR]
     python -m repro serve --http HOST:PORT [--workers N] [--max-queue N]
                     [--queue-dir DIR] [--cache DIR]
-                    [--executor {thread,process}]
 
 ``analyze`` parses a mini-Fortran source file and prints the
 parallelization report (``--base`` switches to the non-predicated
@@ -31,13 +30,11 @@ door over the persistent job queue and a worker fleet (see
 ``--max-wall``/``--max-ops``/``--max-fm`` bound one request's resources
 (exhaustion degrades the answer soundly instead of failing).
 
-``analyze`` runs the pass pipeline: ``--jobs N`` schedules independent
-callgraph subtrees on N workers — threads by default (GIL-bound: little
-real overlap), or worker *processes* with ``--executor process`` /
-``REPRO_EXECUTOR=process`` — and ``--explain-pipeline`` dumps the pass
-graph, the per-unit schedule and per-pass timings as JSON.  Output is
-byte-identical for every executor and job count; the execution model is
-documented end-to-end in ``docs/EXECUTION.md``.
+``analyze`` runs the pass pipeline: ``--jobs N`` with N > 1 schedules
+independent callgraph subtrees on a pool of N worker processes, and
+``--explain-pipeline`` dumps the pass graph, the per-unit schedule and
+per-pass timings as JSON.  Output is byte-identical for every job count;
+the execution model is documented end-to-end in ``docs/EXECUTION.md``.
 
 The module is a small subcommand registry: each command contributes a
 ``(name, help, configure, run)`` record via :func:`command`, and
@@ -108,12 +105,6 @@ def _add_profile_flag(p: argparse.ArgumentParser, help: str) -> None:
     p.add_argument("--profile", action="store_true", help=help)
 
 
-def _add_executor_flag(p: argparse.ArgumentParser, help: str) -> None:
-    p.add_argument(
-        "--executor", choices=["thread", "process"], default=None, help=help
-    )
-
-
 def _parse_inputs(values: List[str]) -> List:
     return [int(v) if "." not in v else float(v) for v in values]
 
@@ -161,15 +152,9 @@ def _configure_analyze(p: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="analyze independent callgraph subtrees on N workers "
-        "(default: REPRO_JOBS or 1; output is byte-identical for any N)",
-    )
-    _add_executor_flag(
-        p,
-        "where --jobs workers run: 'thread' shares one interpreter "
-        "(GIL-bound), 'process' uses a pool of worker processes for real "
-        "multicore speedup (default: REPRO_EXECUTOR or 'thread'; output "
-        "is byte-identical either way)",
+        help="analyze independent callgraph subtrees on N worker "
+        "processes; 1 runs in-process (default: REPRO_JOBS or 1; output "
+        "is byte-identical for any N)",
     )
     p.add_argument(
         "--explain-pipeline",
@@ -210,7 +195,6 @@ def _cmd_analyze(args) -> int:
             jobs=args.jobs,
             goals=goals,
             explain=args.explain_pipeline,
-            executor=args.executor,
         )
     print(format_report(ctx.get("result"), title=args.file))
     if args.emit:
@@ -374,12 +358,6 @@ def _configure_serve(p: argparse.ArgumentParser) -> None:
         help="bound on pending jobs; beyond it --http answers 429 with "
         "Retry-After and --stdio applies backpressure (default 256)",
     )
-    _add_executor_flag(
-        p,
-        "run each job's pipeline fan-out on worker processes "
-        "('process') instead of threads (responses are byte-identical "
-        "either way)",
-    )
     _add_cache_flag(p, "summary cache directory shared by all workers")
     _add_profile_flag(
         p, "write a JSON performance snapshot to stderr at exit"
@@ -410,7 +388,6 @@ def _cmd_serve(args) -> int:
             queue_dir=queue_dir,
             workers=args.workers,
             capacity=args.max_queue,
-            pipeline_executor=args.executor,
             cache_dir=args.cache,
         )
     else:
@@ -422,7 +399,6 @@ def _cmd_serve(args) -> int:
             jobs=args.jobs,
             cache_dir=args.cache,
             queue_dir=args.queue_dir,
-            executor=args.executor,
         )
     if args.profile:
         _print_profile(stream=sys.stderr)

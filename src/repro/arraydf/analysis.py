@@ -243,7 +243,8 @@ class ArrayDataflow:
             self.cache is not None
             and key is not None
             # an elided walk holds placeholder loop values; storing it
-            # would leak them into runs (e.g. screen-off) that read them
+            # would leak them into runs (e.g. where the unit has a
+            # caller) that read them
             and not any(ls.elided for ls in summary.loops.values())
         ):
             self.cache.store(key, "summary", _summary_payload(summary))

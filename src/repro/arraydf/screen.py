@@ -32,8 +32,9 @@ condition ``TRUE``, per-array verdicts ``ArrayVerdict(a, TRUE,
 FALSE)``), letting the pipeline skip region summarization for units it
 covers completely (see :class:`repro.pipeline.passes.ScreenPass`).
 
-The screen never consults budgets — it is pure syntax — and is gated by
-``REPRO_DEP_SCREEN`` / :func:`repro.perf.set_dep_screen` (default on).
+The screen never consults budgets — it is pure syntax.  The unscreened
+analysis (every unit gets an empty screen) is a test reference in
+``tests/pipeline/reference.py``.
 """
 
 from __future__ import annotations
@@ -348,13 +349,6 @@ def screen_unit(unit: Subroutine, symtab) -> UnitScreen:
         rows=rows,
         order=order,
         full_cover=len(rows) == len(order),
-    )
-
-
-def empty_screen(unit_name: str) -> UnitScreen:
-    """The screen-disabled result: nothing screened, nothing skipped."""
-    return UnitScreen(
-        unit_name=unit_name, verdicts={}, rows={}, order=[], full_cover=False
     )
 
 

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple, TypeVar
+from typing import Callable, Iterable, List, Sequence, TypeVar
 
 from repro import perf
 from repro.arraydf.options import AnalysisOptions
 from repro.partests.driver import ProgramResult, analyze_program
-from repro.suites import all_programs
-from repro.suites.compose import BenchmarkProgram
+from repro.service.budgets import active_budget, budget_scope, record_trips
 
 WIN_STATUSES = ("parallel", "parallel_private", "runtime")
 
@@ -85,19 +83,36 @@ _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 
-def _instrumented(fn: Callable[[_T], _R], item: _T):
-    """Worker-side wrapper: run *fn* and report this process's perf state."""
+def _forget_degraded() -> None:
+    """Drop :func:`analyzed` results if the active budget tripped.
+
+    A tripped budget stays exhausted, so anything memoized under it may
+    be degraded; kept, it would serve a later, unbudgeted experiment.
+    """
+    scope = active_budget()
+    if scope is not None and scope.degraded:
+        analyzed.cache_clear()
+
+
+def _instrumented(fn: Callable[[_T], _R], budget, item: _T):
+    """Worker-side wrapper: run *fn* under the request's shipped remaining
+    *budget*; ship the result, the budget trips and this worker's own
+    perf work."""
     import os
 
-    from repro import perf
+    from repro.pipeline.executor import worker_snapshot
 
-    return os.getpid(), fn(item), perf.snapshot()
+    with budget_scope(budget) as scope:
+        result = fn(item)
+        _forget_degraded()
+    trips = dict(scope.trips) if scope is not None else {}
+    return os.getpid(), result, trips, worker_snapshot()
 
 
 def parallel_map(
     fn: Callable[[_T], _R], items: Iterable[_T], jobs: int = 1
 ) -> List[_R]:
-    """Map *fn* over *items*, optionally fanning out over worker processes.
+    """Map *fn* over *items*, on the shared process pool when ``jobs > 1``.
 
     Results are merged back **in input order**, so the output — and hence
     every table built from it — is byte-identical for any job count.
@@ -105,36 +120,32 @@ def parallel_map(
     result must pickle; the experiment workers return small dataclass
     payloads rather than full analysis objects to keep that cheap.
 
-    Each worker also ships back its :func:`repro.perf.snapshot`; the
-    parent folds the per-worker deltas (relative to its own state at
-    pool creation, which forked workers inherit) into the local perf
-    tables so ``--profile`` sees cache/counter activity under any job
-    count.
+    The calls run in a :func:`repro.pipeline.executor.pool_session`, on
+    the pool ``jobs > 1`` pipeline runs use.  Each call runs under the
+    remaining budget of the calling thread's request, taken at submit,
+    and its trips count against that request.  Each result carries the
+    perf work its worker did since it forked; the parent folds it in
+    with :func:`~repro.pipeline.executor.absorb_worker`, so
+    ``--profile`` sees cache/counter activity under any job count.
     """
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ProcessPoolExecutor
+        results = [fn(it) for it in items]
+        _forget_degraded()
+        return results
     from functools import partial
-    import multiprocessing as mp
 
-    from repro import perf
+    from repro.pipeline import executor as pexec
 
-    # fork (where available) shares the warmed parser/suite state and
-    # avoids re-importing the package in every worker
-    methods = mp.get_all_start_methods()
-    ctx = mp.get_context("fork" if "fork" in methods else None)
-    base = perf.snapshot()
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(items)), mp_context=ctx
-    ) as pool:
-        raw = list(pool.map(partial(_instrumented, fn), items))
-    per_worker: Dict[int, Dict] = {}
-    for pid, _result, snap in raw:
-        seen = per_worker.get(pid)
-        per_worker[pid] = (
-            snap if seen is None else perf.snapshot_max(seen, snap)
-        )
-    for snap in per_worker.values():
-        perf.absorb_snapshot(perf.snapshot_delta(snap, base))
-    return [result for _pid, result, _snap in raw]
+    task = partial(_instrumented, fn, pexec.remaining_budget())
+    results = []
+    with pexec.pool_session(jobs) as pool:
+        try:
+            for pid, result, trips, snap in pool.map(task, items):
+                pexec.absorb_worker(pid, snap)
+                record_trips(trips)
+                results.append(result)
+        except BaseException:
+            pexec.shutdown_pool()  # a broken pool poisons every later submit
+            raise
+    return results

@@ -15,10 +15,9 @@ from repro.linalg.constraint import Constraint, Rel
 from repro.linalg.feasibility import is_feasible
 from repro.linalg.system import LinearSystem
 
-#: the predicate oracle's entailment cache — it lives down here (the
-#: switch is in dependency-free `repro.perf`) because `linalg` must not
-#: import the predicates layer; `_drop_entailed_linear` and
-#: `remove_redundant` both route through it
+#: the predicate oracle's entailment cache — it lives down here because
+#: `linalg` must not import the predicates layer; `_drop_entailed_linear`
+#: and `remove_redundant` both route through it
 _ENTAILS = perf.memo_table("pred.oracle.entails", cap=32768)
 
 
@@ -26,16 +25,12 @@ def entails(system: LinearSystem, constraint: Constraint) -> bool:
     """Does every integer point of *system* satisfy *constraint*?
 
     Proven by showing ``system ∧ ¬constraint`` infeasible.  Equalities
-    split into the two strict sides.  Memoized while the predicate
-    oracle is enabled (a pure cost optimization — the booleans are
-    identical either way).
+    split into the two strict sides.  Memoized.
     """
     if constraint.is_tautology():
         return True
     if system.is_trivially_empty():
         return True
-    if not perf.pred_oracle_enabled():
-        return _entails_uncached(system, constraint)
     key = (system, constraint)
     hit = _ENTAILS.data.get(key, perf.MISS)
     if hit is not perf.MISS:

@@ -16,18 +16,13 @@ from repro.partests.dependence import (
     LoopVerdict,
     test_loop,
 )
-from repro.partests.driver import (
-    ParallelizationDriver,
-    ProgramResult,
-    analyze_program,
-)
+from repro.partests.driver import ProgramResult, analyze_program
 from repro.partests.runtime_tests import is_runtime_evaluable, render_predicate
 
 __all__ = [
     "ArrayVerdict",
     "LoopVerdict",
     "test_loop",
-    "ParallelizationDriver",
     "ProgramResult",
     "analyze_program",
     "is_runtime_evaluable",

@@ -118,64 +118,6 @@ class ProgramResult:
         return [l.label for l in self.loops if l.is_parallelized]
 
 
-class ParallelizationDriver:
-    """Runs the full compile flow for one program.
-
-    :meth:`run` is a thin shim over the pass pipeline
-    (:func:`repro.pipeline.run_pipeline`): scalar propagation, the
-    array data-flow walk, per-loop decisions and the enclosed marking
-    all execute as scheduled passes, with *jobs* workers running
-    independent callgraph subtrees concurrently — on threads by
-    default, or on real cores under ``executor="process"`` /
-    ``REPRO_EXECUTOR=process`` (results are byte-identical for any job
-    count and either executor).
-    """
-
-    def __init__(
-        self,
-        program: Program,
-        opts: Optional[AnalysisOptions] = None,
-        cache: Optional[SummaryCache] = None,
-        jobs: Optional[int] = 1,
-        executor: Optional[str] = None,
-    ) -> None:
-        self.program = program
-        self.opts = opts or AnalysisOptions.predicated()
-        self.cache = cache
-        self.jobs = jobs
-        self.executor = executor
-        self._degraded = False
-
-    def run(self) -> ProgramResult:
-        from repro.pipeline import run_pipeline
-
-        ctx = run_pipeline(
-            self.program,
-            self.opts,
-            cache=self.cache,
-            jobs=self.jobs,
-            executor=self.executor,
-        )
-        self._degraded = ctx.degraded or bool(
-            ctx.has("engine") and ctx.engine.tainted_units
-        )
-        return ctx.get("result")
-
-    @property
-    def degraded(self) -> bool:
-        """Did the last :meth:`run` degrade under a budget anywhere?
-
-        Covers both granularities — budget-demoted loop decisions and
-        budget-demoted (tainted) unit summaries — including degradation
-        that happened inside process-executor workers, whose taint flags
-        travel back in the merged payloads.  The service layer reports
-        this per job; it is deterministic for a given cache state, unlike
-        a delta over the process-global ``budget.*`` counters, which
-        concurrent jobs would cross-contaminate.
-        """
-        return self._degraded
-
-
 def rebind_program(
     program: Program, opts: AnalysisOptions, payload
 ) -> Optional[ProgramResult]:
@@ -535,9 +477,9 @@ def analyze_program(
     opts: Optional[AnalysisOptions] = None,
     cache: Optional[SummaryCache] = None,
     jobs: Optional[int] = 1,
-    executor: Optional[str] = None,
 ) -> ProgramResult:
-    """One-call convenience wrapper."""
-    return ParallelizationDriver(
-        program, opts, cache=cache, jobs=jobs, executor=executor
-    ).run()
+    """Run the compile flow (:func:`repro.pipeline.run_pipeline`) for
+    *program* and return its per-loop decisions."""
+    from repro.pipeline import run_pipeline
+
+    return run_pipeline(program, opts, cache=cache, jobs=jobs).get("result")

@@ -21,7 +21,6 @@ from repro.perf.counters import (
     counter,
     current_context,
     declare,
-    dep_screen_enabled,
     enforce_memo_caps,
     epoch,
     exempt_cache,
@@ -29,14 +28,11 @@ from repro.perf.counters import (
     memo_table,
     on_reset,
     phase,
-    pred_oracle_enabled,
     register_cache,
     registered_names,
     reset_all_caches,
     reset_counters,
-    set_dep_screen,
     set_memo_cap,
-    set_pred_oracle,
     snapshot,
     snapshot_delta,
     snapshot_max,
@@ -55,7 +51,6 @@ __all__ = [
     "counter",
     "current_context",
     "declare",
-    "dep_screen_enabled",
     "enforce_memo_caps",
     "epoch",
     "exempt_cache",
@@ -63,14 +58,11 @@ __all__ = [
     "memo_table",
     "on_reset",
     "phase",
-    "pred_oracle_enabled",
     "register_cache",
     "registered_names",
     "reset_all_caches",
     "reset_counters",
-    "set_dep_screen",
     "set_memo_cap",
-    "set_pred_oracle",
     "snapshot",
     "snapshot_delta",
     "snapshot_max",

@@ -15,7 +15,6 @@ it, never the other way around.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from contextlib import contextmanager
@@ -239,9 +238,8 @@ def reset_all_caches() -> None:
 # ----------------------------------------------------------------------
 # One monotonic integer versions every process-wide cache in the
 # substrate: memo/intern tables, the predicate-oracle tiers, the
-# worker-side analysis engines.  Anything that can change what those
-# caches would hold — a semantic-knob flip, a cache reset — bumps it;
-# pool workers compare the epoch shipped with each task against the one
+# worker-side analysis engines.  A cache reset bumps it; pool workers
+# compare the epoch shipped with each task against the one
 # their warm state was built under and drop everything on a mismatch.
 # That is the entire invalidation story for the warm fleet: state is
 # valid exactly as long as the epoch it was built under is current.
@@ -263,72 +261,6 @@ def bump_epoch() -> int:
     _epoch += 1
     bump("perf.epoch_bumps")
     return _epoch
-
-
-# ----------------------------------------------------------------------
-# predicate-oracle switch
-# ----------------------------------------------------------------------
-# The tiered predicate oracle (repro.predicates.oracle) and its caches
-# are pure cost optimizations: enabled or disabled, every query returns
-# the same boolean.  The switch lives here — not in the predicates
-# package — so lower layers (linalg's entailment cache) can consult it
-# without importing upward.  Controlled by the REPRO_PRED_ORACLE
-# environment variable ("0"/"off"/"false"/"no" disable) or
-# programmatically via set_pred_oracle().
-
-_pred_oracle: Optional[bool] = None
-
-
-def pred_oracle_enabled() -> bool:
-    """Is the tiered predicate oracle (and its caches) enabled?"""
-    global _pred_oracle
-    if _pred_oracle is None:
-        raw = os.environ.get("REPRO_PRED_ORACLE", "1").strip().lower()
-        _pred_oracle = raw not in ("0", "off", "false", "no")
-    return _pred_oracle
-
-
-def set_pred_oracle(enabled: Optional[bool]) -> None:
-    """Force the oracle on/off; ``None`` re-reads the environment."""
-    global _pred_oracle
-    if _pred_oracle != enabled:
-        bump_epoch()  # knob change: warm fleets must not serve old-knob memos
-    _pred_oracle = enabled
-
-
-# ----------------------------------------------------------------------
-# dependence-screen switch
-# ----------------------------------------------------------------------
-# The tier-0 dependence screen (repro.arraydf.screen) classifies each
-# loop's array accesses with cheap syntactic/affine facts before the
-# predicated analysis runs; loops it proves independent skip region
-# summarization and get a pre-made parallel decision.  It is a pure
-# cost optimization: on or off, every decision row, plan and experiment
-# table is identical — the screen only fires where the full analysis
-# provably agrees.  The switch lives here for the same reason as the
-# oracle switch: the dependency-free perf layer is importable from
-# anywhere.  Controlled by the REPRO_DEP_SCREEN environment variable
-# ("0"/"off"/"false"/"no" disable) or programmatically via
-# set_dep_screen().
-
-_dep_screen: Optional[bool] = None
-
-
-def dep_screen_enabled() -> bool:
-    """Is the tier-0 dependence screen enabled?"""
-    global _dep_screen
-    if _dep_screen is None:
-        raw = os.environ.get("REPRO_DEP_SCREEN", "1").strip().lower()
-        _dep_screen = raw not in ("0", "off", "false", "no")
-    return _dep_screen
-
-
-def set_dep_screen(enabled: Optional[bool]) -> None:
-    """Force the dependence screen on/off; ``None`` re-reads the environment."""
-    global _dep_screen
-    if _dep_screen != enabled:
-        bump_epoch()
-    _dep_screen = enabled
 
 
 def bump(name: str, n: int = 1) -> None:

@@ -25,12 +25,7 @@ from repro.pipeline.base import (
     Pass,
 )
 from repro.pipeline.context import MissingArtifact, ProgramContext
-from repro.pipeline.executor import (
-    EXECUTORS,
-    executor_kind,
-    resolve_jobs,
-    set_executor,
-)
+from repro.pipeline.executor import resolve_jobs
 from repro.pipeline.manager import PassManager, PipelineWiringError
 from repro.pipeline.passes import (
     DecidePass,
@@ -45,7 +40,6 @@ from repro.pipeline.passes import (
 
 __all__ = [
     "CALLEES_SUFFIX",
-    "EXECUTORS",
     "PROGRAM_SCOPE",
     "ROOT_ARTIFACT",
     "UNIT_SCOPE",
@@ -62,12 +56,10 @@ __all__ = [
     "SummarizePass",
     "TwoVersionPass",
     "analysis_passes",
-    "executor_kind",
     "resolve_batch_chunk",
     "resolve_jobs",
     "run_pipeline",
     "run_pipeline_batch",
-    "set_executor",
 ]
 
 # ----------------------------------------------------------------------
@@ -80,7 +72,6 @@ def run_pipeline(
     jobs: Optional[int] = 1,
     goals: Sequence[str] = ("result",),
     explain: bool = False,
-    executor: Optional[str] = None,
 ) -> ProgramContext:
     """Run the compile flow for *program* up to *goals*.
 
@@ -91,10 +82,10 @@ def run_pipeline(
     nothing upstream; a fresh, undegraded run stores the program payload
     back.
 
-    *jobs* ``None`` defers to ``REPRO_JOBS`` (default 1); *executor*
-    ``None`` defers to ``REPRO_EXECUTOR`` (default ``"thread"``).  Every
-    combination produces byte-identical artifacts — the executor only
-    changes *where* unit tasks run (see ``docs/EXECUTION.md``).
+    *jobs* ``None`` defers to ``REPRO_JOBS`` (default 1).  ``jobs=1``
+    runs in-process; ``jobs > 1`` runs the unit tasks of a multi-unit
+    program on the shared process pool.  Every job count produces
+    byte-identical artifacts (see ``docs/EXECUTION.md``).
     """
     from repro.partests.driver import _decision_rows, rebind_program
     from repro.service.cache import program_key
@@ -118,7 +109,7 @@ def run_pipeline(
 
     manager = PassManager(analysis_passes())
     fresh_result = not ctx.has("result")
-    manager.run(ctx, jobs=jobs, goals=goals, explain=explain, executor=executor)
+    manager.run(ctx, jobs=jobs, goals=goals, explain=explain)
 
     if ctx.has("result"):
         result = ctx.get("result")
@@ -129,7 +120,6 @@ def run_pipeline(
             and pkey is not None
             and ctx.has("engine")
             and not ctx.degraded
-            and not ctx.engine.tainted_units
         ):
             cache.store(
                 pkey,
@@ -161,7 +151,6 @@ def run_pipeline_batch(
     opts: Optional[AnalysisOptions] = None,
     cache=None,
     jobs: Optional[int] = None,
-    executor: Optional[str] = None,
     chunk: Optional[int] = None,
 ) -> List:
     """Analyze many independent programs, returning their
@@ -169,58 +158,34 @@ def run_pipeline_batch(
     order**.
 
     Distinct programs share no artifacts, so they are the coarsest
-    independent "subtrees" the executor can schedule — this is where the
-    process executor pays off even for single-procedure programs, whose
-    intra-program task graph has nothing to overlap.  Under
-    ``executor="process"`` the batch is coalesced into *chunks* of
-    consecutive programs (*chunk* per pool task, or an auto size — see
-    :func:`resolve_batch_chunk`), so a
-    stream of tiny programs pays one pickle/queue round trip per chunk
-    instead of per program.  Each chunk runs its programs' full
-    pipelines serially inside a pool worker — on the worker's warm
-    substrate, when the fleet is warm — and ships back per-program
-    decision rows (the exact payload shape the program-level cache
-    stores); the parent rebinds them onto its own parses in input
-    order, so results are byte-identical to a serial loop *and* to any
-    other chunking.  A degraded (budget-tripped) worker result is
-    rebound as-is — conservative and, as always, never written to any
-    cache.
-
-    The thread executor (and ``jobs=1``) analyzes locally; thread
-    workers only overlap cache/IO waits, exactly like ``--jobs`` inside
-    one program.
+    independent "subtrees" the pool can schedule — this is where the
+    process pool pays off even for single-procedure programs, whose
+    intra-program task graph has nothing to overlap.  Under ``jobs > 1``
+    the batch is coalesced into *chunks* of consecutive programs
+    (*chunk* per pool task, or an auto size — see
+    :func:`resolve_batch_chunk`), so a stream of tiny programs pays one
+    pickle/queue round trip per chunk instead of per program.  Each
+    chunk runs its programs' full pipelines serially inside a pool
+    worker — on the worker's warm substrate, when the fleet is warm —
+    and ships back per-program decision rows (the exact payload shape
+    the program-level cache stores); the parent rebinds them onto its
+    own parses in input order, so results are byte-identical to a
+    serial loop *and* to any other chunking.  A degraded
+    (budget-tripped) worker result is rebound as-is — conservative and,
+    as always, never written to any cache.  ``jobs=1`` analyzes the
+    programs locally, one by one.
     """
     from repro.partests.driver import rebind_program
 
     opts = opts or AnalysisOptions.predicated()
     jobs = resolve_jobs(jobs)
-    kind = executor_kind(executor)
     programs = list(programs)
 
     def local(program):
-        return run_pipeline(
-            program, opts, cache=cache, jobs=1, executor="thread"
-        ).get("result")
+        return run_pipeline(program, opts, cache=cache, jobs=1).get("result")
 
     if jobs <= 1 or len(programs) <= 1:
         return [local(p) for p in programs]
-    if kind == "thread":
-        from concurrent.futures import ThreadPoolExecutor
-
-        from repro.service.budgets import active_budget, adopt_scope
-
-        # budgets are thread-local; batch worker threads adopt the
-        # caller's scope so the whole batch charges one request budget
-        scope = active_budget()
-
-        def local_scoped(program):
-            with adopt_scope(scope):
-                return local(program)
-
-        with ThreadPoolExecutor(
-            max_workers=jobs, thread_name_prefix="pipeline-batch"
-        ) as pool:
-            return list(pool.map(local_scoped, programs))
 
     from repro.linalg.fourier_motzkin import replay_fallback_warnings
     from repro.service.budgets import suspended
@@ -229,44 +194,46 @@ def run_pipeline_batch(
     chunks = [
         programs[i : i + chunk] for i in range(0, len(programs), chunk)
     ]
-    pool = _executor_mod.process_pool(jobs)
     cache_root = str(cache.root) if cache is not None else None
     epoch = perf.epoch()
-    futures = []
-    for group in chunks:
-        perf.bump("pipeline.executor.batch_programs", len(group))
-        perf.bump("pipeline.executor.chunks")
-        perf.bump("pipeline.executor.tasks")
-        blob = pickle.dumps(group, protocol=pickle.HIGHEST_PROTOCOL)
-        futures.append(
-            pool.submit(
-                _executor_mod.run_remote_chunk,
-                blob,
-                opts,
-                cache_root,
-                _executor_mod.remaining_budget(),
-                epoch,
+    with _executor_mod.pool_session(jobs) as pool:
+        futures = []
+        for group in chunks:
+            perf.bump("pipeline.executor.batch_programs", len(group))
+            perf.bump("pipeline.executor.chunks")
+            perf.bump("pipeline.executor.tasks")
+            blob = pickle.dumps(group, protocol=pickle.HIGHEST_PROTOCOL)
+            futures.append(
+                pool.submit(
+                    _executor_mod.run_remote_chunk,
+                    blob,
+                    opts,
+                    cache_root,
+                    _executor_mod.remaining_budget(),
+                    epoch,
+                )
             )
-        )
-    results = []
-    try:
-        for group, fut in zip(chunks, futures):
-            out = _executor_mod.load_result(fut.result())
-            _executor_mod.absorb_worker(out["pid"], out["snapshot"])
-            replay_fallback_warnings(out["warnings"])
-            for program, prog_out in zip(group, out["programs"]):
-                # rebinding a completed worker result may not re-trip
-                # the (possibly exhausted) request budget
-                with suspended(), perf.phase("driver.rebind"):
-                    result = rebind_program(program, opts, prog_out["payload"])
-                if result is None:
-                    # same parse on both sides, so this cannot fail in
-                    # practice; recompute locally (pure → identical)
-                    perf.bump("pipeline.executor.fallback")
-                    result = local(program)
-                result.analysis_seconds = prog_out["seconds"]
-                results.append(result)
-    except BaseException:
-        _executor_mod.shutdown_pool()
-        raise
+        results = []
+        try:
+            for group, fut in zip(chunks, futures):
+                out = _executor_mod.load_result(fut.result())
+                _executor_mod.absorb_worker(out["pid"], out["snapshot"])
+                replay_fallback_warnings(out["warnings"])
+                for program, prog_out in zip(group, out["programs"]):
+                    # rebinding a completed worker result may not re-trip
+                    # the (possibly exhausted) request budget
+                    with suspended(), perf.phase("driver.rebind"):
+                        result = rebind_program(
+                            program, opts, prog_out["payload"]
+                        )
+                    if result is None:
+                        # same parse on both sides, so this cannot fail in
+                        # practice; recompute locally (pure → identical)
+                        perf.bump("pipeline.executor.fallback")
+                        result = local(program)
+                    result.analysis_seconds = prog_out["seconds"]
+                    results.append(result)
+        except BaseException:
+            _executor_mod.shutdown_pool()
+            raise
     return results

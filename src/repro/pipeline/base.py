@@ -66,23 +66,24 @@ class Pass:
     outputs: Tuple[str, ...] = ()
     #: participates in the content-addressed summary cache
     cacheable: bool = False
-    #: supports the process executor (export/run_remote/merge_remote)
+    #: may run on the ``jobs > 1`` process pool
+    #: (export_task/run_remote/merge_remote)
     distributable: bool = False
 
     def run(self, ctx: "ProgramContext", unit: Optional[str] = None) -> None:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # process-executor protocol (distributable passes only)
+    # process-pool protocol (distributable passes only)
     # ------------------------------------------------------------------
-    # Under ``--executor process`` the manager never calls ``run`` for a
-    # unit-scope task; it ships a picklable task built by ``export_task``
-    # to a pool worker, the worker executes ``run_remote`` against its
-    # own rebuilt engine, and the parent folds the returned payload back
-    # with ``merge_remote``.  The contract mirrors the cache path: a
-    # payload must round-trip through pickle into values that rebind to
-    # the parent's parse bit-for-bit, so executor choice is invisible in
-    # every artifact.  Degradation signals (taint, degraded flags) must
+    # Under ``jobs > 1`` the manager never calls ``run`` for a unit-scope
+    # task of a multi-unit program; it ships a picklable task built by
+    # ``export_task`` to a pool worker, the worker executes
+    # ``run_remote`` against its own rebuilt engine, and the parent folds
+    # the returned payload back with ``merge_remote``.  The contract
+    # mirrors the cache path: a payload must round-trip through pickle
+    # into values that rebind to the parent's parse bit-for-bit, so the
+    # job count is invisible in every artifact.  Degradation signals (taint, degraded flags) must
     # travel inside the payload — soundness may not be lost at the
     # process boundary.
 

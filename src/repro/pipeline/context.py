@@ -6,15 +6,14 @@ under ``(name, unit)``.  Passes communicate *only* through the store, so
 the :class:`~repro.pipeline.manager.PassManager` can schedule any two
 tasks whose declared artifact keys do not depend on each other — in
 particular, unit tasks over independent subtrees of the callgraph —
-concurrently.  Writes are lock-guarded and keys are written exactly once
-(per run), which makes the parallel merge deterministic: the final
-store contents are a pure function of the inputs, never of scheduling
-order.
+concurrently.  Keys are written exactly once (per run), always by the
+scheduling thread (pool results are merged there), which makes the
+parallel merge deterministic: the final store contents are a pure
+function of the inputs, never of scheduling order.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.arraydf.options import AnalysisOptions
@@ -50,7 +49,6 @@ class ProgramContext:
         #: raw shipped payloads from process-executor tasks, kept beside
         #: the hydrated artifacts (see :meth:`stash_payload`)
         self._payloads: Dict[Tuple[str, Optional[str]], Any] = {}
-        self._lock = threading.Lock()
         #: filled by ``PassManager.run(..., explain=True)``
         self.explain: Optional[dict] = None
 
@@ -64,8 +62,7 @@ class ProgramContext:
         (e.g. a shim preloading a cached result before the manager
         runs); passes themselves write each key once.
         """
-        with self._lock:
-            self._store[(artifact, unit)] = value
+        self._store[(artifact, unit)] = value
 
     def get(self, artifact: str, unit: Optional[str] = None) -> Any:
         try:
@@ -92,8 +89,7 @@ class ProgramContext:
         artifact as an input can be fed the already-serialized payload
         verbatim instead of re-projecting the hydrated value.
         """
-        with self._lock:
-            self._payloads[(artifact, unit)] = payload
+        self._payloads[(artifact, unit)] = payload
 
     def payload(self, artifact: str, unit: Optional[str] = None) -> Any:
         """The stashed shipped payload for ``(artifact, unit)``, or
@@ -115,8 +111,18 @@ class ProgramContext:
 
     @property
     def degraded(self) -> bool:
-        """Did any pass degrade under a budget? (False before enclose.)"""
-        return bool(self.has("degraded") and self.get("degraded"))
+        """Did any pass degrade under a budget?
+
+        Covers both granularities — budget-demoted loop decisions and
+        budget-demoted (tainted) unit summaries — including degradation
+        inside pool workers, whose taint flags travel back in the merged
+        payloads.  Deterministic for a given cache state, unlike a delta
+        over the process-global ``budget.*`` counters, which concurrent
+        service jobs would cross-contaminate.
+        """
+        if self.has("degraded") and self.get("degraded"):
+            return True
+        return bool(self.has("engine") and self.engine.tainted_units)
 
     def unit_names(self) -> Tuple[str, ...]:
         """Compilation units in program (parse) order."""

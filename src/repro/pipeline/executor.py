@@ -1,30 +1,21 @@
-"""Executor selection and the shared process pool.
+"""The shared process pool behind ``jobs > 1``.
 
-The pass pipeline can run its unit-scope task graph on two executors:
+The job count alone picks where work runs: ``jobs=1`` runs in-process,
+serially; ``jobs > 1`` ships the unit tasks of a pass-manager region,
+the chunks of :func:`repro.pipeline.run_pipeline_batch` and the calls
+of :func:`repro.experiments.common.parallel_map` to one persistent,
+fork-preferred :class:`~concurrent.futures.ProcessPoolExecutor`.  A
+caller passing ``jobs=None`` gets ``REPRO_JOBS``, else 1.
 
-``thread`` (the default)
-    tasks run on a :class:`~concurrent.futures.ThreadPoolExecutor`
-    inside the parent process.  Cheap to start and shares every interned
-    object, but the GIL serializes the Python-level analysis work, so
-    ``--jobs N`` overlaps little beyond cache/IO waits.
-
-``process``
-    tasks run on a persistent, fork-preferred
-    :class:`~concurrent.futures.ProcessPoolExecutor`.  Each worker
-    builds the hash-consed substrate for a program it has not seen
-    (``pipeline.executor.builds``) and keeps it, with the memo tables,
-    alive across runs within a fleet epoch
-    (``pipeline.executor.reuses``; epoch invalidation and taint
-    eviction force ``.rebuilds``).  It hydrates shipped callee results
-    back into interned values (``pipeline.executor.hydrations``), runs
-    the ``(pass, unit)`` task under the shipped remaining budget, and
-    returns a picklable payload the parent merges in deterministic parse
-    order — byte-identical to the thread and serial schedules.
-
-The choice is ``--executor {thread,process}`` on the CLI, the
-``REPRO_EXECUTOR`` environment variable, or :func:`set_executor`
-programmatically; ``REPRO_JOBS`` supplies a default job count where a
-caller passes ``jobs=None``.
+Each worker builds the hash-consed substrate for a program it has not
+seen (``pipeline.executor.builds``) and keeps it, with the memo tables,
+alive across runs within a fleet epoch (``pipeline.executor.reuses``;
+epoch invalidation and taint eviction force ``.rebuilds``).  It hydrates
+shipped callee results back into interned values
+(``pipeline.executor.hydrations``), runs the ``(pass, unit)`` task under
+the shipped remaining budget, and returns a picklable payload the parent
+merges in deterministic parse order — byte-identical to the serial
+schedule.
 
 Observability: every worker result carries the worker's
 :func:`repro.perf.snapshot`; the parent folds per-PID deltas into its
@@ -36,7 +27,8 @@ so a warning is never repeated once per worker.
 
 The pool is shared process-wide and torn down by
 :func:`repro.perf.reset_all_caches` (cold-path benchmarking must not
-reuse warm workers) and at interpreter exit.
+reuse warm workers) and at interpreter exit — at the end of the
+running session when another thread holds one (:func:`shutdown_pool`).
 """
 
 from __future__ import annotations
@@ -44,14 +36,14 @@ from __future__ import annotations
 import atexit
 import os
 import pickle
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterator, Optional
 
 from repro import perf
 from repro.service.budgets import Budget, active_budget
-
-EXECUTORS = ("thread", "process")
 
 #: executor tasks shipped to pool workers (pipeline tasks and batch
 #: chunks both count here)
@@ -67,13 +59,14 @@ perf.declare("pipeline.executor.rebuilds")
 #: run of the same program/options left behind
 perf.declare("pipeline.executor.reuses")
 #: a worker dropped its warm state because a task arrived from a newer
-#: fleet epoch (knob change or cache reset in the parent)
+#: fleet epoch (a cache reset in the parent)
 perf.declare("pipeline.executor.epoch_syncs")
 #: shipped payloads hydrated back into interned summaries inside a
 #: worker (the cache-hydration alternative to rebuilding from source)
 perf.declare("pipeline.executor.hydrations")
-#: process execution was requested but the region fell back to the
-#: thread path (non-distributable pass, or pool unavailable)
+#: a ``jobs > 1`` region ran serially because one of its passes is not
+#: distributable, or a shipped payload failed to rebind and the parent
+#: recomputed it locally
 perf.declare("pipeline.executor.fallback")
 #: whole programs fanned out by run_pipeline_batch
 perf.declare("pipeline.executor.batch_programs")
@@ -83,43 +76,8 @@ perf.declare("pipeline.executor.chunks")
 
 
 # ----------------------------------------------------------------------
-# executor / jobs selection
+# job count
 # ----------------------------------------------------------------------
-# Same shape as the REPRO_PRED_ORACLE-style switches in repro.perf:
-# environment-controlled with a programmatic override so tests can pin
-# both executors against each other in one process.
-
-_executor: Optional[str] = None
-
-
-def executor_kind(explicit: Optional[str] = None) -> str:
-    """The executor to use: *explicit* if given, else the environment."""
-    if explicit is not None:
-        if explicit not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {explicit!r} (expected one of {EXECUTORS})"
-            )
-        return explicit
-    global _executor
-    if _executor is None:
-        raw = os.environ.get("REPRO_EXECUTOR", "thread").strip().lower()
-        if raw not in EXECUTORS:
-            raise ValueError(
-                f"REPRO_EXECUTOR={raw!r} (expected one of {EXECUTORS})"
-            )
-        _executor = raw
-    return _executor
-
-
-def set_executor(kind: Optional[str]) -> None:
-    """Force the executor kind; ``None`` re-reads the environment."""
-    if kind is not None and kind not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {kind!r} (expected one of {EXECUTORS})"
-        )
-    global _executor
-    _executor = kind
-
 
 def resolve_jobs(jobs: Optional[int]) -> int:
     """An explicit job count, else ``REPRO_JOBS``, else 1."""
@@ -140,6 +98,15 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 
 _pool = None
 _pool_jobs = 0
+#: held for a whole :func:`pool_session`: fleet threads may run
+#: experiment jobs with different job counts at once, and resizing or
+#: tearing down the pool under another thread's tasks would cancel
+#: them.  Re-entrant: a session tears the pool down itself when a task
+#: fails
+_pool_lock = threading.RLock()
+#: a teardown was asked for while another thread held a session; the
+#: end of that session, or the next one to open, performs it
+_pool_stale = False
 #: per-PID maximum of shipped worker snapshots (worker counters only
 #: grow, so the max is the latest state already folded into the parent)
 _pool_absorbed: Dict[int, Dict] = {}
@@ -162,21 +129,25 @@ def _worker_init() -> None:
     instead.  The engine memo is cleared for the same reason: worker
     engines must be built (and counted) worker-side.
 
-    The worker also disowns the parent's pool handle: a later
-    worker-side ``perf.reset_all_caches()`` (epoch sync) runs the
-    ``shutdown_pool`` reset hook, which must not tear down the *parent's*
-    fork-inherited executor object from inside a worker.  And it adopts
+    The worker also disowns the parent's pool handle and pool lock: a
+    later worker-side ``perf.reset_all_caches()`` (epoch sync) runs the
+    ``shutdown_pool`` reset hook, which must neither tear down the
+    *parent's* fork-inherited executor object from inside a worker nor
+    find the lock held by the thread that forked it.  And it adopts
     the inherited :func:`perf.epoch` as the epoch its warm state is
     current for — under fork that state is a faithful copy of the parent
     at pool creation; under spawn both start at zero and cold.
     """
-    global _pool, _pool_jobs, _worker_epoch, _worker_snap_base
+    global _pool, _pool_jobs, _pool_lock, _pool_stale
+    global _worker_epoch, _worker_snap_base
     from repro.service import budgets
 
     budgets.clear_thread_budget()
     _worker_engines.clear()
     _pool = None
     _pool_jobs = 0
+    _pool_lock = threading.RLock()
+    _pool_stale = False
     _pool_absorbed.clear()
     _worker_epoch = perf.epoch()
     _worker_snap_base = perf.snapshot()
@@ -185,8 +156,8 @@ def _worker_init() -> None:
 def process_pool(jobs: int):
     """The shared fork-preferred pool, (re)sized to *jobs* workers."""
     global _pool, _pool_jobs
-    if _pool is not None and _pool_jobs != jobs:
-        shutdown_pool()
+    if _pool_stale or (_pool is not None and _pool_jobs != jobs):
+        _discard_pool()
     if _pool is None:
         import multiprocessing as mp
         from concurrent.futures import ProcessPoolExecutor
@@ -201,12 +172,45 @@ def process_pool(jobs: int):
     return _pool
 
 
+@contextmanager
+def pool_session(jobs: int) -> Iterator[Any]:
+    """The shared pool, sized to *jobs*, for the calling thread alone.
+
+    Every ``jobs > 1`` user (unit regions, batch chunks, experiment
+    maps) submits inside a session, so two threads never resize the
+    pool under each other; they take turns instead.
+    """
+    with _pool_lock:
+        try:
+            yield process_pool(jobs)
+        finally:
+            if _pool_stale:
+                _discard_pool()
+
+
 def shutdown_pool() -> None:
-    """Tear the pool down (reset hook, error recovery, interpreter exit)."""
-    global _pool, _pool_jobs
+    """Tear the pool down (cache reset hook, error recovery, exit).
+
+    Never waits on, and never cancels, another thread's session: a
+    cache reset in one fleet thread while an experiment job runs on the
+    pool in another defers the teardown to the end of that session.
+    """
+    global _pool_stale
+    if not _pool_lock.acquire(blocking=False):
+        _pool_stale = True
+        return
+    try:
+        _discard_pool()
+    finally:
+        _pool_lock.release()
+
+
+def _discard_pool() -> None:
+    global _pool, _pool_jobs, _pool_stale
     pool = _pool
     _pool = None
     _pool_jobs = 0
+    _pool_stale = False
     _pool_absorbed.clear()
     if pool is not None:
         pool.shutdown(wait=True, cancel_futures=True)
@@ -220,7 +224,7 @@ def absorb_worker(pid: int, snap: Dict) -> None:
     """Fold one worker's shipped snapshot into the parent's perf tables.
 
     Workers ship deltas from their own fork-time base (*snap* contains
-    the worker's work only — see :func:`_ship_snapshot`).  Incremental
+    the worker's work only — see :func:`worker_snapshot`).  Incremental
     per PID: only the delta beyond what this worker already shipped is
     absorbed, so task results may be processed in any completion order
     without double counting.
@@ -236,7 +240,7 @@ def remaining_budget() -> Optional[Budget]:
     Taken at task-submit time and shipped with the task; the worker
     activates it for the task's dynamic extent.  Each task therefore
     charges its own ops/FM meters against the whole request's remaining
-    allowance at submit — the same global bound as the thread path, with
+    allowance at submit — the same global bound as the serial path, with
     per-task (rather than shared-meter) accounting; exhaustion degrades
     identically (conservative summaries, loops demoted to serial) and
     degraded results are never cached or merged as clean.
@@ -273,7 +277,7 @@ class TaskHeader:
     after the task that degraded them, every other piece of engine state
     is a pure function of the key's content, and ``epoch`` (the
     :func:`repro.perf.epoch` at submit) invalidates all warm state when
-    any semantic knob changes.
+    the parent resets its caches.
     """
 
     engine_key: str
@@ -299,6 +303,9 @@ def make_header(program, opts, cache) -> TaskHeader:
 #: long-lived worker serving many runs drops the oldest engine)
 _worker_engines: Dict[str, Any] = {}
 _WORKER_ENGINE_MAX = 4
+# engines hold interned values: any cache reset inside a worker (an
+# epoch sync, or FIGO's cold-cache measurements) must drop them too
+perf.on_reset(_worker_engines.clear)
 #: content keys this worker has built an engine for at least once —
 #: distinguishes first-touch builds from invalidation-forced rebuilds.
 #: A plain set of short digests (bounded below), deliberately *not*
@@ -314,17 +321,16 @@ _worker_epoch: Optional[int] = None
 def _sync_epoch(epoch: int) -> None:
     """Drop all warm state when a task arrives from a newer fleet epoch.
 
-    The parent bumps :func:`repro.perf.epoch` on every semantic knob
-    change and cache reset; shipping the epoch with each task (header or
-    chunk) lets a long-lived worker notice and invalidate *everything* —
-    cached engines and the full memo/intern substrate — before touching
-    the task.  Within one epoch nothing is ever invalidated, which is
+    The parent bumps :func:`repro.perf.epoch` on every cache reset;
+    shipping the epoch with each task (header or chunk) lets a
+    long-lived worker notice and invalidate *everything* — cached
+    engines and the full memo/intern substrate — before touching the
+    task.  Within one epoch nothing is ever invalidated, which is
     the whole warm-fleet bargain.
     """
     global _worker_epoch
     if _worker_epoch == epoch:
         return
-    _worker_engines.clear()
     perf.reset_all_caches()
     _worker_epoch = epoch
     perf.bump("pipeline.executor.epoch_syncs")
@@ -369,7 +375,7 @@ def _worker_engine(header: TaskHeader):
     return engine
 
 
-def _ship_snapshot() -> Dict:
+def worker_snapshot() -> Dict:
     """The perf snapshot a worker ships with a result: its own work only.
 
     Deltas against the fork-time base captured by :func:`_worker_init`,
@@ -435,7 +441,7 @@ def run_remote_task(
             "payload": payload,
             "seconds": time.perf_counter() - start,
             "warnings": fm_warnings,
-            "snapshot": _ship_snapshot(),
+            "snapshot": worker_snapshot(),
         },
         protocol=pickle.HIGHEST_PROTOCOL,
     )
@@ -499,7 +505,7 @@ def run_remote_chunk(
             "pid": os.getpid(),
             "programs": outs,
             "warnings": fm_warnings,
-            "snapshot": _ship_snapshot(),
+            "snapshot": worker_snapshot(),
         },
         protocol=pickle.HIGHEST_PROTOCOL,
     )

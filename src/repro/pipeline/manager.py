@@ -16,17 +16,15 @@ artifact wiring:
 Determinism: tasks only write unit-keyed artifacts into the
 :class:`~repro.pipeline.context.ProgramContext`; every merge across
 units happens in a later barrier pass that reads them in program (parse)
-order.  Results are therefore byte-identical for any worker count *and
-any executor* — the integration suite pins this.
+order.  Results are therefore byte-identical for any job count — the
+integration suite pins this.
 
-Executors: ``jobs > 1`` regions run on worker threads by default, or —
-when every region pass is distributable and ``executor="process"`` /
-``REPRO_EXECUTOR=process`` selects it — on the shared process pool of
+``jobs=1`` runs a region in-process, pass-major with units bottom-up.
+``jobs > 1`` runs a multi-unit region on the shared process pool of
 :mod:`repro.pipeline.executor`, which ships picklable task payloads out
 and merges the hydrated results back in the parent (see
-``docs/EXECUTION.md`` for the end-to-end model).
-
-The serial order (``jobs=1``) is pass-major with units bottom-up.
+``docs/EXECUTION.md`` for the end-to-end model).  A region holding a
+pass that is not distributable runs serially.
 
 The dependence structure of a region is a pure function of
 ``(units, callgraph edges, region passes)`` and is memoized in the
@@ -38,12 +36,12 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import perf
 from repro.pipeline import executor as pexec
-from repro.service.budgets import active_budget, adopt_scope, suspended
+from repro.service.budgets import suspended
 from repro.pipeline.base import (
     PROGRAM_SCOPE,
     ROOT_ARTIFACT,
@@ -241,10 +239,8 @@ class PassManager:
         jobs: Optional[int] = 1,
         goals=None,
         explain: bool = False,
-        executor: Optional[str] = None,
     ) -> ProgramContext:
         jobs = pexec.resolve_jobs(jobs)
-        kind = pexec.executor_kind(executor)
         selected = self._select(ctx, goals)
         self._validate(ctx, selected)
         records: List[dict] = []
@@ -264,13 +260,11 @@ class PassManager:
                 while idx < len(selected) and selected[idx].scope == UNIT_SCOPE:
                     region.append(selected[idx])
                     idx += 1
-                sched = self._run_region(
-                    ctx, tuple(region), jobs, records, t0, kind
-                )
+                sched = self._run_region(ctx, tuple(region), jobs, records, t0)
                 region_groups.append(sched["groups"])
         if explain:
             ctx.explain = self._explain(
-                ctx, selected, records, region_groups, jobs, kind
+                ctx, selected, records, region_groups, jobs
             )
         return ctx
 
@@ -320,118 +314,55 @@ class PassManager:
         jobs: int,
         records: List[dict],
         t0: float,
-        kind: str = "thread",
     ) -> Dict:
         engine = ctx.engine
         units = ctx.unit_names()
         edges = tuple(engine.callgraph.edge_list())
         sched = self._schedule(units, edges, region)
-        tasks: List[Task] = sched["tasks"]
-        deps: Dict[Task, Tuple[Task, ...]] = sched["deps"]
-
-        def launch(t: Task) -> None:
-            i, u = t
+        if jobs > 1 and len(units) > 1:
+            if all(p.distributable for p in region):
+                with pexec.pool_session(jobs) as pool:
+                    self._run_region_process(ctx, region, pool, records, t0, sched)
+                return sched
+            # a pass without the pool protocol: run the region serially
+            perf.bump("pipeline.executor.fallback")
+        for i, u in sched["tasks"]:
             self._run_task(
                 ctx,
                 region[i],
                 u,
                 records,
                 t0,
-                wave=sched["wave"][t],
+                wave=sched["wave"][(i, u)],
                 group=sched["group_of"][u],
             )
-
-        if jobs <= 1 or len(units) <= 1:
-            for t in tasks:
-                launch(t)
-            return sched
-
-        if kind == "process":
-            if all(p.distributable for p in region):
-                self._run_region_process(
-                    ctx, region, jobs, records, t0, sched
-                )
-                return sched
-            # a non-distributable unit pass in the region: fall back to
-            # the (always correct) thread path rather than failing
-            perf.bump("pipeline.executor.fallback")
-
-        remaining: Dict[Task, Set[Task]] = {t: set(deps[t]) for t in tasks}
-        dependents: Dict[Task, List[Task]] = {}
-        for t, ds in deps.items():
-            for d in ds:
-                dependents.setdefault(d, []).append(t)
-        errors: List[Tuple[Task, BaseException]] = []
-        # the active budget is thread-local (several service jobs may run
-        # concurrently, each under its own); region worker threads adopt
-        # the scheduling thread's scope so every task of this request
-        # charges the same request-wide book-keeping
-        scope = active_budget()
-
-        def launch_scoped(t: Task) -> None:
-            with adopt_scope(scope):
-                launch(t)
-
-        with ThreadPoolExecutor(
-            max_workers=jobs, thread_name_prefix="pipeline"
-        ) as pool:
-            pending: Dict = {}
-
-            def submit(t: Task) -> None:
-                pending[pool.submit(launch_scoped, t)] = t
-
-            for t in tasks:
-                if not remaining[t]:
-                    submit(t)
-            while pending:
-                done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
-                ready: List[Task] = []
-                for fut in done:
-                    t = pending.pop(fut)
-                    exc = fut.exception()
-                    if exc is not None:
-                        errors.append((t, exc))
-                        continue
-                    for d in dependents.get(t, ()):
-                        waiting = remaining[d]
-                        waiting.discard(t)
-                        if not waiting:
-                            ready.append(d)
-                if errors:
-                    continue  # drain in-flight work, submit nothing new
-                for t in sorted(ready, key=sched["task_key"]):
-                    submit(t)
-        if errors:
-            errors.sort(key=lambda e: sched["task_key"](e[0]))
-            raise errors[0][1]
         return sched
 
     def _run_region_process(
         self,
         ctx: ProgramContext,
         region: Tuple[Pass, ...],
-        jobs: int,
+        pool,
         records: List[dict],
         t0: float,
         sched: Dict,
     ) -> None:
-        """The process-executor schedule of one unit-scope region.
+        """The ``jobs > 1`` schedule of one unit-scope region.
 
-        Same dependence-driven loop as the thread path, but each ready
-        task is exported to a picklable form and shipped to the shared
-        process pool; completed payloads are merged (hydrated) in the
-        parent as they arrive.  Artifacts are unit-keyed and merges
-        rebind pure payloads, so the final store contents — and hence
-        the downstream barrier passes — are byte-identical to any other
-        schedule.  Worker perf snapshots and captured FM fallback
-        warnings are folded in per completion.
+        Dependence-driven: each task whose inputs are complete is
+        exported to a picklable form and shipped to *pool*, the shared
+        process pool; completed payloads are merged (hydrated) in the parent as
+        they arrive.  Artifacts are unit-keyed and merges rebind pure
+        payloads, so the final store contents — and hence the downstream
+        barrier passes — are byte-identical to the serial schedule.
+        Worker perf snapshots and captured FM fallback warnings are
+        folded in per completion.
         """
         from repro.linalg.fourier_motzkin import replay_fallback_warnings
 
         tasks: List[Task] = sched["tasks"]
         deps: Dict[Task, Tuple[Task, ...]] = sched["deps"]
         header = pexec.make_header(ctx.get("program"), ctx.opts, ctx.cache)
-        pool = pexec.process_pool(jobs)
 
         remaining: Dict[Task, Set[Task]] = {t: set(deps[t]) for t in tasks}
         dependents: Dict[Task, List[Task]] = {}
@@ -516,7 +447,6 @@ class PassManager:
         records: List[dict],
         region_groups: List[List[List[str]]],
         jobs: int,
-        kind: str = "thread",
     ) -> dict:
         ran = [r for r in records if not r.get("skipped")]
         per_pass: Dict[str, float] = {}
@@ -537,7 +467,6 @@ class PassManager:
                 waves.setdefault(r["wave"], []).append([r["pass"], r["unit"]])
         return {
             "jobs": jobs,
-            "executor": kind,
             "units": list(ctx.unit_names()),
             "callgraph": callgraph,
             "passes": [

@@ -91,9 +91,7 @@ class ScreenPass(Pass):
     the screen never looks across calls).  Distributable: the worker
     recomputes the screen from its rebuilt engine, which is cheaper than
     shipping it; the skip flag stays parent-side state derived from the
-    callgraph after merge.  Disabled (``REPRO_DEP_SCREEN=0`` /
-    ``perf.set_dep_screen(False)``) it emits an empty screen: nothing
-    is skipped and downstream passes run unchanged.
+    callgraph after merge.
     """
 
     name = "screen"
@@ -115,16 +113,8 @@ class ScreenPass(Pass):
     @staticmethod
     def _compute(engine, unit: str):
         """Screen one unit via the engine's cache (worker or parent)."""
-        from repro import perf
-        from repro.arraydf.screen import (
-            empty_screen,
-            rebind_screen,
-            screen_payload,
-            screen_unit,
-        )
+        from repro.arraydf.screen import rebind_screen, screen_payload, screen_unit
 
-        if not perf.dep_screen_enabled():
-            return empty_screen(unit)
         key = ScreenPass._key(engine, unit)
         if key is not None:
             payload = engine.cache.load(key, "screen")
@@ -153,7 +143,7 @@ class ScreenPass(Pass):
         assert unit is not None
         self._attach(ctx, unit, self._compute(ctx.engine, unit))
 
-    # -- process-executor protocol -------------------------------------
+    # -- process-pool protocol -----------------------------------------
     def export_task(self, ctx: ProgramContext, unit: str) -> dict:
         return {}
 
@@ -218,7 +208,7 @@ class SummarizePass(Pass):
             return
         ctx.put("summary", ctx.engine.run_unit(unit), unit)
 
-    # -- process-executor protocol -------------------------------------
+    # -- process-pool protocol -----------------------------------------
     def export_task(self, ctx: ProgramContext, unit: str) -> dict:
         from repro.arraydf.analysis import _summary_payload
 
@@ -238,8 +228,8 @@ class SummarizePass(Pass):
                     engine.unit_keys.get(c),
                 )
             )
-        # the elision decision is the parent's: the worker must not
-        # re-derive it from its own (possibly different) screen gating
+        # the elision decision is the parent's: it depends on who calls
+        # the unit, which the worker's task does not see
         return {
             "callees": callees,
             "elide": sorted(engine.screen_hints.get(unit, ())),
@@ -372,7 +362,7 @@ class DecidePass(Pass):
         ctx.put("decisions", rows, unit)
         ctx.put("decisions_degraded", degraded, unit)
 
-    # -- process-executor protocol -------------------------------------
+    # -- process-pool protocol -----------------------------------------
     def export_task(self, ctx: ProgramContext, unit: str) -> dict:
         from repro.arraydf.analysis import _summary_payload
         from repro.arraydf.screen import screen_payload
@@ -380,8 +370,8 @@ class DecidePass(Pass):
         engine = ctx.engine
         screen = ctx.get("screen", unit)
         if screen.skip_summary:
-            # ship the rows themselves: the worker must not depend on
-            # its own screen gating matching the parent's
+            # ship the rows themselves: the skip decision is the
+            # parent's, made after merging every unit's screen
             return {"screened": True, "screen": screen_payload(screen)}
         payload = ctx.payload("summary", unit)
         if payload is None:

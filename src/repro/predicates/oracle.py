@@ -12,15 +12,16 @@ predicate-keyed tables:
 * **tier 1 — intervals**: the single-variable bounds abstraction of
   :mod:`repro.linalg.intervals`, which refutes or proves rational
   feasibility without eliminating any variables;
-* **tier 2 — exact**: the Fourier–Motzkin feasibility kernel, exactly as
-  the ground path in :mod:`repro.predicates.simplify` invokes it.
+* **tier 2 — exact**: the Fourier–Motzkin feasibility kernel, invoked
+  on the same sorted system the ground path builds.
 
 The oracle is a pure cost optimization: tiers 0 and 1 only answer when
 their verdict provably coincides with tier 2 (see the agreement argument
 in ``intervals.py``), and the DNF expansion (including its abort bound)
-is byte-identical to the ground path's — so enabling or disabling the
-oracle (``REPRO_PRED_ORACLE`` / :func:`set_enabled`) never changes a
-query result, only its cost.
+is byte-identical to the ground path's — so every query returns what
+the uncached, untiered ground path would.  That ground path lives in
+``tests/predicates/reference.py``, which the identity tests route the
+analysis through.
 
 Budget contract (mirrors the PR 2 summary-cache contract): tier 2 runs
 under `service.budgets` checkpoints inside the feasibility kernel; a
@@ -44,14 +45,8 @@ from repro.linalg.constraint import Constraint, Rel
 from repro.linalg.feasibility import is_feasible
 from repro.linalg.system import LinearSystem
 from repro.predicates.atoms import LinAtom
-from repro.predicates.formula import (
-    Atom,
-    NotPred,
-    Predicate,
-    p_and,
-    p_not,
-)
-from repro.predicates.simplify import conjunct_infeasible, to_dnf
+from repro.predicates.formula import Atom, NotPred, Predicate, p_and, p_not
+from repro.predicates.simplify import to_dnf
 
 Conjunct = FrozenSet[Predicate]
 
@@ -68,33 +63,6 @@ _NEGATE = perf.memo_table("pred.oracle.negate", cap=32768)
 _MISS = perf.MISS
 
 
-def enabled() -> bool:
-    """Is the tiered/memoized path active?  (Disabled = ground path.)"""
-    return perf.pred_oracle_enabled()
-
-
-def set_enabled(flag: Optional[bool]) -> None:
-    """Force the oracle on/off; ``None`` re-reads ``REPRO_PRED_ORACLE``."""
-    perf.set_pred_oracle(flag)
-
-
-# ----------------------------------------------------------------------
-# ground reference (the pre-oracle implementation, verbatim)
-# ----------------------------------------------------------------------
-
-
-def ground_is_unsat(pred: Predicate) -> bool:
-    """The uncached, untiered unsatisfiability test (reference path)."""
-    if pred.is_false():
-        return True
-    if pred.is_true():
-        return False
-    dnf = to_dnf(pred)
-    if dnf is None:
-        return False
-    return all(conjunct_infeasible(c) for c in dnf)
-
-
 # ----------------------------------------------------------------------
 # cached DNF
 # ----------------------------------------------------------------------
@@ -102,9 +70,6 @@ def ground_is_unsat(pred: Predicate) -> bool:
 
 def cached_dnf(pred: Predicate) -> Optional[Tuple[Conjunct, ...]]:
     """`to_dnf` with the default bound, memoized; ``None`` on abort."""
-    if not enabled():
-        dnf = to_dnf(pred)
-        return None if dnf is None else tuple(dnf)
     hit = _DNF.data.get(pred, _MISS)
     if hit is not _MISS:
         _DNF.hits += 1
@@ -164,10 +129,9 @@ def _conjunct_unsat_uncached(conj: Conjunct) -> bool:
 def conjunct_unsat(conj: Conjunct) -> bool:
     """Tiered, memoized contradiction test for one literal conjunct.
 
-    Always agrees with :func:`repro.predicates.simplify.conjunct_infeasible`.
+    Always agrees with the ground conjunct test (exact feasibility of
+    the conjoined linear atoms, boolean complements among the rest).
     """
-    if not enabled():
-        return conjunct_infeasible(conj)
     hit = _CONJUNCT.data.get(conj, _MISS)
     if hit is not _MISS:
         _CONJUNCT.hits += 1
@@ -189,8 +153,6 @@ def is_unsat(pred: Predicate) -> bool:
         return True
     if pred.is_true():
         return False
-    if not enabled():
-        return ground_is_unsat(pred)
     hit = _UNSAT.data.get(pred, _MISS)
     if hit is not _MISS:
         _UNSAT.hits += 1
@@ -217,8 +179,6 @@ def is_unsat(pred: Predicate) -> bool:
 
 
 def _negated(q: Predicate) -> Predicate:
-    if not enabled():
-        return p_not(q)
     hit = _NEGATE.data.get(q, _MISS)
     if hit is not _MISS:
         _NEGATE.hits += 1
@@ -233,8 +193,6 @@ def implies(p: Predicate, q: Predicate) -> bool:
     """Sound implication (``p → q`` proven via unsat of ``p ∧ ¬q``)."""
     if p.is_false() or q.is_true():
         return True
-    if not enabled():
-        return ground_is_unsat(p_and(p, p_not(q)))
     key = (p, q)
     hit = _IMPLIES.data.get(key, _MISS)
     if hit is not _MISS:

@@ -10,14 +10,13 @@ substrate.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from typing import FrozenSet, Iterable, List, Optional
 
 from repro import perf
 from repro.linalg.constraint import Constraint
-from repro.linalg.feasibility import is_feasible
 from repro.linalg.implication import entails
 from repro.linalg.system import LinearSystem
-from repro.predicates.atoms import DivAtom, LinAtom, OpaqueAtom
+from repro.predicates.atoms import LinAtom
 from repro.predicates.formula import (
     AndPred,
     Atom,
@@ -73,41 +72,9 @@ def to_dnf(pred: Predicate, limit: int = MAX_DNF) -> Optional[List[Conjunct]]:
     raise TypeError(f"unknown predicate node {type(pred).__name__}")
 
 
-def conjunct_infeasible(conj: Conjunct) -> bool:
-    """Is a single conjunct of literals contradictory?
-
-    Checks boolean complements on opaque/div literals and exact
-    infeasibility of the conjoined linear atoms.
-    """
-    positives = set()
-    negatives = set()
-    constraints = []
-    for lit in conj:
-        if isinstance(lit, Atom):
-            if isinstance(lit.atom, LinAtom):
-                constraints.append(lit.atom.constraint)
-            else:
-                positives.add(lit.atom)
-        elif isinstance(lit, NotPred):
-            negatives.add(lit.operand.atom)
-        else:  # pragma: no cover - literals are atoms by construction
-            raise TypeError(f"not a literal: {lit!r}")
-    if positives & negatives:
-        return True
-    if constraints:
-        # conjuncts are frozensets: sort so the constructed system (and
-        # every op count derived from it) is hash-seed independent
-        constraints.sort(key=Constraint.sort_key)
-        return not is_feasible(LinearSystem(constraints))
-    return False
-
-
 # The semantic queries delegate to the tiered, memoized oracle
-# (repro.predicates.oracle); the oracle imports this module's ground
-# machinery (to_dnf / conjunct_infeasible), so the reference is resolved
-# lazily to break the cycle.  With the oracle disabled
-# (REPRO_PRED_ORACLE=0) the queries run the original uncached path —
-# either way the booleans are identical.
+# (repro.predicates.oracle); the oracle imports this module's to_dnf,
+# so the reference is resolved lazily to break the cycle.
 
 _oracle = None
 
@@ -159,18 +126,15 @@ def simplify(pred: Predicate) -> Predicate:
     * unsatisfiable formulas collapse to FALSE; valid ones to TRUE.
 
     Bounded: the global checks only run when the DNF stays small.
-    Memoized (whole-result) while the predicate oracle is enabled.
+    Memoized (whole-result).
     """
-    use_memo = perf.pred_oracle_enabled()
-    if use_memo:
-        hit = _SIMPLIFY.data.get(pred, perf.MISS)
-        if hit is not perf.MISS:
-            _SIMPLIFY.hits += 1
-            return hit
-        _SIMPLIFY.misses += 1
+    hit = _SIMPLIFY.data.get(pred, perf.MISS)
+    if hit is not perf.MISS:
+        _SIMPLIFY.hits += 1
+        return hit
+    _SIMPLIFY.misses += 1
     result = _simplify_uncached(pred)
-    if use_memo:
-        _SIMPLIFY.data[pred] = result
+    _SIMPLIFY.data[pred] = result
     return result
 
 

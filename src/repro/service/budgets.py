@@ -160,11 +160,9 @@ class _ActiveBudget:
 #: the budget in scope for the current request, held **per thread**.
 #: The worker fleet (:mod:`repro.service.workers`) runs several jobs
 #: concurrently on threads, each under its own budget; a process-global
-#: slot would let one job's budget meter another job's work.  Threads
-#: *inside* one request (the pipeline's ``--jobs`` thread regions) share
-#: the request's single :class:`_ActiveBudget` via :func:`adopt_scope`,
-#: so charges still accumulate request-wide exactly as before.  Worker
-#: *processes* activate their own scope from the shipped request payload.
+#: slot would let one job's budget meter another job's work.  Pool
+#: worker *processes* activate their own scope from the shipped request
+#: payload.
 _tls = threading.local()
 
 
@@ -184,14 +182,23 @@ def clear_thread_budget() -> None:
     _tls.active = None
 
 
+def record_trips(trips: Dict[str, int]) -> None:
+    """Count trips a pool worker's scope recorded against the calling
+    thread's scope, so a request fanned out to processes still reports
+    itself degraded."""
+    active = active_budget()
+    if active is not None:
+        for kind, n in trips.items():
+            active.trips[kind] = active.trips.get(kind, 0) + n
+
+
 @contextmanager
 def budget_scope(budget: Optional[Budget]) -> Iterator[Optional[_ActiveBudget]]:
     """Activate *budget* for the dynamic extent of the block.
 
     ``None`` or an unlimited budget leaves enforcement off (zero
     overhead in the substrate hot paths).  Scopes nest; the inner scope
-    wins while active.  The scope is per-thread; use
-    :func:`adopt_scope` to extend it into helper threads.
+    wins while active.  The scope is per-thread.
     """
     if budget is None or budget.is_unlimited:
         yield None
@@ -201,28 +208,6 @@ def budget_scope(budget: Optional[Budget]) -> Iterator[Optional[_ActiveBudget]]:
     _tls.active = scope
     try:
         yield scope
-    finally:
-        _tls.active = previous
-
-
-@contextmanager
-def adopt_scope(scope: Optional[_ActiveBudget]) -> Iterator[None]:
-    """Activate an *existing* budget scope in the calling thread.
-
-    The pipeline's thread executor captures :func:`active_budget` when a
-    region is scheduled and adopts it inside each worker thread, so every
-    task of one request charges the **same** book-keeping object — the
-    request-wide wall/ops/FM totals behave exactly as they did when the
-    slot was process-global.  ``None`` adopts nothing (no budget in the
-    scheduling thread).
-    """
-    if scope is None:
-        yield
-        return
-    previous = active_budget()
-    _tls.active = scope
-    try:
-        yield
     finally:
         _tls.active = previous
 

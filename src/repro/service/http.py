@@ -266,8 +266,6 @@ def serve_http(
     queue_dir: str,
     workers: int = 1,
     capacity: int = 256,
-    pipeline_jobs: Optional[int] = 1,
-    pipeline_executor: Optional[str] = None,
     cache_dir: Optional[str] = None,
     install_signals: bool = True,
     ready: Optional[threading.Event] = None,
@@ -282,12 +280,7 @@ def serve_http(
 
         set_default_cache_dir(cache_dir)
     queue = JobQueue(queue_dir, capacity=capacity)
-    fleet = WorkerFleet(
-        queue,
-        workers=workers,
-        pipeline_jobs=pipeline_jobs,
-        pipeline_executor=pipeline_executor,
-    ).start()
+    fleet = WorkerFleet(queue, workers=workers).start()
     server = ServiceServer(parse_addr(addr), queue, fleet)
 
     stop = threading.Event()

@@ -35,16 +35,15 @@ from typing import Dict, Optional, Tuple
 # The whole analysis stack loads with this module, in the thread that
 # imports it, before any fleet starts worker threads: two workers first
 # importing one package at once can each get it partially initialized.
-# The first four are modules the analysis imports lazily, inside calls.
+# The first three are modules the analysis imports lazily, inside calls.
 import repro.arraydf.screen  # noqa: F401
 import repro.ir.scalarprop  # noqa: F401
-import repro.pipeline  # noqa: F401
 import repro.service.degrade  # noqa: F401
 from repro import perf
 from repro.arraydf.options import AnalysisOptions
 from repro.codegen.report import format_report
 from repro.lang.parser import parse_program
-from repro.partests.driver import ParallelizationDriver
+from repro.pipeline import run_pipeline
 from repro.service import receipts
 from repro.service.budgets import Budget, budget_scope
 from repro.service.cache import default_cache
@@ -104,19 +103,13 @@ def _experiment_module(which: str):
 # ----------------------------------------------------------------------
 # analyze
 # ----------------------------------------------------------------------
-def run_analyze(
-    body: Dict,
-    jobs: Optional[int] = 1,
-    executor: Optional[str] = None,
-) -> Tuple[Dict, Dict]:
+def run_analyze(body: Dict) -> Tuple[Dict, Dict]:
     """Run one analysis request; returns ``(response, extras)``.
 
     The response dict is the pinned JSON-lines wire format (see
     :mod:`repro.service.server`); *extras* carries what the receipt
     needs beyond the response (parsed program, options, budget, trips).
-    *jobs*/*executor* configure the pass pipeline underneath — output is
-    byte-identical for every combination, so the fleet can fan units
-    out over worker processes without changing any answer.
+    The pipeline runs in the calling worker thread (``jobs=1``).
     """
     rid = body.get("id")
     extras: Dict = {
@@ -143,18 +136,12 @@ def run_analyze(
 
         program = parse_program(source)
         extras["program"] = program
-        driver = ParallelizationDriver(
-            program,
-            opts,
-            cache=default_cache(),
-            jobs=jobs,
-            executor=executor,
-        )
         with budget_scope(budget) as scope:
-            result = driver.run()
+            ctx = run_pipeline(program, opts, cache=default_cache())
+        result = ctx.get("result")
         if scope is not None:
             extras["trips"] = dict(scope.trips)
-        extras["degraded"] = driver.degraded
+        extras["degraded"] = ctx.degraded
 
         loops = [
             {
@@ -176,7 +163,7 @@ def run_analyze(
             "id": rid,
             "ok": True,
             "program": program.main,
-            "degraded": driver.degraded,
+            "degraded": extras["degraded"],
             "loops": loops,
         }
         if body.get("report"):
@@ -226,17 +213,11 @@ def run_experiment(body: Dict) -> Tuple[Dict, Dict]:
 # ----------------------------------------------------------------------
 # the one entry point
 # ----------------------------------------------------------------------
-def execute_job(
-    job,
-    worker: str = "",
-    jobs: Optional[int] = 1,
-    executor: Optional[str] = None,
-) -> Tuple[Dict, Dict]:
+def execute_job(job, worker: str = "") -> Tuple[Dict, Dict]:
     """Execute one queued :class:`~repro.service.queue.Job`.
 
-    Returns ``(response, receipt)`` and never raises.  *jobs* and
-    *executor* are the fleet's pipeline configuration (how much
-    intra-job fan-out each worker may use), not part of the request.
+    Returns ``(response, receipt)`` and never raises.  *worker* names
+    the fleet thread that ran it (recorded under ``timings``).
     """
     started = time.perf_counter()
     base = perf.snapshot()
@@ -246,7 +227,7 @@ def execute_job(
         inputs = receipts.experiment_inputs(extras.get("which"))
     else:
         perf.bump("job.analyze")
-        resp, extras = run_analyze(job.body, jobs=jobs, executor=executor)
+        resp, extras = run_analyze(job.body)
         program, opts = extras.get("program"), extras.get("opts")
         if program is not None and opts is not None:
             inputs = receipts.analyze_inputs(program, opts)
@@ -293,7 +274,7 @@ def execute_job(
         priority=job.priority,
         inputs=inputs,
         knobs=receipts.knobs_in_effect(
-            extras.get("options_name"), extras.get("opts"), executor, jobs or 1
+            extras.get("options_name"), extras.get("opts")
         ),
         budget_granted=granted,
         degraded=degraded,

@@ -3,9 +3,9 @@
 Every job the service finishes leaves a ``receipt.json`` next to its
 result: a self-contained record of **what was analyzed, under which
 knobs, with which budgets, and what it cost**.  Receipts answer the
-operational questions a result alone cannot — "was the oracle on when
-this shipped?", "did this answer degrade under its budget?", "is this
-the same input we analyzed last week?" — without re-running anything.
+operational questions a result alone cannot — "which options produced
+this?", "did this answer degrade under its budget?", "is this the same
+input we analyzed last week?" — without re-running anything.
 
 A receipt has a **stable part** and an explicit ``timings`` section.
 The stable part is a pure function of the job's inputs and the knobs in
@@ -17,15 +17,13 @@ contract.
 
 Stable sections::
 
-    schema       "repro.receipt/2"
+    schema       "repro.receipt/3"
     job          id, kind, priority
     inputs       program name / experiment id, the per-procedure
                  content keys (chained exactly like the summary cache:
                  source + callee keys + options), and a combined hash
                  recomputable from the receipt alone
-    knobs        analysis options + fingerprint, every feature switch
-                 (oracle / screen), executor and job count, cache
-                 attached?
+    knobs        analysis options + fingerprint, cache attached?
     budgets      the limits *granted* (consumption is volatile → timings)
     degradation  the degraded flag and per-kind budget-trip counts
     result       terminal state and a deterministic result summary
@@ -42,7 +40,7 @@ import json
 from typing import Dict, List, Optional
 
 #: bump when the receipt layout changes incompatibly
-RECEIPT_SCHEMA = "repro.receipt/2"
+RECEIPT_SCHEMA = "repro.receipt/3"
 
 #: required top-level sections of every receipt
 SECTIONS = (
@@ -127,15 +125,8 @@ def empty_inputs() -> Dict:
 # ----------------------------------------------------------------------
 # knobs
 # ----------------------------------------------------------------------
-def knobs_in_effect(
-    options_name: Optional[str],
-    opts,
-    executor: Optional[str],
-    jobs: int,
-) -> Dict:
-    """Every switch that shaped this job's answer or its cost."""
-    from repro import perf
-    from repro.pipeline import executor_kind
+def knobs_in_effect(options_name: Optional[str], opts) -> Dict:
+    """Every knob that shaped this job's answer or its cost."""
     from repro.service.cache import default_cache, options_fingerprint
 
     return {
@@ -143,10 +134,6 @@ def knobs_in_effect(
         "options_fingerprint": (
             options_fingerprint(opts) if opts is not None else None
         ),
-        "pred_oracle": perf.pred_oracle_enabled(),
-        "dep_screen": perf.dep_screen_enabled(),
-        "executor": executor_kind(executor),
-        "jobs": int(jobs),
         "cache": default_cache() is not None,
     }
 
@@ -237,12 +224,8 @@ def validate_receipt(receipt: Dict) -> List[str]:
             "inputs.combined does not reproduce from the recorded unit keys"
         )
 
-    knobs = receipt["knobs"]
-    for field in ("pred_oracle", "dep_screen", "cache"):
-        if not isinstance(knobs.get(field), bool):
-            problems.append(f"knobs.{field} missing or not a boolean")
-    if not isinstance(knobs.get("jobs"), int):
-        problems.append("knobs.jobs missing or not an integer")
+    if not isinstance(receipt["knobs"].get("cache"), bool):
+        problems.append("knobs.cache missing or not a boolean")
 
     if "granted" not in receipt["budgets"]:
         problems.append("budgets.granted missing")

@@ -88,14 +88,12 @@ def serve(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     queue_dir: Optional[str] = None,
-    executor: Optional[str] = None,
 ) -> int:
     """Run the JSON-lines loop until EOF; returns the request count.
 
     Every request runs through the queue + worker core: *jobs* worker
     threads drain the queue (each job under its own thread-local
-    budget), *executor* optionally puts the process pool under each
-    job's pipeline.  A line that fails to parse, or names an unknown
+    budget).  A line that fails to parse, or names an unknown
     job kind, is answered locally — still on its own line, still in
     request order.  With *queue_dir* ``None`` the queue lives in a
     temporary directory deleted on return; pass a path to keep the
@@ -113,7 +111,7 @@ def serve(
     own_dir = queue_dir is None
     qdir = tempfile.mkdtemp(prefix="repro-serve-") if own_dir else queue_dir
     queue = JobQueue(qdir, capacity=max(64, 4 * workers))
-    fleet = WorkerFleet(queue, workers=workers, pipeline_executor=executor)
+    fleet = WorkerFleet(queue, workers=workers)
     fleet.start()
 
     #: responses already decided locally, or job ids awaiting results —

@@ -10,11 +10,9 @@ via :meth:`~repro.service.queue.JobQueue.finish`.
 Worker threads are where the thread-local budget design pays off: every
 job activates *its own* budget scope in its worker's thread, so a fleet
 runs many budgeted jobs concurrently without one job's spend metering
-another's.  Real multicore throughput comes from *under* the workers:
-with ``pipeline_executor="process"`` each job fans its independent
-callgraph subtrees over the shared worker-process pool, so even a
-GIL-bound fleet thread drives full cores.  All workers share the
-process-wide summary cache — a long-lived fleet warms it monotonically.
+another's.  Each job's pipeline runs in its worker thread (``jobs=1``).
+All workers share the process-wide summary cache — a long-lived fleet
+warms it monotonically.
 
 Shutdown is **graceful drain** (the SIGTERM contract): workers stop
 *claiming* immediately but finish the jobs they are running, so no job
@@ -38,27 +36,17 @@ perf.declare("worker.idle_waits")
 
 
 class WorkerFleet:
-    """N worker threads draining one job queue.
-
-    *pipeline_jobs* / *pipeline_executor* configure the per-job pass
-    pipeline fan-out (``--executor process`` puts real cores under each
-    job); they never change any answer — the pipeline is byte-identical
-    for every executor and job count.
-    """
+    """N worker threads draining one job queue."""
 
     def __init__(
         self,
         queue: JobQueue,
         workers: int = 1,
-        pipeline_jobs: Optional[int] = 1,
-        pipeline_executor: Optional[str] = None,
         idle_wait_s: float = 0.5,
         claim_chunk_limit: int = 8,
     ) -> None:
         self.queue = queue
         self.workers = max(1, int(workers))
-        self.pipeline_jobs = pipeline_jobs
-        self.pipeline_executor = pipeline_executor
         self.idle_wait_s = idle_wait_s
         self.claim_chunk_limit = max(1, int(claim_chunk_limit))
         self._threads: list = []
@@ -152,12 +140,7 @@ class WorkerFleet:
                 with self._lock:
                     self._busy[name] = job.id
                 try:
-                    response, receipt = execute_job(
-                        job,
-                        worker=name,
-                        jobs=self.pipeline_jobs,
-                        executor=self.pipeline_executor,
-                    )
+                    response, receipt = execute_job(job, worker=name)
                 except BaseException:
                     # execute_job never raises by contract; if the
                     # impossible happens, release the claim for recovery

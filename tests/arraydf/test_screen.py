@@ -5,13 +5,14 @@ import pytest
 from repro.arraydf.screen import (
     MAX_ACCESSES,
     ScreenedUnit,
-    empty_screen,
     rebind_screen,
     screen_payload,
     screen_unit,
 )
 from repro.ir.symboltable import SymbolTable
 from repro.lang.parser import parse_program
+
+from tests.pipeline.reference import empty_screen
 
 
 def _screen(src, unit=None):

@@ -7,12 +7,11 @@ so it is pinned against the committed ``experiments_all.txt``.  A change
 to any loop decision, run-time test, speedup estimate or substrate op
 count shows up here as a diff.
 
-The file is the default configuration's output.  The predicate-oracle
-and dependence-screen switches only skip work, so turning one off
-changes FIGO-a's substrate op counts (a cost figure) and nothing else;
-their off paths are pinned by ``tests/integration/test_oracle_identity.py``
-and ``test_screen_identity.py``.  The CLI here therefore runs with both
-at their defaults, whatever the calling environment sets.
+The tiered predicate oracle and the dependence screen only skip work:
+the ground and unscreened references would change FIGO-a's substrate
+op counts (a cost figure) and nothing else, which
+``tests/integration/test_oracle_identity.py`` and
+``test_screen_identity.py`` pin.
 
 Regenerate the file only for a change that is meant to alter a table::
 
@@ -30,11 +29,7 @@ EXPECTED = Path(__file__).with_name("experiments_all.txt")
 
 
 def test_experiments_all_matches_committed_tables():
-    env = {
-        k: v
-        for k, v in os.environ.items()
-        if k not in ("REPRO_PRED_ORACLE", "REPRO_DEP_SCREEN")
-    }
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )

@@ -1,9 +1,10 @@
 """Byte-identity of the pass pipeline across schedules.
 
-A parallel schedule (``jobs > 1``, either executor) must match the
-serial one byte for byte — wall-clock timing lines excluded, everything
-else pinned.  The experiment tables themselves are pinned against a
-committed expected file by ``tests/experiments/test_golden_tables.py``.
+A pooled schedule (``jobs > 1``: unit tasks on worker processes) must
+match the serial one byte for byte — wall-clock timing lines excluded,
+everything else pinned.  The experiment tables themselves are pinned
+against a committed expected file by
+``tests/experiments/test_golden_tables.py``.
 
 Budget exhaustion inside any pass must degrade soundly: decisions only
 ever demote to serial and nothing degraded is cached.
@@ -24,68 +25,57 @@ from repro.suites import all_programs, get_program
 _TIMING = re.compile(r"analysis: [0-9.]+ ms")
 
 
-class TestParallelVsSerial:
-    def _outputs(self, program, jobs):
-        ctx = run_pipeline(
-            program,
-            AnalysisOptions.predicated(),
-            jobs=jobs,
-            goals=("result", "transformed"),
-        )
-        report = _TIMING.sub(
-            "analysis: - ms", format_report(ctx.get("result"), title="t")
-        )
-        return report, pretty(ctx.get("transformed"))
+def _outputs(program, jobs):
+    ctx = run_pipeline(
+        program,
+        AnalysisOptions.predicated(),
+        jobs=jobs,
+        goals=("result", "transformed"),
+    )
+    report = _TIMING.sub(
+        "analysis: - ms", format_report(ctx.get("result"), title="t")
+    )
+    return report, pretty(ctx.get("transformed"))
 
+
+def _serial(benches):
+    return [_outputs(b.fresh_program(), jobs=1) for b in benches]
+
+
+class TestParallelVsSerial:
     def test_every_suite_program_identical_any_job_count(self):
-        for bench in all_programs():
-            serial = self._outputs(bench.fresh_program(), jobs=1)
-            parallel = self._outputs(bench.fresh_program(), jobs=4)
-            assert serial == parallel, bench.name
+        benches = all_programs()
+        for bench, expected in zip(benches, _serial(benches)):
+            got = _outputs(bench.fresh_program(), jobs=4)
+            assert got == expected, bench.name
 
 
 class TestProcessExecutorIdentity:
-    """``--executor process`` is invisible in every artifact.
+    """The pool is invisible in every artifact.
 
-    Workers rebuild the substrate per process and ship payloads back as
-    pickled projections; the parent rebinds them in deterministic parse
-    order, so the report and the transformed source must match the
-    serial schedule byte for byte — for every suite program and any job
-    count.
+    At ``jobs > 1`` workers rebuild the substrate per process and ship
+    payloads back as pickled projections; the parent rebinds them in
+    deterministic parse order, so the report and the transformed source
+    must match the serial schedule byte for byte.  ``run_pipeline_batch``
+    ships whole programs in chunks and rebinds their rows in input order.
     """
 
-    def _outputs(self, program, jobs, executor="thread"):
-        ctx = run_pipeline(
-            program,
-            AnalysisOptions.predicated(),
-            jobs=jobs,
-            executor=executor,
-            goals=("result", "transformed"),
-        )
-        report = _TIMING.sub(
-            "analysis: - ms", format_report(ctx.get("result"), title="t")
-        )
-        return report, pretty(ctx.get("transformed"))
-
     def test_every_suite_program_identical_under_process_pool(self):
-        for bench in all_programs():
-            serial = self._outputs(bench.fresh_program(), jobs=1)
-            pooled = self._outputs(
-                bench.fresh_program(), jobs=2, executor="process"
-            )
-            assert serial == pooled, bench.name
+        benches = all_programs()
+        for bench, expected in zip(benches, _serial(benches)):
+            got = _outputs(bench.fresh_program(), jobs=2)
+            assert got == expected, bench.name
 
     def test_multi_unit_programs_identical_at_any_job_count(self):
-        for name in ("applu", "turb3d"):
-            bench = get_program(name)
-            serial = self._outputs(bench.fresh_program(), jobs=1)
+        benches = [get_program(name) for name in ("applu", "turb3d")]
+        for bench, expected in zip(benches, _serial(benches)):
             for jobs in (2, 4):
-                pooled = self._outputs(
-                    bench.fresh_program(), jobs=jobs, executor="process"
-                )
-                assert serial == pooled, (name, jobs)
+                perf.reset_counters()
+                got = _outputs(bench.fresh_program(), jobs=jobs)
+                assert perf.counter("pipeline.executor.tasks") > 0
+                assert got == expected, (bench.name, jobs)
 
-    def test_batch_matches_serial_loop_for_both_executors(self):
+    def test_batch_matches_serial_loop(self):
         benches = all_programs()[:8]
         programs = [b.fresh_program() for b in benches]
         serial = run_pipeline_batch(programs, jobs=1)
@@ -100,13 +90,11 @@ class TestProcessExecutorIdentity:
             ]
 
         base = rows(serial)
-        for executor in ("thread", "process"):
+        for jobs in (2, 4):
             got = run_pipeline_batch(
-                [b.fresh_program() for b in benches],
-                jobs=4,
-                executor=executor,
+                [b.fresh_program() for b in benches], jobs=jobs
             )
-            assert rows(got) == base, executor
+            assert rows(got) == base, jobs
 
 
 class TestBudgetDegradationThroughPipeline:

@@ -1,12 +1,13 @@
-"""Byte-identity of experiment outputs with the dependence screen on vs. off.
+"""Byte-identity of experiment outputs with the dependence screen vs.
+the unscreened analysis.
 
 The tier-0 screen is a pure cost optimization: a loop it marks
 independent must get exactly the decision the full predicated analysis
 would have produced, so the formatted experiment outputs — the paper's
-tables and figure — must match byte for byte between the two modes,
-from cold caches *and* on a warm re-run (the warm path differs: screen
-rows are cache entries of their own kind and screened units skip
-summarization outright).
+tables and figure — must match byte for byte against the unscreened
+reference (``tests/pipeline/reference.py``), from cold caches *and* on
+a warm re-run (the warm path differs: screen rows are cache entries of
+their own kind and screened units skip summarization outright).
 """
 
 from repro import perf
@@ -17,9 +18,10 @@ from repro.experiments import (
     table3_categories,
 )
 
+from tests.pipeline.reference import unscreened
 
-def _formatted(enabled):
-    perf.set_dep_screen(enabled)
+
+def _formatted():
     perf.reset_all_caches()
     perf.reset_counters()
     cold = (
@@ -38,12 +40,9 @@ def _formatted(enabled):
 
 
 def test_experiment_outputs_identical_screen_on_and_off():
-    try:
-        on_cold, on_warm = _formatted(True)
-        off_cold, off_warm = _formatted(False)
-    finally:
-        perf.set_dep_screen(None)
-        perf.reset_all_caches()
+    on_cold, on_warm = _formatted()
+    with unscreened():
+        off_cold, off_warm = _formatted()
     assert on_cold == off_cold  # Table 1 / Table 2 / Table 3 / Figure 1
     assert on_warm == off_warm
     assert on_cold == on_warm  # warm replay is stable per mode
@@ -51,13 +50,11 @@ def test_experiment_outputs_identical_screen_on_and_off():
 
 def test_screen_counters_fire_during_experiments():
     try:
-        perf.set_dep_screen(True)
         perf.reset_all_caches()
         perf.reset_counters()
         table2_programs.run()
         counters = perf.snapshot()["counters"]
     finally:
-        perf.set_dep_screen(None)
         perf.reset_all_caches()
     assert counters.get("screen.independent", 0) > 0
     assert counters.get("screen.saved_units", 0) > 0

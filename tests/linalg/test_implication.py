@@ -12,11 +12,12 @@ import random
 
 import pytest
 
-from repro import perf
 from repro.linalg.constraint import Constraint
 from repro.linalg.implication import entails, remove_redundant
 from repro.linalg.system import LinearSystem
 from repro.symbolic.affine import AffineExpr
+
+from tests.predicates.reference import ground_oracle
 
 C = AffineExpr.const
 V = [AffineExpr.var(n) for n in ("x", "y", "z")]
@@ -74,11 +75,8 @@ def test_matches_reference_with_oracle_cache_disabled():
     rng = random.Random(99)
     systems = [_random_system(rng) for _ in range(30)]
     expected = [_reference_remove_redundant(s) for s in systems]
-    perf.set_pred_oracle(False)
-    try:
+    with ground_oracle():
         got = [remove_redundant(s) for s in systems]
-    finally:
-        perf.set_pred_oracle(None)
     for s, e, g in zip(systems, expected, got):
         assert list(e.constraints) == list(g.constraints), s
 

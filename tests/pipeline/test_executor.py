@@ -1,13 +1,17 @@
-"""The executor layer: kind/jobs selection, process pool, invisibility.
+"""The executor layer: job-count selection, process pool, invisibility.
 
-The process executor must be *invisible*: for any suite program,
-executor kind and job count may change where tasks run but never what
-they produce — including how budget exhaustion degrades the answer.
+``jobs`` alone picks where work runs: 1 in-process, more on the shared
+process pool.  The pool must be *invisible*: for any suite program, the
+job count may change where tasks run but never what they produce —
+including how budget exhaustion degrades the answer.
 """
 
 import hashlib
 import random
+import threading
+import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -19,61 +23,42 @@ from repro.linalg.fourier_motzkin import (
     capture_fallback_warnings,
     replay_fallback_warnings,
 )
-from repro.pipeline import run_pipeline
+from repro.pipeline import run_pipeline, run_pipeline_batch
 from repro.pipeline import executor as pexec
 from repro.pipeline.passes import SummarizePass
 from repro.service.budgets import Budget, budget_scope
-from repro.suites import all_programs
+from repro.suites import all_programs, get_program
 
-
-@pytest.fixture(autouse=True)
-def _restore_executor():
-    yield
-    pexec.set_executor(None)
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "experiments"
 
 
 class TestSelection:
-    def test_explicit_kind_wins(self):
-        assert pexec.executor_kind("process") == "process"
-        assert pexec.executor_kind("thread") == "thread"
-
-    def test_invalid_explicit_kind_raises(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            pexec.executor_kind("gpu")
-
     def test_environment_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        pexec.set_executor(None)
-        assert pexec.executor_kind() == "thread"
-        monkeypatch.setenv("REPRO_EXECUTOR", "process")
-        pexec.set_executor(None)
-        assert pexec.executor_kind() == "process"
-
-    def test_invalid_environment_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "fiber")
-        pexec.set_executor(None)
-        with pytest.raises(ValueError, match="REPRO_EXECUTOR"):
-            pexec.executor_kind()
-
-    def test_set_executor_overrides_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
-        pexec.set_executor("process")
-        assert pexec.executor_kind() == "process"
-
-    def test_set_executor_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            pexec.set_executor("gpu")
-
-    def test_resolve_jobs(self, monkeypatch):
-        assert pexec.resolve_jobs(3) == 3
-        assert pexec.resolve_jobs(0) == 1  # clamped
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert pexec.resolve_jobs(None) == 1
+        assert pexec.resolve_jobs(None) == 1  # serial, in-process
         monkeypatch.setenv("REPRO_JOBS", "4")
         assert pexec.resolve_jobs(None) == 4
+
+    def test_invalid_environment_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "four")
         with pytest.raises(ValueError, match="REPRO_JOBS"):
             pexec.resolve_jobs(None)
+
+    def test_resolve_jobs(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "4")
+        assert pexec.resolve_jobs(3) == 3  # an explicit count wins
+        assert pexec.resolve_jobs(0) == 1  # clamped
+
+
+def _rows_of(result):
+    return [
+        (l.label, l.status, str(l.condition), l.enclosed, l.runtime_test)
+        for l in result.loops
+    ]
+
+
+def _rows(ctx):
+    return _rows_of(ctx.get("result"))
 
 
 SRC = """
@@ -93,21 +78,102 @@ end
 """
 
 
+class TestPool:
+    def test_multi_unit_program_ships_tasks_to_the_pool(self):
+        """``jobs=2`` on a multi-unit suite program runs its unit tasks
+        on pool processes, with the rows of the serial run."""
+        bench = get_program("applu")
+        serial = run_pipeline(bench.fresh_program(), jobs=1)
+        perf.reset_all_caches()
+        perf.reset_counters()
+        pooled = run_pipeline(bench.fresh_program(), jobs=2, explain=True)
+        assert perf.counter("pipeline.executor.tasks") > 0
+        workers = {
+            r["worker"]
+            for r in pooled.explain["schedule"]
+            if r.get("unit") is not None
+        }
+        assert workers and all(w.startswith("proc-") for w in workers)
+        assert _rows(pooled) == _rows(serial)
+
+    def test_threads_with_different_job_counts_take_turns(self):
+        """A second fleet-style thread sizing the one pool differently
+        must wait for the first, not cancel its tasks by resizing."""
+        benches = all_programs()
+        expected = [
+            _rows_of(run_pipeline(b.fresh_program(), jobs=1).get("result"))
+            for b in benches
+        ]
+        perf.reset_all_caches()
+        got = {}
+
+        def batch(jobs):
+            try:
+                results = run_pipeline_batch(
+                    [b.fresh_program() for b in benches], jobs=jobs, chunk=1
+                )
+                got[jobs] = [_rows_of(r) for r in results]
+            except Exception as exc:  # reported by the assert below
+                got[jobs] = exc
+
+        first = threading.Thread(target=batch, args=(2,))
+        first.start()
+        while pexec._pool is None and first.is_alive():
+            time.sleep(0.001)  # the first thread now owns a 2-worker pool
+        second = threading.Thread(target=batch, args=(3,))
+        second.start()
+        first.join(120)
+        second.join(120)
+        assert not first.is_alive() and not second.is_alive()
+        assert got == {2: expected, 3: expected}
+
+    def test_cache_reset_defers_to_another_threads_session(self):
+        """FIGO at jobs=1 resets every cache per measurement; a reset in
+        one thread must not cancel an experiment another thread is
+        running on the pool (TAB2 at jobs=2)."""
+        from repro.experiments import fig_overhead, table2_programs
+
+        golden = (GOLDEN_DIR / "experiments_all.txt").read_text()
+        perf.reset_all_caches()
+        got = {}
+
+        def run(name, module, jobs):
+            try:
+                got[name] = module.run(jobs=jobs).format()
+            except Exception as exc:  # reported by the assert below
+                got[name] = exc
+
+        tab2 = threading.Thread(target=run, args=("tab2", table2_programs, 2))
+        tab2.start()
+        while pexec._pool is None and tab2.is_alive():
+            time.sleep(0.001)  # tab2 now holds the pool session
+        figo = threading.Thread(target=run, args=("figo", fig_overhead, 1))
+        figo.start()
+        tab2.join(120)
+        figo.join(120)
+        assert not tab2.is_alive() and not figo.is_alive()
+        assert isinstance(got["tab2"], str), got["tab2"]
+        assert isinstance(got["figo"], str), got["figo"]
+        assert got["tab2"] in golden
+        # FIGO-a's op counts take in whatever runs beside it (the perf
+        # counters are process-wide); its FIGO-b table does not
+        assert got["figo"][got["figo"].index("FIGO-b"):] in golden
+
+
 class TestFallback:
-    def test_non_distributable_region_falls_back_to_threads(
+    def test_non_distributable_region_falls_back_to_serial(
         self, monkeypatch
     ):
         """A unit-scope region containing any non-distributable pass
-        runs on the thread path and counts the fallback."""
+        runs serially and counts the fallback."""
         monkeypatch.setattr(SummarizePass, "distributable", False)
         before = perf.counter("pipeline.executor.fallback")
+        tasks = perf.counter("pipeline.executor.tasks")
         ctx = run_pipeline(
-            parse_program(SRC),
-            AnalysisOptions.predicated(),
-            jobs=2,
-            executor="process",
+            parse_program(SRC), AnalysisOptions.predicated(), jobs=2
         )
         assert perf.counter("pipeline.executor.fallback") > before
+        assert perf.counter("pipeline.executor.tasks") == tasks
         assert [l.label for l in ctx.get("result").loops] == ["work:L1"]
 
 
@@ -143,21 +209,15 @@ class TestWarningPlumbing:
 
 
 class TestExecutorInvisibility:
-    """Seeded property sweep: executor choice changes nothing visible."""
+    """Seeded property sweep: the job count changes nothing visible."""
 
-    COMBOS = [
-        ("thread", 1),
-        ("thread", 2),
-        ("thread", 4),
-        ("process", 1),
-        ("process", 2),
-        ("process", 4),
-    ]
+    #: serial, and the process pool at two sizes
+    JOBS = (1, 2, 4)
 
-    def _result_hash(self, bench, executor, jobs, budget=None):
+    def _result_hash(self, bench, jobs, budget=None):
         """A hash over everything ``--profile`` makes visible about the
         result: per-loop decisions plus the degradation flag."""
-        perf.reset_all_caches()  # identical memo warmth for every combo
+        perf.reset_all_caches()  # identical memo warmth for every run
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with budget_scope(budget):
@@ -165,31 +225,22 @@ class TestExecutorInvisibility:
                     bench.fresh_program(),
                     AnalysisOptions.predicated(),
                     jobs=jobs,
-                    executor=executor,
                 )
-        rows = [
-            (l.label, l.status, str(l.condition), l.enclosed, l.runtime_test)
-            for l in ctx.get("result").loops
-        ]
-        blob = repr((rows, ctx.degraded)).encode()
+        blob = repr((_rows(ctx), ctx.degraded)).encode()
         return hashlib.sha256(blob).hexdigest()
 
     def test_unbudgeted_results_identical_across_combos(self):
         rng = random.Random(20260808)
         for bench in rng.sample(all_programs(), 4):
-            hashes = {
-                self._result_hash(bench, executor, jobs)
-                for executor, jobs in self.COMBOS
-            }
+            hashes = {self._result_hash(bench, jobs) for jobs in self.JOBS}
             assert len(hashes) == 1, bench.name
 
     def test_budget_degradation_identical_across_combos(self):
         """Exhaustion under a tight op budget degrades the same loops
         to the same statuses no matter where the tasks ran."""
-        for bench in (all_programs()[0], all_programs()[3]):
-            hashes = {}
-            for executor, jobs in self.COMBOS:
-                hashes[(executor, jobs)] = self._result_hash(
-                    bench, executor, jobs, budget=Budget(max_ops=1)
-                )
+        for bench in (all_programs()[0], get_program("applu")):
+            hashes = {
+                jobs: self._result_hash(bench, jobs, budget=Budget(max_ops=1))
+                for jobs in self.JOBS
+            }
             assert len(set(hashes.values())) == 1, (bench.name, hashes)

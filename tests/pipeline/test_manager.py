@@ -1,6 +1,7 @@
 """PassManager scheduling: wiring, pruning, dependence order, parallelism."""
 
 import threading
+import time
 
 import pytest
 
@@ -63,6 +64,39 @@ class _Record(Pass):
         self.log.append((self.name, unit, threading.current_thread().name))
         for out in self.outputs:
             ctx.put(out, f"{out}:{unit}", unit)
+
+
+class _Boom(Pass):
+    """A unit pass that fails on leaf and on right, with the pool
+    protocol so ``jobs > 1`` ships it.  leaf comes first in schedule
+    order but fails last in time."""
+
+    name = "boom"
+    scope = UNIT_SCOPE
+    inputs = ("engine",)
+    outputs = ("junk",)
+    distributable = True
+
+    @staticmethod
+    def _work(unit):
+        if unit == "leaf":
+            time.sleep(0.2)
+            raise RuntimeError("boom:leaf")
+        if unit == "right":
+            raise RuntimeError("boom:right")
+        return unit
+
+    def run(self, ctx, unit=None):
+        ctx.put("junk", unit, self._work(unit))
+
+    def export_task(self, ctx, unit):
+        return {}
+
+    def run_remote(self, engine, unit, task):
+        return self._work(unit)
+
+    def merge_remote(self, ctx, unit, payload):
+        ctx.put("junk", unit, payload)
 
 
 def _ctx(src=SRC, **kw):
@@ -189,42 +223,30 @@ class TestParallelExecution:
                 "right:L1",
             ]
 
-    def test_parallel_uses_worker_threads(self):
-        # pin the thread executor: under REPRO_EXECUTOR=process the
-        # schedule records proc-<pid> workers instead
+    def test_parallel_uses_worker_processes(self):
         ctx = run_pipeline(
             parse_program(SRC),
             AnalysisOptions.predicated(),
             jobs=4,
             explain=True,
-            executor="thread",
         )
         workers = {
             r["worker"]
             for r in ctx.explain["schedule"]
             if r.get("unit") is not None
         }
-        assert any(w.startswith("pipeline") for w in workers)
+        assert workers and all(w.startswith("proc-") for w in workers)
 
     def test_pass_failure_propagates_deterministically(self):
-        log = []
-
-        class Boom(Pass):
-            name = "boom"
-            scope = UNIT_SCOPE
-            inputs = ("engine",)
-            outputs = ("junk",)
-
-            def run(self, ctx, unit=None):
-                if unit == "leaf":
-                    raise RuntimeError("boom:leaf")
-                log.append(unit)
-                ctx.put("junk", unit, unit)
-
-        passes = list(analysis_passes())[:2] + [Boom()]
+        """The failure first in schedule order is raised, serially and
+        on the pool, where right fails before leaf does."""
+        passes = list(analysis_passes())[:2] + [_Boom()]
         for jobs in (1, 4):
+            perf.reset_counters()
             with pytest.raises(RuntimeError, match="boom:leaf"):
                 PassManager(passes).run(_ctx(), jobs=jobs)
+            shipped = perf.counter("pipeline.executor.tasks")
+            assert (shipped > 0) == (jobs > 1)
 
 
 class TestExplain:

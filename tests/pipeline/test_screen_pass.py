@@ -9,12 +9,13 @@ tests:
 * an outermost screened-independent loop of a caller-free unit skips
   its loop projection (``elided=True``); :func:`reproject_loop` can
   recompute the projected value on demand and gets exactly what the
-  screen-off walk produces;
-* both paths are invisible in the results — screen on and off, cold
-  and warm cache, thread and process executors all agree.
+  unscreened walk produces;
+* both paths are invisible in the results — screened and unscreened
+  (``tests/pipeline/reference.py``), cold and warm cache, serial and
+  pooled schedules all agree.
 """
 
-import pytest
+from contextlib import nullcontext
 
 from repro import perf
 from repro.arraydf.analysis import reproject_loop
@@ -24,6 +25,8 @@ from repro.lang.parser import parse_program
 from repro.pipeline import run_pipeline
 from repro.service.cache import SummaryCache
 from repro.suites import get_program
+
+from tests.pipeline.reference import unscreened
 
 #: main is caller-free and every loop screens (independent): the
 #: whole-unit skip fires for it, while the subroutines keep the full walk
@@ -65,13 +68,12 @@ def _rows(ctx):
 
 
 def _run(program, screen_on, **kw):
-    perf.set_dep_screen(screen_on)
-    try:
+    with nullcontext() if screen_on else unscreened():
         perf.reset_all_caches()
-        return run_pipeline(program, OPTS, **kw)
-    finally:
-        perf.set_dep_screen(None)
-        perf.reset_all_caches()
+        try:
+            return run_pipeline(program, OPTS, **kw)
+        finally:
+            perf.reset_all_caches()
 
 
 class TestWholeUnitSkip:
@@ -170,18 +172,12 @@ class TestWarmAndExecutors:
         cold = _rows(_run(parse_program(edited), True, goals=("result",)))
         assert warm == cold
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_executors_agree_with_serial(self, executor):
+    def test_pool_agrees_with_serial(self):
         serial = _rows(
             _run(parse_program(SKIP_SRC), True, jobs=1, goals=("result",))
         )
-        pooled = _rows(
-            _run(
-                parse_program(SKIP_SRC),
-                True,
-                jobs=2,
-                executor=executor,
-                goals=("result",),
+        for jobs in (2, 4):
+            pooled = _rows(
+                _run(parse_program(SKIP_SRC), True, jobs=jobs, goals=("result",))
             )
-        )
-        assert pooled == serial
+            assert pooled == serial, jobs

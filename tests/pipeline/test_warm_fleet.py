@@ -6,11 +6,11 @@ under test:
 
 * engine keys are pure content hashes of (program, options, cache
   root);
-* every semantic knob change bumps the epoch, and a worker seeing a
-  newer epoch drops *all* warm state before touching the task;
+* every cache reset bumps the epoch, and a worker seeing a newer epoch
+  drops *all* warm state before touching the task;
 * a degraded (budget-tainted) engine never survives into another run;
-* none of which may change any analysis answer, for any executor, job
-  count, chunking, or budget.
+* none of which may change any analysis answer, for any job count,
+  chunking, or budget.
 """
 
 import hashlib
@@ -27,13 +27,12 @@ from repro.pipeline import (
 )
 from repro.pipeline import executor as pexec
 from repro.service.budgets import Budget, budget_scope
-from repro.suites import all_programs
+from repro.suites import all_programs, get_program
 
 
 @pytest.fixture(autouse=True)
 def _restore_state():
     yield
-    pexec.set_executor(None)
     pexec._worker_engines.clear()
     pexec._worker_built_keys.clear()
     pexec._worker_epoch = None
@@ -80,36 +79,6 @@ class TestEngineKeys:
 # the epoch counter
 # ----------------------------------------------------------------------
 class TestEpochBumps:
-    # Each knob is flipped away from its current value: the environment
-    # (e.g. REPRO_DEP_SCREEN=0) or an earlier test may already have set
-    # it, and setting a knob to the value it holds is no change.
-    def test_knob_change_bumps_epoch_once(self):
-        flipped = not perf.dep_screen_enabled()
-        e0 = perf.epoch()
-        perf.set_dep_screen(flipped)
-        try:
-            e1 = perf.epoch()
-            assert e1 == e0 + 1
-            perf.set_dep_screen(flipped)  # no-op: same value, no bump
-            assert perf.epoch() == e1
-        finally:
-            perf.set_dep_screen(None)
-        assert perf.epoch() > e1
-
-    def test_every_semantic_knob_setter_bumps(self):
-        knobs = [
-            (perf.set_pred_oracle, perf.pred_oracle_enabled),
-            (perf.set_dep_screen, perf.dep_screen_enabled),
-        ]
-        for setter, enabled in knobs:
-            flipped = not enabled()
-            e0 = perf.epoch()
-            setter(flipped)
-            try:
-                assert perf.epoch() > e0, setter.__name__
-            finally:
-                setter(None)
-
     def test_reset_all_caches_bumps_epoch_and_counter(self):
         e0 = perf.epoch()
         c0 = perf.counter("perf.epoch_bumps")
@@ -190,25 +159,16 @@ class TestWorkerEngineLifecycle:
 # ----------------------------------------------------------------------
 # end-to-end: invalidation and taint must never change an answer
 # ----------------------------------------------------------------------
-COMBOS = [
-    ("thread", 1),
-    ("thread", 2),
-    ("thread", 4),
-    ("process", 1),
-    ("process", 2),
-    ("process", 4),
-]
+#: serial, and the process pool at two sizes
+JOBS = (1, 2, 4)
 
 
-def _result_hash(bench, executor, jobs, budget=None):
+def _result_hash(bench, jobs, budget=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with budget_scope(budget):
             ctx = run_pipeline(
-                bench.fresh_program(),
-                AnalysisOptions.predicated(),
-                jobs=jobs,
-                executor=executor,
+                bench.fresh_program(), AnalysisOptions.predicated(), jobs=jobs
             )
     rows = [
         (l.label, l.status, str(l.condition), l.enclosed, l.runtime_test)
@@ -218,60 +178,46 @@ def _result_hash(bench, executor, jobs, budget=None):
 
 
 class TestEpochInvalidationProperty:
-    """For every executor × job count: warmth, epoch bumps and budget
-    taint may change *where* and *how much* work happens — never what
-    comes out."""
+    """For every job count: warmth, epoch bumps and budget taint may
+    change *where* and *how much* work happens — never what comes out."""
 
     def test_warm_rerun_and_epoch_bump_preserve_results(self):
-        bench = _bench(3)
-        for executor, jobs in COMBOS:
+        bench = get_program("applu")  # two units: jobs > 1 uses the pool
+        for jobs in JOBS:
             perf.reset_all_caches()
-            fresh = _result_hash(bench, executor, jobs)
+            fresh = _result_hash(bench, jobs)
             # same epoch, warm state: reuse path
-            assert _result_hash(bench, executor, jobs) == fresh, (
-                executor,
-                jobs,
-            )
-            # knob-change-shaped invalidation: rebuild path
+            assert _result_hash(bench, jobs) == fresh, jobs
+            # an epoch bump without a pool restart: rebuild path
             perf.bump_epoch()
-            assert _result_hash(bench, executor, jobs) == fresh, (
-                executor,
-                jobs,
-            )
+            assert _result_hash(bench, jobs) == fresh, jobs
 
     def test_invalidation_restores_cold_behavior_under_budget(self):
         """``reset_all_caches`` (an epoch bump + parent reset) must make
         the next tightly-budgeted run behave exactly like the first cold
         one — if workers ignored the epoch and kept warm memos, the ops
         meter would trip elsewhere and degrade different loops."""
-        bench = _bench(0)
-        for executor, jobs in COMBOS:
+        bench = get_program("turb3d")  # two units
+        for jobs in JOBS:
             perf.reset_all_caches()
-            cold1 = _result_hash(
-                bench, executor, jobs, budget=Budget(max_ops=1)
-            )
-            _result_hash(bench, executor, jobs)  # warm everything up
+            cold1 = _result_hash(bench, jobs, budget=Budget(max_ops=1))
+            _result_hash(bench, jobs)  # warm everything up
             perf.reset_all_caches()
-            cold2 = _result_hash(
-                bench, executor, jobs, budget=Budget(max_ops=1)
-            )
-            assert cold1 == cold2, (executor, jobs)
+            cold2 = _result_hash(bench, jobs, budget=Budget(max_ops=1))
+            assert cold1 == cold2, jobs
 
     def test_degraded_run_never_poisons_the_next(self):
         """A budget-tripped run leaves tainted engines behind; the next
         *unbudgeted* run in the same epoch must still produce the clean
         answer (taint eviction, not a nonce, is what protects it)."""
-        bench = _bench(3)
-        for executor, jobs in COMBOS:
+        bench = get_program("applu")
+        for jobs in JOBS:
             perf.reset_all_caches()
-            clean = _result_hash(bench, executor, jobs)
+            clean = _result_hash(bench, jobs)
             perf.reset_all_caches()
-            _result_hash(bench, executor, jobs, budget=Budget(max_ops=1))
+            _result_hash(bench, jobs, budget=Budget(max_ops=1))
             # warm, same epoch, right after a degraded run:
-            assert _result_hash(bench, executor, jobs) == clean, (
-                executor,
-                jobs,
-            )
+            assert _result_hash(bench, jobs) == clean, jobs
 
 
 # ----------------------------------------------------------------------
@@ -289,8 +235,8 @@ class TestBatchChunking:
         assert resolve_batch_chunk(None, 10_000, 4) == 32
 
     def test_chunking_is_invisible(self):
-        """serial loop == thread batch == process batch at every chunk
-        size, program for program, in input order."""
+        """serial loop == pooled batch at every chunk size, program
+        for program, in input order."""
         benches = all_programs()[:5]
         programs = [b.fresh_program() for b in benches] + [
             b.fresh_program() for b in benches[:3]
@@ -302,30 +248,26 @@ class TestBatchChunking:
                 for r in results
             ]
 
-        def run(jobs, executor, chunk=None):
+        def run(jobs, chunk=None):
             perf.reset_all_caches()
             return rows(
                 run_pipeline_batch(
-                    [b for b in programs],
-                    _opts(),
-                    jobs=jobs,
-                    executor=executor,
-                    chunk=chunk,
+                    [b for b in programs], _opts(), jobs=jobs, chunk=chunk
                 )
             )
 
-        serial = run(1, "thread")
+        serial = run(1)
         assert len(serial) == len(programs)
-        assert run(2, "thread") == serial
-        assert run(2, "process", chunk=1) == serial  # unchunked shape
-        assert run(2, "process", chunk=3) == serial
-        assert run(2, "process", chunk=len(programs)) == serial
+        assert run(2) == serial  # auto chunk size
+        assert run(2, chunk=1) == serial  # unchunked shape
+        assert run(2, chunk=3) == serial
+        assert run(2, chunk=len(programs)) == serial
 
     def test_chunk_counters(self):
         programs = [all_programs()[0].fresh_program() for _ in range(6)]
         perf.reset_all_caches()
         c0 = perf.counter("pipeline.executor.chunks")
         p0 = perf.counter("pipeline.executor.batch_programs")
-        run_pipeline_batch(programs, _opts(), jobs=2, executor="process", chunk=2)
+        run_pipeline_batch(programs, _opts(), jobs=2, chunk=2)
         assert perf.counter("pipeline.executor.chunks") == c0 + 3
         assert perf.counter("pipeline.executor.batch_programs") == p0 + 6

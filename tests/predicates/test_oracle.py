@@ -1,11 +1,11 @@
 """Soundness tests for the tiered predicate oracle.
 
-The oracle's contract is *byte-identity*: with the oracle enabled, every
-``is_unsat`` / ``implies`` / ``equivalent`` answer must equal the ground
-(untiered, unmemoized) path's answer.  These tests drive a seeded random
-corpus of guard-shaped predicates through both paths and through the
-interval tier directly, so any tier that over-claims is caught against
-the exact Fourier–Motzkin ground truth.
+The oracle's contract is *byte-identity*: every ``is_unsat`` /
+``implies`` / ``equivalent`` answer must equal the ground (untiered,
+unmemoized) path's answer, ``tests/predicates/reference.py``.  These
+tests drive a seeded random corpus of guard-shaped predicates through
+both paths and through the interval tier directly, so any tier that
+over-claims is caught against the exact Fourier–Motzkin ground truth.
 """
 
 import random
@@ -23,19 +23,18 @@ from repro.predicates.formula import FALSE, TRUE, p_and, p_atom, p_not, p_or
 from repro.predicates.simplify import equivalent, simplify
 from repro.symbolic.affine import AffineExpr
 
+from tests.predicates.reference import ground_is_unsat, ground_oracle
+
 C = AffineExpr.const
 V = [AffineExpr.var(n) for n in ("x", "y", "z")]
 
 
 @pytest.fixture(autouse=True)
 def _fresh_oracle():
-    """Each test starts with the oracle on and every cache cold, and
-    leaves the process-wide toggle back on its environment default."""
-    perf.set_pred_oracle(True)
+    """Each test starts and ends with every cache cold."""
     perf.reset_all_caches()
     perf.reset_counters()
     yield
-    perf.set_pred_oracle(None)
     perf.reset_all_caches()
 
 
@@ -73,7 +72,7 @@ def _corpus(seed: int, n: int):
 def test_unsat_matches_ground():
     preds = _corpus(seed=7, n=300) + [TRUE, FALSE]
     for p in preds:
-        assert oracle.is_unsat(p) == oracle.ground_is_unsat(p), p
+        assert oracle.is_unsat(p) == ground_is_unsat(p), p
 
 
 def test_unsat_memo_is_stable():
@@ -93,11 +92,10 @@ def test_implies_and_equivalent_match_disabled_mode():
         (oracle.implies(p, q), oracle.equivalent(p, q)) for p, q in pairs
     ]
 
-    perf.set_pred_oracle(False)
-    perf.reset_all_caches()
-    without = [
-        (oracle.implies(p, q), oracle.equivalent(p, q)) for p, q in pairs
-    ]
+    with ground_oracle():
+        without = [
+            (oracle.implies(p, q), oracle.equivalent(p, q)) for p, q in pairs
+        ]
     assert with_oracle == without
 
 

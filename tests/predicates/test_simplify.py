@@ -10,7 +10,6 @@ from repro.predicates.formula import (
     p_or,
 )
 from repro.predicates.simplify import (
-    conjunct_infeasible,
     equivalent,
     implies,
     is_unsat,
@@ -18,6 +17,8 @@ from repro.predicates.simplify import (
     to_dnf,
 )
 from repro.symbolic.affine import AffineExpr
+
+from tests.predicates.reference import conjunct_infeasible
 
 X = AffineExpr.var("x")
 Y = AffineExpr.var("y")

@@ -118,3 +118,32 @@ class TestTrips:
                 with pytest.raises(BudgetExceeded):
                     charge_fm(5)
         assert perf.counter("budget.trip.fm") == base + 1
+
+
+class TestPooledExperimentJobs:
+    """An experiment job's budget holds on the process pool too."""
+
+    @staticmethod
+    def _run(jobs, budget=None):
+        from repro.service.jobs import execute_job
+        from repro.service.queue import Job
+
+        body = {"id": 1, "which": "tab2", "jobs": jobs}
+        if budget is not None:
+            body["budget"] = budget
+        return execute_job(Job("j00000001", "experiment", body, 0, 1, None))
+
+    def test_budget_holds_at_any_job_count(self):
+        perf.reset_all_caches()
+        clean, _ = self._run(1)
+        perf.reset_all_caches()
+        serial, serial_receipt = self._run(1, {"max_ops": 1})
+        # a degraded result never outlives its job
+        assert self._run(1)[0] == clean
+        perf.reset_all_caches()
+        pooled, pooled_receipt = self._run(2, {"max_ops": 1})
+        assert self._run(2)[0] == clean
+        assert serial["ok"] and serial["output"] != clean["output"]
+        assert pooled == serial
+        assert serial_receipt["degradation"]["degraded"]
+        assert pooled_receipt["degradation"]["degraded"]

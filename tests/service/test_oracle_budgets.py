@@ -15,6 +15,8 @@ from repro.predicates.formula import p_and, p_atom
 from repro.service.budgets import Budget, BudgetExceeded, budget_scope
 from repro.symbolic.affine import AffineExpr
 
+from tests.predicates.reference import ground_is_unsat
+
 C = AffineExpr.const
 X = AffineExpr.var("x")
 Y = AffineExpr.var("y")
@@ -22,10 +24,8 @@ Y = AffineExpr.var("y")
 
 @pytest.fixture(autouse=True)
 def _fresh_oracle():
-    perf.set_pred_oracle(True)
     perf.reset_all_caches()
     yield
-    perf.set_pred_oracle(None)
     perf.reset_all_caches()
 
 
@@ -78,4 +78,4 @@ def test_recompute_after_trip_yields_correct_answer():
         with budget_scope(Budget(max_ops=0)):
             oracle.is_unsat(p)
     assert oracle.is_unsat(p) is True
-    assert oracle.is_unsat(p) == oracle.ground_is_unsat(p)
+    assert oracle.is_unsat(p) == ground_is_unsat(p)

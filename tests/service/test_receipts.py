@@ -82,14 +82,11 @@ class TestReceiptContract:
     def test_knobs_record_every_switch(self):
         _, receipt = _execute({"source": SRC})
         knobs = receipt["knobs"]
-        for switch in ("pred_oracle", "dep_screen", "cache"):
-            assert isinstance(knobs[switch], bool)
-        # retired switches: one implementation each, nothing to record
-        for retired in ("packed_kernel", "bytecode", "pipeline"):
-            assert retired not in knobs
+        assert set(knobs) == {"options", "options_fingerprint", "cache"}
+        assert isinstance(knobs["cache"], bool)
         assert knobs["options"] == "predicated"
         assert "predicates=True" in knobs["options_fingerprint"]
-        assert knobs["executor"] in ("thread", "process")
+        assert receipt["schema"] == "repro.receipt/3"
 
     def test_budget_granted_recorded(self):
         _, receipt = _execute(

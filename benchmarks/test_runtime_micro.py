@@ -10,8 +10,10 @@ against the test-only reference runtime by the differential suites
 The exec workload mixes a vectorizable inner loop with a recurrence the
 vectorizer must reject (``b(i) = ... b(i-1)``), so both the NumPy fast
 path and the scalar instruction loop are on the clock.  The ELPD
-workload runs fully hooked — the packed shadow state and the
-compiled-in access hooks are what is being measured there.
+workload runs with both hooks: its vectorizable loop runs the vector
+program and hands ELPD one access block, its recurrence runs scalar
+through the compiled-in access hooks, and the access log, the blocks
+and each loop instance's classification are what is being measured.
 """
 
 from repro import perf

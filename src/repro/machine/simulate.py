@@ -138,6 +138,11 @@ class _CostHook:
         if rec is not None:
             rec["iters"] += 1
 
+    def block(self, token, lo, step, trips, accesses):
+        rec = self.stack[token]
+        if rec is not None:
+            rec["iters"] += trips
+
     def exit_loop(self, token):
         rec = self.stack.pop()
         if rec is None:

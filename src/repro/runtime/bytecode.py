@@ -15,8 +15,10 @@ instruction form — a flat list of pre-bound closures with
 * pre-bound intrinsic and operator handlers (no string dispatch),
 * loop trip counts computed once per dynamic loop instance,
 
-and caches the compiled unit in the ``rt.bytecode`` memo table
-(registered with :mod:`repro.perf`, so ``reset_all_caches`` drops it).
+and keeps the compiled units for the length of one run (a callee with
+several call sites compiles once).  Nothing is cached across runs:
+every caller runs a freshly parsed program, and a cross-run table would
+only keep finished programs alive.
 
 Where a ``DoLoop`` body is straight-line (array assignments only, no
 scalar carry) with affine subscripts, the loop additionally compiles a
@@ -39,7 +41,14 @@ differentially.
 
 Hook dispatch is *compiled in only when requested*: the engine compiles
 one unit variant per ``(access_hook?, loop_hook?)`` configuration, so
-an uninstrumented run pays zero per-access hook branches.
+an uninstrumented run pays zero per-access hook branches.  A run with a
+loop hook keeps the vector programs: when one runs, the loop hook gets
+one ``block(token, lo, step, trips, accesses)`` call instead of the
+per-iteration ``iter_start`` calls and the per-access hook calls.
+*accesses* lists one iteration's accesses in scalar evaluation order
+(for each statement its reads left to right, then its write) as
+``(kind, storage, offsets)`` with one offset per iteration.  A run with
+an access hook but no loop hook stays scalar.
 
 Known vectorization fallback conditions are documented in
 ``docs/PERF.md`` ("The bytecode runtime").
@@ -64,7 +73,6 @@ from repro.lang.astnodes import (
     Intrinsic,
     Num,
     PrintStmt,
-    Program,
     ReadStmt,
     Return,
     Stmt,
@@ -94,15 +102,6 @@ perf.declare("rt.compile_unit")
 perf.declare("rt.vec_loop")
 perf.declare("rt.vec_fallback")
 
-#: compiled-unit cache: (id(unit), access_hooked, loop_hooked) -> code.
-#: Each entry holds a strong reference to its unit (``code.unit``), so a
-#: live entry's id() key cannot be reused; hits re-verify identity
-#: anyway, which also covers keys resurrected after a registry reset.
-#: The table is dropped wholesale once it grows past the cap (compiling
-#: is cheap relative to running).
-_code_memo = perf.memo_table("rt.bytecode")
-_CODE_MEMO_CAP = 512
-
 
 class _State:
     """Mutable per-run execution state shared by all compiled closures."""
@@ -119,6 +118,7 @@ class _State:
         "outputs",
         "loop_events",
         "cond_cache",
+        "codes",
         "interp",
     )
 
@@ -180,7 +180,6 @@ class _Ctx:
 
     __slots__ = (
         "unit",
-        "program",
         "access_hooked",
         "loop_hooked",
         "aslot",
@@ -189,11 +188,8 @@ class _Ctx:
         "code",
     )
 
-    def __init__(
-        self, unit: Subroutine, program: Program, variant: Tuple[bool, bool]
-    ) -> None:
+    def __init__(self, unit: Subroutine, variant: Tuple[bool, bool]) -> None:
         self.unit = unit
-        self.program = program
         self.access_hooked, self.loop_hooked = variant
         self.aslot: Dict[str, int] = {}
         self.array_rank: Dict[str, int] = {}
@@ -208,10 +204,6 @@ class _Ctx:
             if decl.is_array:
                 self.aslot[name] = len(self.aslot)
                 self.array_rank[name] = decl.rank
-
-    @property
-    def variant(self) -> Tuple[bool, bool]:
-        return (self.access_hooked, self.loop_hooked)
 
 
 def _tick(st: _State) -> None:
@@ -623,14 +615,14 @@ def _compile_call(stmt: Call, ctx: _Ctx) -> Callable:
         _tick(st)
         impl = cell[0]
         if impl is None:
-            impl = cell[0] = _build_call(stmt, ctx)
+            impl = cell[0] = _build_call(stmt, ctx, st)
         impl(st, sc, ar)
     return run_call
 
 
-def _build_call(stmt: Call, ctx: _Ctx) -> Callable:
-    callee = ctx.program.units[stmt.name]
-    code = _unit_code(callee, ctx.variant, ctx.program)
+def _build_call(stmt: Call, ctx: _Ctx, st: _State) -> Callable:
+    callee = st.program.units[stmt.name]
+    code = _unit_code(st, callee)
     binders: List[Callable] = []
     for formal, actual in zip(callee.params, stmt.args):
         formal_decl = callee.decls.get(formal)
@@ -691,9 +683,11 @@ def _compile_do(stmt: DoLoop, ctx: _Ctx) -> Callable:
     label = stmt.label
     nid = stmt.nid
     hooked = ctx.loop_hooked
-    vec = None
-    if not ctx.access_hooked and not ctx.loop_hooked and _np is not None:
-        vec = _try_vectorize(stmt, ctx)
+    # the vector program is compiled when the loop first reaches
+    # _VEC_MIN_TRIPS; False marks a body that does not vectorize
+    vec_cell: list = [None]
+    if _np is None or (ctx.access_hooked and not hooked):
+        vec_cell[0] = False
 
     def run_do(st, sc, ar):
         _tick(st)
@@ -732,17 +726,20 @@ def _compile_do(stmt: DoLoop, ctx: _Ctx) -> Callable:
             token = st.loop_hook.enter_loop(stmt, proxy, ran_parallel)
 
         if trips:
+            hook = st.loop_hook if hooked else None
+            vec = vec_cell[0]
+            if vec is None and trips >= _VEC_MIN_TRIPS:
+                vec = vec_cell[0] = _try_vectorize(stmt, ctx) or False
             if (
-                vec is not None
+                vec
                 and trips >= _VEC_MIN_TRIPS
-                and vec.execute(st, sc, ar, lo, step, trips)
+                and vec.execute(st, sc, ar, lo, step, trips, hook, token)
             ):
                 st.steps += trips * nbody
                 sc[var] = lo + trips * step
                 perf.bump("rt.vec_loop")
             else:
                 i = lo
-                hook = st.loop_hook if hooked else None
                 if hook is not None:
                     for _ in range(trips):
                         sc[var] = i
@@ -773,13 +770,16 @@ def _compile_do(stmt: DoLoop, ctx: _Ctx) -> Callable:
 class _VecSite:
     """One distinct (array, subscript tuple) reference in a vector loop."""
 
-    __slots__ = ("name", "slot", "dims", "offs", "data", "arr")
+    __slots__ = ("name", "slot", "dims", "offs", "offv", "data", "arr")
 
     def __init__(self, name: str, slot: int, dims: list) -> None:
         self.name = name
         self.slot = slot
         self.dims = dims  # [(coeff_fn, base_fn), ...] per dimension
-        self.offs: Optional[list] = None  # resolved per execution
+        # resolved per execution: flat offsets as a list (gather and
+        # scatter) and as the int64 array handed to a loop hook
+        self.offs: Optional[list] = None
+        self.offv = None
         self.data: Optional[dict] = None
         self.arr: Optional[ArrayStorage] = None
 
@@ -801,9 +801,15 @@ class _VecRt:
 class _VecLoop:
     """A compiled whole-iteration-space program for one DO loop."""
 
-    __slots__ = ("sites", "stmts", "invariants", "mod_checks", "write_sites")
+    __slots__ = (
+        "sites", "stmts", "invariants", "mod_checks", "write_sites",
+        "accesses", "uses_iv",
+    )
 
-    def __init__(self, sites, stmts, invariants, mod_checks, write_sites):
+    def __init__(
+        self, sites, stmts, invariants, mod_checks, write_sites, accesses,
+        uses_iv,
+    ):
         self.sites = sites
         self.stmts = stmts  # [(target site index, value fn), ...]
         #: loop-invariant scalar subtrees, pre-evaluated at entry so the
@@ -811,12 +817,16 @@ class _VecLoop:
         self.invariants = invariants
         self.mod_checks = mod_checks  # invariant-slot indices of divisors
         self.write_sites = write_sites  # set of written site objects
+        #: one iteration's accesses in scalar order: [(kind, site index)]
+        self.accesses = accesses
+        self.uses_iv = uses_iv  # a value reads the loop variable
 
     # ------------------------------------------------------------------
-    def execute(self, st, sc, ar, lo, step, trips) -> bool:
+    def execute(self, st, sc, ar, lo, step, trips, hook, token) -> bool:
         """Run the whole iteration space; False = fall back to the
         scalar instruction loop (which reproduces exact tree-walker
-        behaviour, including any error at its exact iteration)."""
+        behaviour, including any error at its exact iteration).  After
+        a run, a loop *hook* gets the accesses as one ``block`` call."""
         nbody = len(self.stmts)
         if st.steps + trips * nbody > st.max_steps:
             perf.bump("rt.vec_fallback")
@@ -836,16 +846,15 @@ class _VecLoop:
                     perf.bump("rt.vec_fallback")
                     return False
 
-            iv = None
             for site in self.sites:
                 arr = site.arr
                 extents = arr.extents
                 if len(extents) != len(site.dims):
                     perf.bump("rt.vec_fallback")
                     return False
-                offs = None
+                # flat offset of iteration t: base + slope * step * t
+                base = slope = 0
                 stride = 1
-                coeff_total = 0
                 for k, (cfn, bfn) in enumerate(site.dims):
                     c = cfn(st, sc, ar)
                     b = bfn(st, sc, ar)
@@ -859,17 +868,24 @@ class _VecLoop:
                     if s_min < 1 or (ext is not None and s_max > ext):
                         perf.bump("rt.vec_fallback")
                         return False
-                    if iv is None:
-                        iv = _np.arange(trips, dtype=_np.int64) * step + lo
-                    dim_off = (c * iv + (b - 1)) * stride
-                    offs = dim_off if offs is None else offs + dim_off
-                    coeff_total += c * stride
+                    base += (s_a - 1) * stride
+                    slope += c * stride
                     if ext is not None:
                         stride *= ext
-                site.offs = offs.tolist()
-                if site in self.write_sites and coeff_total == 0:
+                if site in self.write_sites and slope == 0:
                     perf.bump("rt.vec_fallback")
                     return False
+                d = slope * step
+                if d:
+                    site.offs = list(range(base, base + d * trips, d))
+                else:
+                    site.offs = [base] * trips
+                if hook is not None:
+                    site.offv = (
+                        _np.arange(base, base + d * trips, d, dtype=_np.int64)
+                        if d
+                        else _np.full(trips, base, _np.int64)
+                    )
 
             # cross-name buffer aliasing (formals viewing one actual)
             written_bufs = {
@@ -890,7 +906,10 @@ class _VecLoop:
             return False
 
         rt = _VecRt()
-        rt.iv, rt.inv, rt.sites, rt.n = iv, inv_vals, self.sites, trips
+        rt.iv = (
+            _np.arange(trips, dtype=_np.int64) * step + lo if self.uses_iv else None
+        )
+        rt.inv, rt.sites, rt.n = inv_vals, self.sites, trips
         for tgt_idx, value_fn in self.stmts:
             res = value_fn(rt)
             if isinstance(res, _np.ndarray):
@@ -899,8 +918,14 @@ class _VecLoop:
                 out = _np.full(trips, float(res))
             site = self.sites[tgt_idx]
             site.data.update(zip(site.offs, out.tolist()))
+        if hook is not None:
+            sites = self.sites
+            hook.block(
+                token, lo, step, trips,
+                [(k, sites[i].arr, sites[i].offv) for k, i in self.accesses],
+            )
         for site in self.sites:  # drop per-execution references
-            site.offs = site.data = site.arr = None
+            site.offs = site.offv = site.data = site.arr = None
         return True
 
 
@@ -917,6 +942,23 @@ def _expr_uses(e: Expr, loopvar: str) -> Tuple[bool, bool]:
 
 def _kfn(v):
     return lambda st, sc, ar: v
+
+
+def _skey(e: Expr):
+    """A structural key of *e*: equal exactly when the subtrees are
+    equal, and cheaper to hash and compare than the frozen nodes."""
+    t = type(e)
+    if t is VarRef:
+        return e.name
+    if t is Num:
+        return e.value
+    if t is BinOp:
+        return (e.op, _skey(e.left), _skey(e.right))
+    return e
+
+
+def _subs_key(ref: ArrayRef) -> tuple:
+    return tuple(_skey(s) for s in ref.subscripts)
 
 
 def _affine(e: Expr, ctx: _Ctx, loopvar: str):
@@ -990,11 +1032,15 @@ class _VecCompiler:
     def __init__(self, ctx: _Ctx, loopvar: str, write_subs: dict) -> None:
         self.ctx = ctx
         self.loopvar = loopvar
-        self.write_subs = write_subs  # name -> subscript tuple
+        self.write_subs = write_subs  # name -> subscript key
         self.sites: List[_VecSite] = []
         self.site_keys: Dict[Tuple, int] = {}
         self.invariants: List[Callable] = []
         self.mod_checks: List[int] = []
+        #: site indices of the array reads compiled so far, in the
+        #: scalar engine's evaluation order (left to right)
+        self.reads: List[int] = []
+        self.uses_iv = False
 
     def invariant_slot(self, e: Expr) -> int:
         k = len(self.invariants)
@@ -1002,7 +1048,7 @@ class _VecCompiler:
         return k
 
     def site_for(self, ref: ArrayRef) -> Optional[int]:
-        key = (ref.name, ref.subscripts)
+        key = (ref.name, _subs_key(ref))
         idx = self.site_keys.get(key)
         if idx is not None:
             return idx
@@ -1044,17 +1090,19 @@ class _VecCompiler:
             return lambda rt: v
         if isinstance(e, VarRef):
             if e.name == self.loopvar:
+                self.uses_iv = True
                 return lambda rt: rt.iv
             name = e.name
             return lambda rt: rt.sc.get(name, 0)
         if isinstance(e, ArrayRef):
             if e.name in self.write_subs and (
-                e.subscripts != self.write_subs[e.name]
+                _subs_key(e) != self.write_subs[e.name]
             ):
                 return None  # read/write offsets may cross iterations
             idx = self.site_for(e)
             if idx is None:
                 return None
+            self.reads.append(idx)
             return lambda rt: rt.gather(idx)
         if isinstance(e, UnOp) and e.op == "-":
             f = self.value(e.operand)
@@ -1139,16 +1187,16 @@ def _try_vectorize(stmt: DoLoop, ctx: _Ctx) -> Optional[_VecLoop]:
         assigns.append(s)
 
     # all writes (and reads) of one array must share one subscript tuple
-    write_subs: Dict[str, Tuple[Expr, ...]] = {}
+    write_subs: Dict[str, tuple] = {}
     for s in assigns:
-        prev = write_subs.get(s.target.name)
-        if prev is not None and prev != s.target.subscripts:
+        key = _subs_key(s.target)
+        if write_subs.setdefault(s.target.name, key) != key:
             return None
-        write_subs[s.target.name] = s.target.subscripts
 
     comp = _VecCompiler(ctx, stmt.var, write_subs)
     stmts = []
     write_sites = set()
+    accesses: List[Tuple[str, int]] = []
     for s in assigns:
         tgt_idx = comp.site_for(s.target)
         if tgt_idx is None:
@@ -1158,19 +1206,21 @@ def _try_vectorize(stmt: DoLoop, ctx: _Ctx) -> Optional[_VecLoop]:
             return None
         stmts.append((tgt_idx, value_fn))
         write_sites.add(comp.sites[tgt_idx])
+        accesses += [("r", i) for i in comp.reads]
+        accesses.append(("w", tgt_idx))
+        comp.reads.clear()
     return _VecLoop(
-        comp.sites, stmts, comp.invariants, comp.mod_checks, write_sites
+        comp.sites, stmts, comp.invariants, comp.mod_checks, write_sites,
+        accesses, comp.uses_iv,
     )
 
 
 # ----------------------------------------------------------------------
 # unit compilation and the entry point
 # ----------------------------------------------------------------------
-def _compile_unit(
-    unit: Subroutine, variant: Tuple[bool, bool], program: Program
-) -> _CompiledUnit:
+def _compile_unit(unit: Subroutine, variant: Tuple[bool, bool]) -> _CompiledUnit:
     perf.bump("rt.compile_unit")
-    ctx = _Ctx(unit, program, variant)
+    ctx = _Ctx(unit, variant)
     code = _CompiledUnit(unit)
     ctx.code = code  # loop closures hand it to frame proxies
     code.aslot = ctx.aslot
@@ -1187,19 +1237,12 @@ def _compile_unit(
     return code
 
 
-def _unit_code(
-    unit: Subroutine, variant: Tuple[bool, bool], program: Program
-) -> _CompiledUnit:
-    key = (id(unit), variant[0], variant[1])
-    code = _code_memo.data.get(key)
-    if code is not None and code.unit is unit:
-        _code_memo.hits += 1
-        return code
-    _code_memo.misses += 1
-    code = _compile_unit(unit, variant, program)
-    if len(_code_memo.data) >= _CODE_MEMO_CAP:
-        _code_memo.data.clear()
-    _code_memo.data[key] = code
+def _unit_code(st: _State, unit: Subroutine) -> _CompiledUnit:
+    """*unit*'s code for this run, compiled on first use."""
+    code = st.codes.get(unit.name)
+    if code is None:
+        variant = (st.access_hook is not None, st.loop_hook is not None)
+        code = st.codes[unit.name] = _compile_unit(unit, variant)
     return code
 
 
@@ -1210,7 +1253,6 @@ def execute(interp) -> ExecutionResult:
     and hooks read ``interp.steps`` and ``interp.outputs`` as they run.
     """
     program = interp.program
-    variant = (interp.access_hook is not None, interp.loop_hook is not None)
     st = _State()
     st.program = program
     st.inputs = interp.inputs
@@ -1223,11 +1265,11 @@ def execute(interp) -> ExecutionResult:
     st.outputs = interp.outputs
     st.loop_events = interp.loop_events
     st.cond_cache = {}
+    st.codes = {}
     st.interp = interp
 
     with perf.phase("rt.exec"):
-        main = program.main_unit
-        code = _unit_code(main, variant, program)
+        code = _unit_code(st, program.main_unit)
         sc: dict = {}
         ar = code.make_frame_arrays(st, sc)
         try:

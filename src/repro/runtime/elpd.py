@@ -15,20 +15,24 @@ Loops reported independent or privatizable are the "remaining inherently
 parallel" loops of the paper's tables — parallelization guaranteed only
 for the tested input, which is exactly ELPD's contract.
 
-The implementation shadows every array element (keyed by underlying
-storage buffer and flat offset, so reshaped views alias correctly) for
-each dynamically active instrumented loop, in packed integer columns.
+The implementation logs every array access of the run once, keyed by
+the underlying buffer's serial and the flat offset (so reshaped views
+alias correctly).  Each dynamic loop instance keeps only its iteration
+boundaries into the log and classifies its slice once, at loop exit;
+vectorized loops hand their accesses over as one block.  See
+``docs/ALGORITHMS.md`` §6 and ``docs/PERF.md`` §4.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro import perf
 from repro.lang.astnodes import Program
 from repro.runtime.interp import Interpreter
-from repro.runtime.values import ArrayStorage
+from repro.runtime.values import ArrayStorage, RuntimeError_
 
 try:  # pragma: no cover - exercised implicitly everywhere
     import numpy as _np
@@ -41,162 +45,173 @@ _RANKING = {"not_executed": 0, "independent": 1, "privatizable": 2, "dependent":
 
 
 # ----------------------------------------------------------------------
-# packed shadow state
+# the access log
 # ----------------------------------------------------------------------
-#: below this element count the scalar classify loop beats the NumPy
-#: bulk masks (fromiter setup cost)
-_BULK_MIN = 64
+#: a log entry is ``view << 41 | flat offset << 1 | is_write``; a view
+#: numbers one (buffer serial, array name) pair of the run
+_OFF_BITS = 40
+_OFF_MASK = (1 << _OFF_BITS) - 1
+_VIEW_SHIFT = _OFF_BITS + 1
+#: views numbered past this no longer fit an int64 entry; the run then
+#: classifies in plain Python
+_NP_VIEWS = 1 << (63 - _VIEW_SHIFT)
 
-#: reusable column sets — (first, last-access, last-write, flags, bufs)
-#: list tuples — so short-lived loop instances stop churning allocations
-_POOL_MAX = 32
-_pool: List[tuple] = []
-_pool_stats = {"hits": 0, "misses": 0}
+#: below this many entries a slice classifies in plain Python (NumPy's
+#: fixed cost per call outweighs its per-entry gain)
+_BULK_MIN = 256
+#: past this many entries the active instances fold the log into their
+#: per-element state and the log starts again empty
+_LOG_MAX = 1 << 16
 
-
-def _pool_acquire() -> tuple:
-    if _pool:
-        _pool_stats["hits"] += 1
-        return _pool.pop()
-    _pool_stats["misses"] += 1
-    return ([], [], [], [], [])
-
-
-def _pool_release(cols: tuple) -> None:
-    if len(_pool) < _POOL_MAX:
-        for c in cols:
-            c.clear()
-        _pool.append(cols)
-
-
-def _pool_stats_snapshot() -> Dict[str, int]:
-    return {
-        "hits": _pool_stats["hits"],
-        "misses": _pool_stats["misses"],
-        "size": len(_pool),
-    }
-
-
-def _pool_clear() -> None:
-    _pool.clear()
-    _pool_stats["hits"] = 0
-    _pool_stats["misses"] = 0
-
-
-perf.register_cache(
-    "elpd.shadow.pool", _pool_stats_snapshot, _pool_clear, obj=_pool
-)
 perf.declare("elpd.shadow.elements")
 
 
-class _PackedInstance:
-    """Packed shadow state for one dynamic loop instance.
+class _Instance:
+    """One dynamic execution of an instrumented loop.
 
-    Instead of one shadow object per touched element, parallel integer
-    columns indexed by a ``(buffer id, flat offset) -> row`` dict:
-    first-ordinal / last-access / last-write columns plus a flags column
-    (bit 1 = any_write, bit 2 = multi_ord, bit 4 = flow).  ``classify``
-    reduces the flags/bufs columns in bulk with NumPy masks.  Behaviour
-    is pinned element for element against the per-element reference
-    shadow in ``tests/runtime/reference.py`` — the differential suites
-    assert identical verdicts.
+    Its accesses are the log entries from ``start`` on; their iteration
+    ordinal is ``o0`` before ``bounds[0]`` and one more at each later
+    bound.  ``state`` holds the folded per-element state: a dict
+    ``key -> last ordinal << 3 | flags`` (plain ints, so the garbage
+    collector never tracks it) or, from NumPy, the columns ``(keys,
+    last ordinals, flags)`` sorted by key.  Flags: 1 = written,
+    2 = touched by more than one iteration, 4 = an iteration's first
+    touch read a value an earlier iteration wrote.  ``latest`` maps a
+    buffer seen under several names to the view its latest fresh
+    element was first touched through.  A vector block's own instance
+    keeps only ``count``, its distinct elements (see ``_ElpdHook.block``).
     """
 
-    __slots__ = (
-        "label",
-        "ordinal",
-        "index",
-        "array_of",
-        "_cols",
-        "_first",
-        "_lastacc",
-        "_lastw",
-        "_flags",
-        "_bufs",
-    )
+    __slots__ = ("label", "iters", "start", "o0", "bounds", "state", "latest", "count")
 
     def __init__(self, label: str) -> None:
         self.label = label
-        self.ordinal = -1
-        self.index: Dict[Tuple[int, int], int] = {}
-        self.array_of: Dict[int, str] = {}
-        cols = _pool_acquire()
-        self._cols = cols
-        self._first, self._lastacc, self._lastw, self._flags, self._bufs = cols
+        self.iters = 0
+        self.start = -1  # no iteration yet
+        self.o0 = -1
+        self.bounds: List[int] = []
+        self.state = None
+        self.latest: Dict[int, int] = {}
+        self.count: Optional[int] = None
 
-    def record(self, kind: str, storage: ArrayStorage, offset: int) -> None:
-        ord_ = self.ordinal
-        if ord_ < 0:
-            return  # access outside any iteration (loop bounds eval)
-        buf = id(storage.data)
-        key = (buf, offset)
-        row = self.index.get(key)
-        if row is None:
-            # fresh element: the first access on zero state
-            self.index[key] = len(self._flags)
-            self.array_of[buf] = storage.name
-            self._first.append(ord_)
-            self._lastacc.append(ord_)
-            if kind == "w":
-                self._lastw.append(ord_)
-                self._flags.append(1)
-            else:
-                self._lastw.append(-1)
-                self._flags.append(0)
-            self._bufs.append(buf)
-            return
-        f = self._flags[row]
-        if ord_ != self._lastacc[row]:
-            if kind == "r" and 0 <= self._lastw[row] < ord_:
-                f |= 4  # first touch this iteration reads an earlier write
-        if ord_ != self._first[row]:
-            f |= 2  # touched by more than one iteration
-        self._lastacc[row] = ord_
-        if kind == "w":
-            f |= 1
-            self._lastw[row] = ord_
-        self._flags[row] = f
+    def ordinals(self, a: int, b: int):
+        edges = _np.array([a, *self.bounds, b], _np.int64)
+        return _np.repeat(
+            _np.arange(self.o0, self.o0 + len(edges) - 1), _np.diff(edges)
+        )
 
-    def classify(self) -> Tuple[str, Set[str], Set[str]]:
-        flags = self._flags
-        n = len(flags)
-        perf.bump("elpd.shadow.elements", n)
-        conflict_arrays: Set[str] = set()
-        flow_arrays: Set[str] = set()
-        if _np is not None and n >= _BULK_MIN:
-            fl = _np.fromiter(flags, _np.int64, count=n)
-            flow_mask = (fl & 4) != 0
-            conf_mask = ((fl & 3) == 3) & ~flow_mask
-            if flow_mask.any() or conf_mask.any():
-                bufs = _np.fromiter(self._bufs, _np.int64, count=n)
-                array_of = self.array_of
-                for b in _np.unique(bufs[flow_mask]).tolist():
-                    flow_arrays.add(array_of[b])
-                for b in _np.unique(bufs[conf_mask]).tolist():
-                    conflict_arrays.add(array_of[b])
+
+def _scan_py(hook, inst: _Instance, entries: list, a: int) -> dict:
+    """Fold *entries* (log positions ``a..``) into the dict state."""
+    state = inst.state
+    if state is None:
+        state = {}
+    elif not isinstance(state, dict):
+        keys, last, flags = (c.tolist() for c in state)
+        state = {k: o << 3 | f for k, o, f in zip(keys, last, flags)}
+    get = state.get
+    aliased = hook.aliased
+    view_buf = hook.view_buf
+    latest = inst.latest
+    edges = iter(inst.bounds)
+    edge = next(edges, -1)
+    ord_ = inst.o0
+    ord3 = ord_ << 3
+    for p, e in enumerate(entries, a):
+        if p == edge:
+            ord_ += 1
+            ord3 = ord_ << 3
+            edge = next(edges, -1)
+        if aliased:
+            buf = view_buf[e >> _VIEW_SHIFT]
+            key = buf << _OFF_BITS | (e >> 1) & _OFF_MASK
         else:
-            bufs = self._bufs
-            array_of = self.array_of
-            for row in range(n):
-                f = flags[row]
-                if f & 4:
-                    flow_arrays.add(array_of[bufs[row]])
-                elif (f & 3) == 3:
-                    conflict_arrays.add(array_of[bufs[row]])
-        if flow_arrays:
-            return "dependent", conflict_arrays, flow_arrays
-        if conflict_arrays:
-            return "privatizable", conflict_arrays, flow_arrays
-        return "independent", conflict_arrays, flow_arrays
+            key = e >> 1
+        s = get(key)
+        if s is None:
+            state[key] = ord3 | e & 1
+            if aliased:
+                latest[buf] = e >> _VIEW_SHIFT
+        elif s >> 3 != ord_:
+            # the element's first touch in this iteration
+            if e & 1:
+                state[key] = ord3 | s & 7 | 3
+            elif s & 1:
+                state[key] = ord3 | s & 7 | 6
+            else:
+                state[key] = ord3 | s & 7 | 2
+        elif e & 1:
+            state[key] = s | 1
+    return state
 
-    def release(self) -> None:
-        """Return the columns to the pool (instance is done)."""
-        cols = self._cols
-        self._cols = None
-        self._first = self._lastacc = self._lastw = None
-        self._flags = self._bufs = None
-        if cols is not None:
-            _pool_release(cols)
+
+def _scan_np(hook, inst: _Instance, entries, a: int) -> tuple:
+    """:func:`_scan_py` as a sort-and-reduce over NumPy columns."""
+    n = len(entries)
+    view = entries >> _VIEW_SHIFT
+    if hook.aliased:
+        bufs = _np.array(hook.view_buf, _np.int64)[view]
+        key = (bufs << _OFF_BITS) | ((entries >> 1) & _OFF_MASK)
+    else:
+        key = entries >> 1
+    order = _np.argsort(key, kind="stable")  # log order within an element
+    k = key[order]
+    o = inst.ordinals(a, a + n)[order]
+    w = (entries & 1)[order]
+    head = _np.empty(n, bool)
+    head[0] = True
+    _np.not_equal(k[1:], k[:-1], out=head[1:])
+    starts = _np.flatnonzero(head)
+    counts = _np.diff(starts, append=n)
+    gk = k[starts]
+    # an entry is its element's first touch in its iteration ...
+    first_touch = head.copy()
+    _np.not_equal(o[1:], o[:-1], out=first_touch[1:], where=~head[1:])
+    # ... after this many earlier writes to the element
+    before = _np.cumsum(w) - w
+    before -= _np.repeat(before[starts], counts)
+    g_last = o[starts + counts - 1]
+    state = inst.state
+    hit = None
+    if state is not None:
+        sk, slast, sflags = state
+        idx = _np.searchsorted(sk, gk)
+        hit = idx < len(sk)
+        hit[hit] = sk[idx[hit]] == gk[hit]
+        hidx = idx[hit]
+        hstart = starts[hit]
+        first_touch[hstart] = o[hstart] != slast[hidx]
+        sw = _np.zeros(len(gk), _np.int64)
+        sw[hit] = sflags[hidx] & 1
+        before += _np.repeat(sw, counts)
+    flow = first_touch & (w == 0) & (before > 0)
+    g_flags = (
+        (_np.add.reduceat(w, starts) > 0)
+        | ((g_last != o[starts]) << 1)
+        | (_np.logical_or.reduceat(flow, starts) << 2)
+    ).astype(_np.int64)
+    fresh = starts if hit is None else starts[~hit]
+    if hook.aliased and len(fresh):
+        # each buffer's latest fresh element, and its view
+        pos = order[fresh]
+        by_buf = _np.lexsort((pos, key[pos] >> _OFF_BITS))
+        b_sorted = key[pos][by_buf] >> _OFF_BITS
+        last_of_buf = _np.flatnonzero(_np.append(b_sorted[1:] != b_sorted[:-1], True))
+        for b, v in zip(
+            b_sorted[last_of_buf].tolist(), view[pos[by_buf[last_of_buf]]].tolist()
+        ):
+            inst.latest[b] = v
+    if state is None:
+        return gk, g_last, g_flags
+    g_flags[hit] |= sflags[hidx] | ((g_last[hit] != slast[hidx]) << 1)
+    keep = _np.ones(len(sk), bool)
+    keep[hidx] = False
+    merged = [
+        _np.concatenate((s_col[keep], g_col))
+        for s_col, g_col in zip(state, (gk, g_last, g_flags))
+    ]
+    order = _np.argsort(merged[0], kind="stable")
+    return tuple(col[order] for col in merged)
 
 
 @dataclass
@@ -246,46 +261,257 @@ class ElpdReport:
 
 
 class _ElpdHook:
-    """Interpreter loop hook feeding the shadow instances."""
+    """Interpreter loop hook: one access log for the whole run."""
 
     def __init__(self, targets: Optional[Set[str]]) -> None:
         self.targets = targets
-        self.active: List[Optional[_PackedInstance]] = []
+        self.active: List[Optional[_Instance]] = []
+        self.live = 0  # active target instances
         self.report = ElpdReport()
-        self._iter_counts: List[int] = []
+        self._reset_log()
 
+    def _reset_log(self) -> None:
+        self.cur: list = []  # the log's tail, where scalar entries go
+        self.segs: list = [self.cur]  # lists and (vector block) arrays
+        self.seg_pos = [0]  # log position of each segment's start
+        self.views: Dict[ArrayStorage, int] = {}  # storage -> entry bits
+        self.view_of: Dict[Tuple[int, str], int] = {}
+        self.view_buf: List[int] = []  # view -> first view of its buffer
+        self.view_name: List[str] = []
+        self.first_view: Dict[int, int] = {}  # buffer serial -> view
+        self.aliased = False  # a buffer seen under two names
+        self.wide = False  # views past _NP_VIEWS: plain Python only
+
+    def _pos(self) -> int:
+        return self.seg_pos[-1] + len(self.cur)
+
+    def _view(self, storage: ArrayStorage) -> int:
+        pair = (storage.serial, storage.name)
+        v = self.view_of.get(pair)
+        if v is None:
+            v = self.view_of[pair] = len(self.view_name)
+            first = self.first_view.setdefault(storage.serial, v)
+            self.aliased |= first != v
+            self.wide |= v >= _NP_VIEWS
+            self.view_buf.append(first)
+            self.view_name.append(storage.name)
+        bits = self.views[storage] = v << _VIEW_SHIFT
+        return bits
+
+    # -- the loop hook protocol -----------------------------------------
     def enter_loop(self, stmt, frame, ran_parallel):
         if self.targets is not None and stmt.label not in self.targets:
             self.active.append(None)  # placeholder to keep stack aligned
-            self._iter_counts.append(0)
-            return len(self.active) - 1
-        self.active.append(_PackedInstance(stmt.label))
-        self._iter_counts.append(0)
+        else:
+            self.active.append(_Instance(stmt.label))
+            self.live += 1
         return len(self.active) - 1
 
     def iter_start(self, token, ivalue):
         inst = self.active[token]
-        self._iter_counts[token] += 1
         if inst is not None:
-            inst.ordinal += 1
+            inst.iters += 1
+            pos = self.seg_pos[-1] + len(self.cur)
+            if inst.start < 0:
+                inst.start = pos
+                inst.bounds.append(pos)
+            elif not inst.bounds or inst.bounds[-1] != pos:
+                # an iteration without accesses needs no ordinal
+                inst.bounds.append(pos)
+        if self.live and self._pos() - self.seg_pos[0] > _LOG_MAX:
+            self._fold()
+
+    def block(self, token, lo, step, trips, accesses):
+        """A vector loop's whole run.  Its own instance needs no
+        per-element pass: the vector entry checks admit only injective
+        write offsets, reads of a written array through the write's own
+        subscripts, and no second name on a written buffer, so no
+        element is written in one iteration and touched in another.
+        The instance is independent; it counts its distinct elements.
+        The entries go to the log for the enclosing instances."""
+        inst = self.active[token]
+        if not self.live:
+            return
+        bits = []
+        for kind, storage, offs in accesses:
+            b = self.views.get(storage)
+            if b is None:
+                b = self._view(storage)
+            if max(int(offs[0]), int(offs[-1])) > _OFF_MASK:  # affine
+                raise RuntimeError_(
+                    f"array {storage.name}: flat offset beyond the ELPD "
+                    f"shadow's 2**{_OFF_BITS}"
+                )
+            bits.append(b | (kind == "w"))
+        if inst is not None:
+            inst.iters += trips
+            inst.count = self._distinct(accesses, bits)
+            if self.live == 1:
+                return  # no enclosing instance reads the log
+        entries = self._block_entries(trips, accesses, bits)
+        if isinstance(entries, list):
+            self.cur += entries
+        else:
+            pos = self._pos()
+            if self.cur:
+                self.segs.append(entries)
+                self.seg_pos.append(pos)
+            else:
+                self.segs[-1] = entries
+            self.cur = []
+            self.segs.append(self.cur)
+            self.seg_pos.append(pos + len(entries))
+        if self._pos() - self.seg_pos[0] > _LOG_MAX:
+            self._fold()
 
     def exit_loop(self, token):
         inst = self.active.pop()
-        iters = self._iter_counts.pop()
         if inst is None:
             return
-        with perf.phase("elpd.shadow"):
-            cls, conflicts, flows = inst.classify()
-        inst.release()
-        obs = self.report.observations.setdefault(
-            inst.label, LoopObservation(inst.label)
-        )
-        obs.merge(cls, conflicts, flows, iters)
+        if inst.start >= 0:
+            with perf.phase("elpd.shadow"):
+                self._scan(inst, max(inst.start, self.seg_pos[0]), self._pos())
+        cls, conflicts, flows = self._classify(inst)
+        self.live -= 1
+        if not self.live:
+            self._reset_log()
+        obs = self.report.observations.get(inst.label)
+        if obs is None:
+            obs = self.report.observations[inst.label] = LoopObservation(inst.label)
+        obs.merge(cls, conflicts, flows, inst.iters)
 
     def record_access(self, kind: str, storage: ArrayStorage, offset: int) -> None:
-        for inst in self.active:
-            if inst is not None:
-                inst.record(kind, storage, offset)
+        if self.live:
+            bits = self.views.get(storage)
+            if bits is None:
+                bits = self._view(storage)
+            if offset > _OFF_MASK:
+                raise RuntimeError_(
+                    f"array {storage.name}: flat offset {offset} beyond "
+                    f"the ELPD shadow's 2**{_OFF_BITS}"
+                )
+            self.cur.append(bits | offset << 1 | (kind == "w"))
+
+    # -- the log ----------------------------------------------------------
+    def _block_entries(self, trips, accesses, bits):
+        """A block's entries in scalar order: a list when small (or
+        too wide for int64), else an int64 array."""
+        m = len(bits)
+        if self.wide or trips * m < _BULK_MIN:
+            out = [0] * (trips * m)
+            for j, (b, (_k, _s, offs)) in enumerate(zip(bits, accesses)):
+                out[j::m] = [b | o << 1 for o in offs.tolist()]
+            return out
+        out = _np.empty((trips, m), _np.int64)
+        for j, (b, (_k, _s, offs)) in enumerate(zip(bits, accesses)):
+            _np.left_shift(offs, 1, out=out[:, j])
+            out[:, j] |= b
+        return out.reshape(-1)
+
+    def _distinct(self, accesses, bits) -> int:
+        """How many elements a block touches.  One site's offsets are
+        affine in the iteration: all equal or all different."""
+        by_buf: Dict[int, dict] = {}
+        for (_k, _s, offs), b in zip(accesses, bits):
+            sites = by_buf.setdefault(self.view_buf[b >> _VIEW_SHIFT], {})
+            sites[id(offs)] = offs  # a site read and written counts once
+        n = 0
+        for sites in by_buf.values():
+            if len(sites) == 1:
+                (offs,) = sites.values()
+                n += 1 if offs[0] == offs[-1] else len(offs)
+            elif sum(map(len, sites.values())) < _BULK_MIN:
+                n += len(set().union(*(o.tolist() for o in sites.values())))
+            else:
+                n += len(_np.unique(_np.concatenate(list(sites.values()))))
+        return n
+
+    def _entries(self, a: int, b: int, as_array: bool):
+        """The log entries at positions ``a..b``."""
+        parts = []
+        seg_pos, segs = self.seg_pos, self.segs
+        for i in range(bisect_right(seg_pos, a) - 1, len(segs)):
+            s0 = seg_pos[i]
+            if s0 >= b:
+                break
+            seg = segs[i]
+            s1 = s0 + len(seg)
+            if s1 > a:
+                part = seg[max(a, s0) - s0:min(b, s1) - s0]
+                if as_array:
+                    parts.append(_np.asarray(part, _np.int64))
+                else:
+                    parts.append(part if isinstance(part, list) else part.tolist())
+        if as_array:
+            return _np.concatenate(parts) if len(parts) != 1 else parts[0]
+        return parts[0] if len(parts) == 1 else [e for p in parts for e in p]
+
+    def _scan(self, inst: _Instance, a: int, b: int) -> None:
+        """Fold *inst*'s entries at log positions ``a..b`` into its state."""
+        if a == b:
+            return
+        bulk = _np is not None and not self.wide and (
+            isinstance(inst.state, tuple)
+            or (inst.state is None and b - a >= _BULK_MIN)
+        )
+        entries = self._entries(a, b, bulk)
+        if bulk:
+            inst.state = _scan_np(self, inst, entries, a)
+        else:
+            inst.state = _scan_py(self, inst, entries, a)
+
+    def _fold(self) -> None:
+        """Fold the log into every active instance; start it empty."""
+        pos = self._pos()
+        with perf.phase("elpd.shadow"):
+            for inst in self.active:
+                if inst is not None and inst.start >= 0:
+                    self._scan(inst, max(inst.start, self.seg_pos[0]), pos)
+                    # later entries count ordinals on from the folded ones
+                    inst.o0 += len(inst.bounds)
+                    inst.bounds = []
+                    inst.start = pos
+        self.cur = []
+        self.segs = [self.cur]
+        self.seg_pos = [pos]
+        self.views.clear()
+
+    # -- classification ---------------------------------------------------
+    def _classify(self, inst: _Instance) -> Tuple[str, Set[str], Set[str]]:
+        conflict_bufs: Set[int] = set()
+        flow_bufs: Set[int] = set()
+        state = inst.state
+        if inst.count is not None:
+            n = inst.count
+        elif state is None:
+            n = 0
+        elif isinstance(state, dict):
+            n = len(state)
+            for key, s in state.items():
+                if s & 4:
+                    flow_bufs.add(key >> _OFF_BITS)
+                elif s & 3 == 3:
+                    conflict_bufs.add(key >> _OFF_BITS)
+        else:
+            keys, _last, flags = state
+            n = len(keys)
+            flow = (flags & 4) != 0
+            conf = ((flags & 3) == 3) & ~flow
+            if flow.any() or conf.any():
+                bufs = keys >> _OFF_BITS
+                flow_bufs = set(_np.unique(bufs[flow]).tolist())
+                conflict_bufs = set(_np.unique(bufs[conf]).tolist())
+        perf.bump("elpd.shadow.elements", n)
+        # a buffer's name: the one its latest fresh element was first
+        # touched under (a buffer seen under one name keeps it)
+        names, latest = self.view_name, inst.latest
+        flow_arrays = {names[latest.get(b, b)] for b in flow_bufs}
+        conflict_arrays = {names[latest.get(b, b)] for b in conflict_bufs}
+        if flow_arrays:
+            return "dependent", conflict_arrays, flow_arrays
+        if conflict_arrays:
+            return "privatizable", conflict_arrays, flow_arrays
+        return "independent", conflict_arrays, flow_arrays
 
 
 def static_scalar_obstacles(program: Program) -> Dict[str, Set[str]]:

@@ -8,7 +8,12 @@ behaviour the interprocedural ``Reshape`` analysis reasons about.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
+
+#: buffer serials: unlike ``id(data)``, never reused within a process,
+#: so a freed buffer's successor is never mistaken for it
+_serials = itertools.count()
 
 
 class RuntimeError_(Exception):
@@ -21,9 +26,13 @@ class ArrayStorage:
     ``extents[k] is None`` marks an assumed-size final dimension (the
     view bounds-checks only the leading dimensions).  Views share the
     underlying buffer — whole-array argument passing aliases storage.
+    ``serial`` identifies that buffer: views share it, and no other
+    buffer ever gets it (a subroutine's local array and the next call's
+    local array are different buffers even when CPython hands the second
+    dict the first one's address).
     """
 
-    __slots__ = ("name", "extents", "data", "typ")
+    __slots__ = ("name", "extents", "data", "typ", "serial")
 
     def __init__(
         self,
@@ -31,12 +40,14 @@ class ArrayStorage:
         extents: Sequence[Optional[int]],
         typ: str = "real",
         data: Optional[Dict[int, float]] = None,
+        serial: Optional[int] = None,
     ) -> None:
         self.name = name
         self.extents: Tuple[Optional[int], ...] = tuple(extents)
         self.typ = typ
         # sparse flat storage: unset elements read as 0 (deterministic)
         self.data: Dict[int, float] = data if data is not None else {}
+        self.serial = next(_serials) if serial is None else serial
 
     # ------------------------------------------------------------------
     def offset(self, subscripts: Sequence[int]) -> int:
@@ -74,8 +85,7 @@ class ArrayStorage:
 
     def view(self, name: str, extents: Sequence[Optional[int]]) -> "ArrayStorage":
         """A reshaped alias sharing this buffer (sequence association)."""
-        v = ArrayStorage(name, extents, self.typ, self.data)
-        return v
+        return ArrayStorage(name, extents, self.typ, self.data, self.serial)
 
     def snapshot(self) -> Dict[int, float]:
         return dict(self.data)

@@ -1,6 +1,6 @@
 """Bit-identity of every suite program against the reference runtime.
 
-The bytecode engine and the packed ELPD shadow are pure cost
+The bytecode engine and the ELPD access log are pure cost
 optimizations: for each of the suite programs (the paper's benchmark
 set) the full ``ExecutionResult`` — printed output, step count, final
 scalar and array state down to the IEEE-754 bit pattern, and the
@@ -12,7 +12,11 @@ must match its per-element shadow too.  Any divergence here would mean
 the experiment figures depend on an implementation detail.
 """
 
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,7 @@ from repro.suites import all_programs
 from tests.runtime import reference
 
 PROGRAMS = [b.name for b in all_programs()]
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def _bits(value):
@@ -100,3 +105,51 @@ def test_oracle_identity(name):
 
     oracle = [_oracle(m.run_oracle, bench) for m in modules]
     assert oracle[0] == oracle[1], f"{name}: oracle report diverged"
+
+
+def suite_facts():
+    """``run_program`` and ``run_oracle`` facts of every suite program."""
+    from repro.runtime.interp import run_program
+
+    facts = []
+    for bench in all_programs():
+        perf.reset_all_caches()
+        run = _facts(run_program(bench.fresh_program(), bench.inputs))
+        facts.append((bench.name, run, _oracle(elpd.run_oracle, bench)))
+    return facts
+
+
+#: runs :func:`suite_facts` with every ``numpy`` import failing
+_NO_NUMPY = """
+import sys
+
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError("numpy is blocked")
+        return None
+
+sys.meta_path.insert(0, NoNumpy())
+from repro.runtime import bytecode, elpd
+assert bytecode._np is None and elpd._np is None
+from tests.integration.test_bytecode_identity import suite_facts
+print(repr(suite_facts()))
+"""
+
+
+def test_numpy_free_runtime_identical():
+    """Without NumPy the runtime runs every loop scalar and ELPD
+    classifies in plain Python: same results, same reports."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), str(ROOT), env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == repr(suite_facts())

@@ -28,7 +28,6 @@ UNCAPPED = {
     "constraint.intern": "identity: hash-consed constraints",
     "system.intern": "identity: hash-consed linear systems",
     "region.intern": "identity: hash-consed array regions",
-    "rt.bytecode": "caps itself: dropped whole past 512 compiled units",
 }
 
 #: pattern makers sized by ``n`` (the generated programs vary it)

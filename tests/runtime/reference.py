@@ -2,15 +2,16 @@
 per-element ELPD shadow.
 
 The shipped runtime is the bytecode engine (:mod:`repro.runtime.bytecode`)
-feeding the packed ELPD shadow (``repro.runtime.elpd._PackedInstance``).
-This module keeps the straightforward implementations they replaced, as
-the reference semantics the differential suites compare them against:
+feeding the ELPD access log (``repro.runtime.elpd._ElpdHook``).  This
+module keeps the straightforward implementations they replaced, as the
+reference semantics the differential suites compare them against:
 
 * :class:`TreeInterpreter` walks the AST on every execution.  It takes
   the same arguments as :class:`~repro.runtime.interp.Interpreter` and
   returns the same :class:`~repro.runtime.interp.ExecutionResult`.
 * :func:`run_elpd` and :func:`run_oracle` run the ELPD test on the tree
-  walker, with one :class:`_ElementState` object per touched element.
+  walker, with one :class:`_ElementState` object per touched element and
+  loop instance, updated as each access happens.
 
 Every result, hook call sequence, fault and ELPD verdict of the shipped
 runtime must match these exactly.
@@ -45,7 +46,6 @@ from repro.lang.astnodes import (
 from repro.runtime.elpd import (
     ElpdReport,
     LoopObservation,
-    _ElpdHook,
     static_scalar_obstacles,
 )
 from repro.runtime.interp import (
@@ -402,12 +402,12 @@ class _ActiveInstance:
     def record(self, kind: str, storage: ArrayStorage, offset: int) -> None:
         if self.ordinal < 0:
             return  # access outside any iteration (loop bounds eval)
-        key = (id(storage.data), offset)
+        key = (storage.serial, offset)
         state = self.elements.get(key)
         if state is None:
             state = _ElementState()
             self.elements[key] = state
-            self.array_of[id(storage.data)] = storage.name
+            self.array_of[storage.serial] = storage.name
         state.access(kind, self.ordinal)
 
     def classify(self) -> Tuple[str, Set[str], Set[str]]:
@@ -424,20 +424,45 @@ class _ActiveInstance:
             return "privatizable", conflict_arrays, flow_arrays
         return "independent", conflict_arrays, flow_arrays
 
-    def release(self) -> None:
-        pass
 
-
-class _ReferenceHook(_ElpdHook):
+class _ReferenceHook:
     """The ELPD loop hook with one shadow object per touched element."""
+
+    def __init__(self, targets: Optional[Set[str]]) -> None:
+        self.targets = targets
+        self.active: List[Optional[_ActiveInstance]] = []
+        self.iters: List[int] = []
+        self.report = ElpdReport()
 
     def enter_loop(self, stmt, frame, ran_parallel):
         if self.targets is not None and stmt.label not in self.targets:
             self.active.append(None)  # placeholder to keep stack aligned
         else:
             self.active.append(_ActiveInstance(stmt.label))
-        self._iter_counts.append(0)
+        self.iters.append(0)
         return len(self.active) - 1
+
+    def iter_start(self, token, ivalue):
+        self.iters[token] += 1
+        inst = self.active[token]
+        if inst is not None:
+            inst.ordinal += 1
+
+    def exit_loop(self, token):
+        inst = self.active.pop()
+        iters = self.iters.pop()
+        if inst is None:
+            return
+        cls, conflicts, flows = inst.classify()
+        obs = self.report.observations.setdefault(
+            inst.label, LoopObservation(inst.label)
+        )
+        obs.merge(cls, conflicts, flows, iters)
+
+    def record_access(self, kind: str, storage: ArrayStorage, offset: int) -> None:
+        for inst in self.active:
+            if inst is not None:
+                inst.record(kind, storage, offset)
 
 
 def run_elpd(

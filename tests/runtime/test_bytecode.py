@@ -12,6 +12,9 @@ coercion, the two-version dispatch, and the conditions under which the
 NumPy fast path must fall back to the scalar instruction loop.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro import perf
@@ -19,8 +22,10 @@ from repro.arraydf.options import AnalysisOptions
 from repro.codegen.plan import build_plan
 from repro.lang.parser import parse_program
 from repro.partests.driver import analyze_program
+from repro.runtime import elpd
 from repro.runtime.interp import Interpreter, run_program
 from repro.runtime.values import RuntimeError_
+from tests.runtime import reference
 from tests.runtime.reference import TreeInterpreter
 
 ENGINES = (Interpreter, TreeInterpreter)
@@ -225,56 +230,123 @@ class TestTwoVersionParity:
         assert not self._run(Interpreter, [200, 3]).loop_events[0].ran_parallel_version
 
 
+class TraceHook:
+    """Loop and access hook writing one event stream; a vector block is
+    expanded back into the per-iteration events it stands for."""
+
+    def __init__(self):
+        self.events = []
+        self.blocks = 0
+
+    def enter_loop(self, stmt, frame, ran_parallel):
+        # the frame handed to hooks must resolve program state
+        assert stmt.label.split(":")[0] == frame.unit.name
+        assert set(frame.arrays) == {
+            n for n, d in frame.unit.decls.items() if d.is_array
+        }
+        self.events.append(("enter", stmt.label, ran_parallel))
+        return len(self.events)
+
+    def iter_start(self, token, ivalue):
+        self.events.append(("iter", token, ivalue))
+
+    def block(self, token, lo, step, trips, accesses):
+        self.blocks += 1
+        for t in range(trips):
+            self.iter_start(token, lo + t * step)
+            for kind, storage, offsets in accesses:
+                self.access(kind, storage, int(offsets[t]))
+
+    def exit_loop(self, token):
+        self.events.append(("exit", token))
+
+    def access(self, kind, storage, offset):
+        self.events.append((kind, storage.name, offset))
+
+
 class TestHookSequenceParity:
     SRC = (
         "program t\ninteger n\nreal a(40), b(40)\nread n\n"
         "do i = 1, n\n a(i) = b(i) + 1.0\nenddo\n"
         "do i = 2, n\n b(i) = a(i) - b(i - 1)\nenddo\nend\n"
     )
+    #: loops the vector programs take, each run on both engines
+    BLOCK_SHAPES = {
+        "inner vector loop in an outer loop": (
+            "program t\ninteger n\nreal a(40, 6), b(40, 6)\nread n\n"
+            "do j = 1, 6\n"
+            " do i = 1, n\n  a(i, j) = b(i, j) + a(i, j) * 0.5\n enddo\n"
+            " b(1, j) = a(2, j)\n"
+            "enddo\nend\n"
+        ),
+        "vectorized callee through a reshaped view": (
+            "program t\ninteger n\nreal a(8, 5)\nread n\n"
+            "do j = 1, 3\n call f(a, n)\nenddo\nend\n"
+            "subroutine f(v, n)\nreal v(40)\ninteger n\n"
+            "do i = 1, n\n v(i) = v(i) + i * 1.0\nenddo\nend\n"
+        ),
+        "two read-only names viewing one buffer": (
+            "program t\ninteger n\nreal a(40), c(40)\nread n\n"
+            "call g(a, a, c, n)\nend\n"
+            "subroutine g(u, w, c, n)\nreal u(40), w(40), c(40)\ninteger n\n"
+            "do i = 1, n\n c(i) = u(i) + w(i + 1)\nenddo\nend\n"
+        ),
+        "invariant subscripts": (
+            "program t\ninteger n\nreal a(40), b(40)\nread n\n"
+            "do i = 1, n\n b(i) = a(1) + a(i) * a(1)\nenddo\nend\n"
+        ),
+        "trip count of exactly 8": (
+            "program t\ninteger n\nreal a(40), b(40)\nread n\n"
+            "do i = 1, 8\n a(i) = b(i + 1)\n b(i + 1) = a(i) * 2.0\nenddo\nend\n"
+        ),
+        "intrinsics reading one element twice": (
+            "program t\ninteger n\nreal a(40), b(40), c(40)\nread n\n"
+            "do i = 1, n\n"
+            " a(i) = min(b(i), b(i)) + max(b(i), b(i) * 2.0)\n"
+            " c(i) = abs(b(i) - b(i)) + mod(b(i), 3.0)\n"
+            "enddo\nend\n"
+        ),
+    }
 
-    class _TraceHook:
-        def __init__(self):
-            self.events = []
-
-        def enter_loop(self, stmt, frame, ran_parallel):
-            # the frame handed to hooks must resolve program state
-            assert frame.unit.name == "t"
-            assert "a" in frame.arrays
-            self.events.append(("enter", stmt.label, ran_parallel))
-            return len(self.events)
-
-        def iter_start(self, token, ivalue):
-            self.events.append(("iter", token, ivalue))
-
-        def exit_loop(self, token):
-            self.events.append(("exit", token))
-
-    def _trace(self, engine):
-        hook = self._TraceHook()
-        accesses = []
-
-        def access(kind, storage, offset):
-            accesses.append((kind, storage.name, offset))
-
+    def _trace(self, engine, src):
+        hook = TraceHook()
         perf.reset_all_caches()
         result = engine(
-            parse_program(self.SRC),
-            [20],
-            access_hook=access,
-            loop_hook=hook,
+            parse_program(src), [20], access_hook=hook.access, loop_hook=hook
         ).run()
-        return result, hook.events, accesses
+        return result, hook
 
     def test_identical_hook_streams(self):
-        bc_result, bc_loops, bc_access = self._trace(Interpreter)
-        tr_result, tr_loops, tr_access = self._trace(TreeInterpreter)
-        assert bc_loops == tr_loops
-        assert bc_access == tr_access
-        assert bc_result.steps == tr_result.steps
-        assert bc_result.main_arrays == tr_result.main_arrays
+        for src in [self.SRC, *self.BLOCK_SHAPES.values()]:
+            bc_result, bc_hook = self._trace(Interpreter, src)
+            tr_result, tr_hook = self._trace(TreeInterpreter, src)
+            assert bc_hook.events == tr_hook.events, src
+            assert bc_result.steps == tr_result.steps
+            assert bc_result.main_arrays == tr_result.main_arrays
+            if src != self.SRC:
+                assert bc_hook.blocks > 0, src
         # reads precede the write within each first-loop iteration
-        first = [e for e in bc_access if e[1] in ("a", "b")][:2]
+        _result, hook = self._trace(Interpreter, self.SRC)
+        first = [e for e in hook.events if e[1] in ("a", "b")][:2]
         assert first == [("r", "b", 0), ("w", "a", 0)]
+
+    def test_elpd_verdicts_match_reference_on_block_shapes(self):
+        for src in self.BLOCK_SHAPES.values():
+            got = []
+            for module in (elpd, reference):
+                perf.reset_all_caches()
+                report = module.run_elpd(parse_program(src), [20])
+                got.append({
+                    label: (
+                        obs.classification,
+                        obs.instances,
+                        obs.total_iterations,
+                        obs.conflict_arrays,
+                        obs.flow_arrays,
+                    )
+                    for label, obs in report.observations.items()
+                })
+            assert got[0] == got[1], src
 
 
 class TestVectorizedPath:
@@ -324,9 +396,9 @@ class TestVectorizedPath:
         # sequential semantics: each write feeds the next read
         assert result.main_arrays["a"][199] == 199.0
 
-    def test_hooked_runs_never_vectorize(self):
-        # access hooks observe every element access in order; the
-        # batched path is compiled out of the hooked variants entirely
+    def test_access_hook_alone_stays_scalar(self):
+        # an access hook without a loop hook observes every element
+        # access in order, so the vector programs stay out of its runs
         perf.reset_all_caches()
         perf.reset_counters()
         seen = []
@@ -337,6 +409,24 @@ class TestVectorizedPath:
         ).run()
         assert perf.counter("rt.vec_loop") == 0
         assert len(seen) == 400  # one read + one write per iteration
+
+    def test_loop_hooked_runs_vectorize_in_blocks(self):
+        # with a loop hook, the vector program runs and the hook gets
+        # one block call carrying what the scalar loop would report
+        perf.reset_all_caches()
+        perf.reset_counters()
+        hook = TraceHook()
+        Interpreter(
+            parse_program(self.VEC_SRC),
+            [200],
+            access_hook=hook.access,
+            loop_hook=hook,
+        ).run()
+        assert perf.counter("rt.vec_loop") == 1
+        assert hook.blocks == 1
+        kinds = [e[0] for e in hook.events]
+        assert kinds.count("iter") == 200
+        assert kinds.count("r") == kinds.count("w") == 200
 
     def test_min_max_first_on_ties(self):
         # min/max pick the first argument on ties in the tree walker;
@@ -360,15 +450,30 @@ class TestVectorizedPath:
 
 
 class TestCompileCache:
-    def test_unit_code_memoized_across_runs(self):
+    def test_callee_compiles_once_per_run(self):
+        # two call sites, one compiled callee: units compile on first
+        # use and stay for the rest of the run
         program = parse_program(
-            "program t\nreal a(10)\ndo i = 1, 10\na(i) = 1.0\nenddo\nend\n"
+            "program t\nreal a(10)\ncall f(a)\ncall f(a)\nend\n"
+            "subroutine f(v)\nreal v(10)\nv(1) = v(1) + 1.0\nend\n"
         )
-        perf.reset_all_caches()
         perf.reset_counters()
+        result = Interpreter(program).run()
+        assert result.main_arrays["a"] == {0: 2.0}
+        assert perf.counter("rt.compile_unit") == 2  # t and f
         Interpreter(program).run()
-        first = perf.counter("rt.compile_unit")
+        assert perf.counter("rt.compile_unit") == 4  # nothing kept
+
+    def test_finished_run_keeps_no_program_alive(self):
+        # compiled code refers to its program: a cache that outlived
+        # the run would keep every finished program in memory
+        program = parse_program(
+            "program t\nreal a(10)\ncall f(a)\nend\n"
+            "subroutine f(v)\nreal v(10)\n"
+            "do i = 1, 10\nv(i) = 1.0\nenddo\nend\n"
+        )
         Interpreter(program).run()
-        second = perf.counter("rt.compile_unit")
-        assert first >= 1
-        assert second == first  # second run reused the compiled code
+        ref = weakref.ref(program)
+        del program
+        gc.collect()
+        assert ref() is None

@@ -8,8 +8,8 @@ array state (compared through their IEEE-754 bit patterns, so ``-0.0``
 vs ``0.0`` or any least-significant-bit drift in the vectorized path
 would fail), and — when a program faults — the exception type and
 message.  A second sweep runs the same programs under ELPD
-instrumentation and pins the packed shadow's verdicts against the
-reference per-element shadow.
+instrumentation (vector blocks included) and pins the access log's
+verdicts against the reference per-element shadow.
 
 The generator leans on the constructs where the engines genuinely
 differ: straight-line affine loops the vectorizer takes, recurrences
@@ -131,6 +131,47 @@ def generate(seed, size=SIZE):
     return "\n".join(lines) + "\n", inputs
 
 
+def generate_blocks(seed, size=SIZE):
+    """Nests of straight-line array assignments, the shape the vector
+    programs take, so the ELPD sweep below runs on vector blocks: an
+    inner loop inside an outer one, and a callee loop through a view."""
+    rng = random.Random(seed)
+    lines = [
+        "program fb",
+        "  integer n, k",
+        f"  real {', '.join(f'{a}({size})' for a in ARRAYS)}",
+        "  read n, k",
+    ]
+    for _ in range(rng.randint(1, 3)):
+        lines.append(f"  do j = 1, {rng.randint(2, 4)}")
+        lines.append("    do i = 1, n")
+        for _ in range(rng.randint(1, 3)):
+            sub = rng.choice(SUBSCRIPTS[:5]).format(i="i")
+            expr = rng.choice(EXPRS[:8]).format(
+                a=rng.choice(ARRAYS),
+                b=rng.choice(ARRAYS),
+                s=rng.choice((sub, sub, *SUBSCRIPTS)).format(i="i"),
+                t=rng.choice((sub, sub, *SUBSCRIPTS)).format(i="i"),
+                i="i",
+            )
+            lines.append(f"      {rng.choice(ARRAYS)}({sub}) = {expr}")
+        lines.append("    enddo")
+        if rng.random() < 0.5:
+            lines.append(f"    call sweep({rng.choice(ARRAYS)}, n)")
+        lines.append("  enddo")
+    lines.append("end")
+    lines += [
+        "subroutine sweep(v, n)",
+        f"  real v({size})",
+        "  integer n",
+        "  do i = 1, n",
+        "    v(i) = v(i) * 0.5 + i",
+        "  enddo",
+        "end",
+    ]
+    return "\n".join(lines) + "\n", [rng.randint(8, 14), rng.randint(0, 3)]
+
+
 def _bits(value):
     """Bit-exact token for a numeric value (type- and sign-preserving)."""
     if isinstance(value, float):
@@ -213,3 +254,21 @@ def test_elpd_verdicts_identical(seed):
     bc = _observe_elpd(elpd, src, inputs)
     tree = _observe_elpd(reference, src, inputs)
     assert bc == tree, f"ELPD verdicts diverged (seed {seed})\n{src}"
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_elpd_block_verdicts_identical(seed):
+    src, inputs = generate_blocks(seed)
+    bc = _observe_elpd(elpd, src, inputs)
+    tree = _observe_elpd(reference, src, inputs)
+    assert bc == tree, f"ELPD verdicts diverged (seed {seed})\n{src}"
+
+
+def test_block_sweep_reaches_vector_blocks():
+    vectorized = 0
+    for seed in range(20):
+        src, inputs = generate_blocks(seed)
+        perf.reset_counters()
+        elpd.run_elpd(parse_program(src), inputs, max_steps=200_000)
+        vectorized += perf.counter("rt.vec_loop") > 0
+    assert vectorized >= 15

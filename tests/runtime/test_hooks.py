@@ -15,6 +15,10 @@ class RecordingHook:
     def iter_start(self, token, ivalue):
         self.events.append(("iter", token, ivalue))
 
+    def block(self, token, lo, step, trips, accesses):
+        for t in range(trips):
+            self.iter_start(token, lo + t * step)
+
     def exit_loop(self, token):
         self.events.append(("exit",))
 

@@ -1,0 +1,113 @@
+"""Print one hash per program of everything the runtime observably does.
+
+    python scripts/runtime_digest.py [--seeds 7 8] [--count 1000]
+
+The programs are the 30 suite programs, then
+``Generator(seed).programs(count)`` from ``perfbench/gen.py`` for each
+seed.  Each output line is ``<program name> <hash>``.  The hash covers:
+
+* the ``run_program`` result: outputs, steps, the final main scalars
+  and arrays (floats as IEEE-754 bit patterns) and the loop events;
+* the ``run_oracle`` report: each loop's classification, instances,
+  iterations and conflict and flow arrays, the report's steps, and the
+  run's ``elpd.shadow.elements`` delta.
+
+A run that raises hashes the exception's type and message instead.
+Run it from the repository root at two commits and diff the output: a
+runtime change that keeps behaviour identical prints the same lines.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import struct
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+
+def _bits(value):
+    if isinstance(value, float):
+        return ("f", struct.pack("<d", value).hex())
+    return ("i", value)
+
+
+def run_facts(program, inputs):
+    from repro.runtime.interp import run_program
+
+    result = run_program(program, inputs)
+    return (
+        result.outputs,
+        result.steps,
+        sorted((n, _bits(v)) for n, v in result.main_scalars.items()),
+        sorted(
+            (name, sorted((off, _bits(v)) for off, v in cells.items()))
+            for name, cells in result.main_arrays.items()
+        ),
+        [
+            (e.label, e.nid, e.iterations, e.ran_parallel_version)
+            for e in result.loop_events
+        ],
+    )
+
+
+def oracle_facts(program, inputs):
+    from repro import perf
+    from repro.runtime.elpd import run_oracle
+
+    before = perf.counter("elpd.shadow.elements")
+    report = run_oracle(program, inputs)
+    return (
+        sorted(
+            (
+                label,
+                obs.classification,
+                obs.instances,
+                obs.total_iterations,
+                sorted(obs.conflict_arrays),
+                sorted(obs.flow_arrays),
+            )
+            for label, obs in report.observations.items()
+        ),
+        report.steps,
+        perf.counter("elpd.shadow.elements") - before,
+    )
+
+
+def digest(source, inputs) -> str:
+    from repro.lang.parser import parse_program
+
+    facts = []
+    for observe in (run_facts, oracle_facts):
+        try:
+            facts.append(observe(parse_program(source), inputs))
+        except Exception as exc:  # a fault is part of the behaviour
+            facts.append((type(exc).__name__, str(exc)))
+    return hashlib.sha256(repr(facts).encode()).hexdigest()[:16]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", type=int, nargs="*", default=[7, 8])
+    parser.add_argument("--count", type=int, default=1000)
+    args = parser.parse_args(argv)
+
+    import gen
+
+    programs = [(op["name"], op["source"], op["inputs"]) for op in gen.suite_ops()]
+    for seed in args.seeds:
+        ops = gen.Generator(seed).programs(args.count)
+        programs += [
+            (f"s{seed}/{op['name']}", op["source"], op["inputs"]) for op in ops
+        ]
+    for name, source, inputs in programs:
+        print(name, digest(source, inputs), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,7 +10,7 @@ already-parallelized loop are excluded later by the driver, mirroring
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir.exprtools import to_affine
 from repro.ir.regiongraph import LoopRegion, ProcRegion
@@ -202,12 +202,14 @@ def analyze_loop(region: LoopRegion) -> LoopInfo:
         has_calls=has_calls,
         bounds_invariant=bounds_invariant,
     )
-    _scalar_flow(loop, info)
+    info.scalar_writes, info.scalar_exposed_reads, info.reductions = scalar_flow(loop)
     return info
 
 
-def _scalar_flow(loop: DoLoop, info: LoopInfo) -> None:
-    """First-order scalar def/use classification over one iteration.
+def scalar_flow(loop: DoLoop) -> Tuple[Set[str], Set[str], Set[str]]:
+    """First-order scalar def/use classification over one iteration:
+    the scalars written, the upward-exposed scalar reads and the
+    reductions.
 
     Walks the body in order, tracking scalars definitely written so far
     on *all* paths (approximated by: written at top level or in both
@@ -215,6 +217,9 @@ def _scalar_flow(loop: DoLoop, info: LoopInfo) -> None:
     upward exposed.  Inner-loop indices count as written.  Reductions are
     recognized syntactically.
     """
+    writes: Set[str] = set()
+    exposed: Set[str] = set()
+    reductions: Set[str] = set()
     written: Set[str] = set()
 
     def visit(stmts, written: Set[str]) -> Set[str]:
@@ -226,19 +231,19 @@ def _scalar_flow(loop: DoLoop, info: LoopInfo) -> None:
                         reads |= expr_variables(sub)
                 for r in sorted(reads):
                     if r not in written:
-                        info.scalar_exposed_reads.add(r)
+                        exposed.add(r)
                 if isinstance(s.target, VarRef):
-                    info.scalar_writes.add(s.target.name)
+                    writes.add(s.target.name)
                     if _is_reduction(s):
-                        info.reductions.add(s.target.name)
+                        reductions.add(s.target.name)
                     written = written | {s.target.name}
             elif isinstance(s, DoLoop):
                 for e in (s.lo, s.hi, s.step):
                     if e is not None:
                         for r in sorted(expr_variables(e)):
                             if r not in written:
-                                info.scalar_exposed_reads.add(r)
-                info.scalar_writes.add(s.var)
+                                exposed.add(r)
+                writes.add(s.var)
                 # writes inside a loop that may execute zero times are
                 # not definite: analyze the body for exposure but keep
                 # only the pre-loop definite set, plus the index
@@ -246,23 +251,23 @@ def _scalar_flow(loop: DoLoop, info: LoopInfo) -> None:
                 written = written | {s.var}
             elif isinstance(s, (ReadStmt,)):
                 for nm in s.names:
-                    info.scalar_writes.add(nm)
+                    writes.add(nm)
                     written = written | {nm}
             elif isinstance(s, PrintStmt):
                 for a in s.args:
                     names = expr_variables(a) if not hasattr(a, "text") else set()
                     for r in sorted(names):
                         if r not in written:
-                            info.scalar_exposed_reads.add(r)
+                            exposed.add(r)
             elif isinstance(s, Call):
                 for a in s.args:
                     for r in sorted(expr_variables(a)):
                         if r not in written:
-                            info.scalar_exposed_reads.add(r)
+                            exposed.add(r)
             elif isinstance(s, If):
                 for r in sorted(expr_variables(s.cond)):
                     if r not in written:
-                        info.scalar_exposed_reads.add(r)
+                        exposed.add(r)
                 w_then = visit(s.then_body, set(written))
                 w_else = visit(s.else_body, set(written))
                 written = w_then & w_else
@@ -271,6 +276,7 @@ def _scalar_flow(loop: DoLoop, info: LoopInfo) -> None:
     visit(loop.body, written)
     # remove array names: expr_variables reports arrays too
     # (callers filter against the symbol table; we keep names verbatim)
+    return writes, exposed, reductions
 
 
 def collect_loop_info(proc: ProcRegion) -> Dict[DoLoop, LoopInfo]:

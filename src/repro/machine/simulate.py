@@ -138,10 +138,31 @@ class _CostHook:
         if rec is not None:
             rec["iters"] += 1
 
-    def block(self, token, lo, step, trips, accesses):
+    def block(self, token, lo, step, trips, accesses, inner=None):
         rec = self.stack[token]
         if rec is not None:
             rec["iters"] += trips
+        if inner is None:
+            return
+        # a nest's inner instances, as enter_loop/exit_loop record them
+        lp = self.plan.plan_for(inner.stmt)
+        if lp is None or not lp.parallelizable:
+            return
+        atoms = lp.runtime_cost if lp.mode == "two_version" else 0
+        parent = self.open_parents[-1] if self.open_parents else -1
+        for ran_parallel in inner.ran_parallel:
+            if ran_parallel:
+                self.instances.append(
+                    ParallelInstance(
+                        label=lp.label,
+                        serial_work=float(inner.work),
+                        iterations=inner.trips,
+                        test_atoms=atoms,
+                        parent=parent,
+                    )
+                )
+            else:
+                self.failed_test_atoms += atoms
 
     def exit_loop(self, token):
         rec = self.stack.pop()

@@ -23,11 +23,14 @@ only keep finished programs alive.
 Where a ``DoLoop`` body is straight-line (array assignments only, no
 scalar carry) with affine subscripts, the loop additionally compiles a
 NumPy-vectorized program that executes the whole iteration space as
-array operations (:class:`_VecLoop`).  The vectorized path is attempted
+array operations (:class:`_VecLoop`).  A rectangular perfect nest — a
+loop whose whole body is such a loop, with bounds that read neither
+loop variable nor any array — compiles into one program over its 2-D
+iteration space (:class:`_Nest`).  The vectorized path is attempted
 only when every safety precondition verifies at loop entry — integer
-affine subscripts, in-bounds at both endpoints, injective write
-offsets, no cross-name buffer aliasing, step budget not exceeded —
-and otherwise falls back to the scalar instruction loop, which
+affine subscripts, in-bounds at the corners of the space, injective
+write offsets, no cross-name buffer aliasing, step budget not exceeded
+— and otherwise falls back to the scalar instruction loop, which
 reproduces the reference semantics (including the exact error at the
 exact iteration).
 
@@ -47,8 +50,11 @@ one ``block(token, lo, step, trips, accesses)`` call instead of the
 per-iteration ``iter_start`` calls and the per-access hook calls.
 *accesses* lists one iteration's accesses in scalar evaluation order
 (for each statement its reads left to right, then its write) as
-``(kind, storage, offsets)`` with one offset per iteration.  A run with
-an access hook but no loop hook stays scalar.
+``(kind, storage, offsets)`` with one offset per iteration.  A nest
+program makes one call for both levels: its offsets have one row per
+outer iteration, and ``block``'s sixth argument (:class:`InnerLoop`)
+describes the inner loop's instances.  A run with an access hook but no
+loop hook stays scalar.
 
 Known vectorization fallback conditions are documented in
 ``docs/PERF.md`` ("The bytecode runtime").
@@ -58,7 +64,7 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro import perf
 from repro.lang.astnodes import (
@@ -100,6 +106,7 @@ _VEC_MIN_TRIPS = 8
 
 perf.declare("rt.compile_unit")
 perf.declare("rt.vec_loop")
+perf.declare("rt.vec_nest")
 perf.declare("rt.vec_fallback")
 
 
@@ -673,12 +680,32 @@ def _build_call(stmt: Call, ctx: _Ctx, st: _State) -> Callable:
 # ----------------------------------------------------------------------
 # DO loops (scalar instruction loop + optional vectorized program)
 # ----------------------------------------------------------------------
+def _trip_count(lo: int, hi: int, step: int) -> int:
+    if step > 0:
+        return (hi - lo) // step + 1 if lo <= hi else 0
+    return (lo - hi) // (-step) + 1 if lo >= hi else 0
+
+
+def _runtime_test(st: _State, ctx: _Ctx, stmt: DoLoop, lp) -> Tuple[Callable, bool]:
+    """A two-version loop's compiled run-time test and whether it reads
+    an array; compiled once per run."""
+    entry = st.cond_cache.get(stmt.nid)
+    if entry is None:
+        from repro.codegen.twoversion import predicate_to_expr
+
+        cond = predicate_to_expr(lp.runtime_pred)
+        entry = st.cond_cache[stmt.nid] = (
+            _compile_expr(cond, ctx)[0],
+            any(isinstance(e, ArrayRef) for e in walk_exprs(cond)),
+        )
+    return entry
+
+
 def _compile_do(stmt: DoLoop, ctx: _Ctx) -> Callable:
     lo_c, _ = _compile_expr(stmt.lo, ctx)
     hi_c, _ = _compile_expr(stmt.hi, ctx)
     step_c = _compile_expr(stmt.step, ctx)[0] if stmt.step is not None else None
     body_ops = _compile_body(stmt.body, ctx)
-    nbody = len(body_ops)
     var = stmt.var
     label = stmt.label
     nid = stmt.nid
@@ -686,8 +713,13 @@ def _compile_do(stmt: DoLoop, ctx: _Ctx) -> Callable:
     # the vector program is compiled when the loop first reaches
     # _VEC_MIN_TRIPS; False marks a body that does not vectorize
     vec_cell: list = [None]
+    nest = None
     if _np is None or (ctx.access_hooked and not hooked):
         vec_cell[0] = False
+    else:
+        nest = _Nest.of(stmt, ctx)
+        if nest is not None:
+            vec_cell[0] = False  # a loop body is never straight-line
 
     def run_do(st, sc, ar):
         _tick(st)
@@ -702,24 +734,13 @@ def _compile_do(stmt: DoLoop, ctx: _Ctx) -> Callable:
         if plan is not None:
             lp = plan.plan_for(stmt)
             if lp is not None and lp.mode == "two_version":
-                cfn = st.cond_cache.get(nid)
-                if cfn is None:
-                    from repro.codegen.twoversion import predicate_to_expr
-
-                    cfn = _compile_expr(
-                        predicate_to_expr(lp.runtime_pred), ctx
-                    )[0]
-                    st.cond_cache[nid] = cfn
-                ran_parallel = _truthy(cfn(st, sc, ar))
+                ran_parallel = _truthy(_runtime_test(st, ctx, stmt, lp)[0](st, sc, ar))
             elif lp is not None and lp.mode == "parallel":
                 ran_parallel = True
 
-        if step > 0:
-            trips = (hi - lo) // step + 1 if lo <= hi else 0
-        else:
-            trips = (lo - hi) // (-step) + 1 if lo >= hi else 0
+        trips = _trip_count(lo, hi, step)
 
-        token = None
+        token = proxy = None
         if hooked and st.loop_hook is not None:
             st.interp.steps = st.steps
             proxy = _FrameProxy(ctx.code, sc, ar)
@@ -730,12 +751,15 @@ def _compile_do(stmt: DoLoop, ctx: _Ctx) -> Callable:
             vec = vec_cell[0]
             if vec is None and trips >= _VEC_MIN_TRIPS:
                 vec = vec_cell[0] = _try_vectorize(stmt, ctx) or False
-            if (
+            if nest is not None and nest.run(
+                st, sc, ar, lo, step, trips, hook, token, proxy
+            ):
+                pass  # the nest set both loop variables and inner events
+            elif (
                 vec
                 and trips >= _VEC_MIN_TRIPS
-                and vec.execute(st, sc, ar, lo, step, trips, hook, token)
+                and vec.execute(st, sc, ar, ((lo, step, trips),), hook, token)
             ):
-                st.steps += trips * nbody
                 sc[var] = lo + trips * step
                 perf.bump("rt.vec_loop")
             else:
@@ -764,6 +788,140 @@ def _compile_do(stmt: DoLoop, ctx: _Ctx) -> Callable:
     return run_do
 
 
+#: a scalar slot that held no value before a nest program bound it
+_UNSET = object()
+
+
+class InnerLoop(NamedTuple):
+    """The inner loop of a nest block, as ``block(..., inner)`` hands it
+    to a loop hook: the statement, and the frame and plan outcomes
+    (``ran_parallel``, one per outer iteration) its per-instance
+    ``enter_loop`` calls would have received; the bounds of every
+    instance; and ``work``, the steps one instance's body takes (what a
+    hook measures between its ``enter_loop`` and ``exit_loop``)."""
+
+    stmt: DoLoop
+    frame: "_FrameProxy"
+    lo: int
+    step: int
+    trips: int
+    ran_parallel: List[Optional[bool]]
+    work: int
+
+
+class _Nest:
+    """A DO loop whose whole body is one inner DO loop with bounds and
+    step that read neither loop variable nor any array: a rectangular
+    perfect nest, which runs as one vector program over its 2-D
+    iteration space when the inner body vectorizes."""
+
+    __slots__ = ("ctx", "outer", "inner", "bounds", "prog")
+
+    def __init__(self, ctx: _Ctx, outer: DoLoop, inner: DoLoop) -> None:
+        self.ctx = ctx
+        self.outer = outer
+        self.inner = inner
+        self.bounds = [
+            None if e is None else _compile_expr(e, ctx)[0]
+            for e in (inner.lo, inner.hi, inner.step)
+        ]
+        #: compiled when the nest first reaches _VEC_MIN_TRIPS points;
+        #: False marks an inner body that does not vectorize
+        self.prog = None
+
+    @staticmethod
+    def of(stmt: DoLoop, ctx: _Ctx) -> Optional["_Nest"]:
+        if len(stmt.body) != 1 or not isinstance(stmt.body[0], DoLoop):
+            return None
+        inner = stmt.body[0]
+        names = (stmt.var, inner.var)
+        if inner.var == stmt.var:
+            return None
+        for e in (inner.lo, inner.hi, inner.step):
+            if e is not None and any(_expr_uses(e, names)):
+                return None  # not rectangular, or bounds read memory
+        return _Nest(ctx, stmt, inner)
+
+    def run(self, st, sc, ar, lo, step, trips, hook, token, frame) -> bool:
+        """Run the nest as one vector program, with the effects of the
+        scalar nest: steps, both loop variables, the inner instances'
+        loop events and one hook ``block``.  False = run it scalar (the
+        outer loop iterates, the inner loop vectorizes per iteration
+        where it can), which reproduces any error in order."""
+        if self.prog is False:
+            return False
+        lo_f, hi_f, step_f = self.bounds
+        try:
+            ilo = int(lo_f(st, sc, ar))
+            ihi = int(hi_f(st, sc, ar))
+            istep = int(step_f(st, sc, ar)) if step_f is not None else 1
+        except Exception:
+            return False
+        if istep == 0:
+            return False
+        itrips = _trip_count(ilo, ihi, istep)
+        if trips * itrips < _VEC_MIN_TRIPS:
+            return False
+        prog = self.prog
+        if prog is None:
+            prog = self.prog = _try_vectorize(self.inner, self.ctx, self.outer) or False
+        if not prog:
+            return False
+        inner = self.inner
+        ivar = inner.var
+        ifinal = ilo + itrips * istep
+        saved = sc.get(ivar, _UNSET)
+        outcomes = self._outcomes(st, sc, ar, lo, step, trips, ifinal)
+        info = None
+        if outcomes is not None and hook is not None:
+            info = InnerLoop(
+                inner, frame, ilo, istep, itrips, outcomes, itrips * len(inner.body)
+            )
+        if outcomes is None or not prog.execute(
+            st, sc, ar, ((lo, step, trips), (ilo, istep, itrips)), hook, token, info
+        ):
+            if outcomes is None:
+                perf.bump("rt.vec_fallback")
+            if saved is _UNSET:
+                sc.pop(ivar, None)
+            else:
+                sc[ivar] = saved
+            return False
+        sc[self.outer.var] = lo + trips * step
+        sc[ivar] = ifinal
+        label, nid = inner.label, inner.nid
+        st.loop_events.extend(LoopEvent(label, nid, itrips, rp) for rp in outcomes)
+        perf.bump("rt.vec_nest")
+        perf.bump("rt.vec_loop", trips)
+        return True
+
+    def _outcomes(self, st, sc, ar, lo, step, trips, ifinal) -> Optional[list]:
+        """Each inner instance's ``ran_parallel``, as its own loop entry
+        computes it: a two-version test runs once per outer iteration,
+        with both loop variables as the scalar nest leaves them.  None
+        when the test reads an array or raises."""
+        plan = st.plan
+        lp = plan.plan_for(self.inner) if plan is not None else None
+        if lp is None or lp.mode not in ("parallel", "two_version"):
+            return [None] * trips
+        if lp.mode == "parallel":
+            return [True] * trips
+        test, reads_array = _runtime_test(st, self.ctx, self.inner, lp)
+        if reads_array:
+            return None
+        ovar, ivar = self.outer.var, self.inner.var
+        out = []
+        try:
+            for k in range(trips):
+                sc[ovar] = lo + k * step
+                if k == 1:
+                    sc[ivar] = ifinal  # the first inner instance has run
+                out.append(_truthy(test(st, sc, ar)))
+        except Exception:
+            return None
+        return out
+
+
 # ----------------------------------------------------------------------
 # vectorized loop programs
 # ----------------------------------------------------------------------
@@ -775,9 +933,11 @@ class _VecSite:
     def __init__(self, name: str, slot: int, dims: list) -> None:
         self.name = name
         self.slot = slot
-        self.dims = dims  # [(coeff_fn, base_fn), ...] per dimension
-        # resolved per execution: flat offsets as a list (gather and
-        # scatter) and as the int64 array handed to a loop hook
+        #: per dimension: (coefficient fn per loop level, base fn)
+        self.dims = dims
+        # resolved per execution: flat offsets in scalar order as a list
+        # (gather and scatter) and as the int64 array handed to a loop
+        # hook, shaped like the iteration space
         self.offs: Optional[list] = None
         self.offv = None
         self.data: Optional[dict] = None
@@ -787,7 +947,7 @@ class _VecSite:
 class _VecRt:
     """Per-execution runtime environment for vector value programs."""
 
-    __slots__ = ("iv", "inv", "sites", "n")
+    __slots__ = ("ivs", "inv", "sites", "n")
 
     def gather(self, idx: int):
         site = self.sites[idx]
@@ -798,8 +958,82 @@ class _VecRt:
         )
 
 
+def grid_injective(ds: list, shape: tuple) -> bool:
+    """Whether ``sum(d * t)`` over the grid ``0 <= t < shape`` (one or
+    two levels, *ds* the offset steps) never repeats a value."""
+    if len(ds) == 1:
+        return ds[0] != 0
+    (d_o, d_i), (n_o, n_i) = ds, shape
+    if not d_o or not d_i:
+        return (d_o != 0 or n_o == 1) and (d_i != 0 or n_i == 1)
+    # d_o * a == -d_i * b has its smallest solution at
+    # (a, b) = (d_i / g, -d_o / g)
+    g = math.gcd(d_o, d_i)
+    return abs(d_i // g) >= n_o or abs(d_o // g) >= n_i
+
+
+def _place(site: _VecSite, st, sc, ar, space, hooked: bool, written: bool) -> bool:
+    """Resolve *site*'s flat offsets over the iteration *space*.  False
+    when a subscript is not integral or leaves the bounds at a corner
+    of the space (affine subscripts take their extremes there), or a
+    written site would repeat an element."""
+    extents = site.arr.extents
+    if len(extents) != len(site.dims):
+        return False
+    base = top = 0  # the first point's flat offset, and the largest
+    slopes = [0] * len(space)
+    stride = 1
+    for ext, (cfns, bfn) in zip(extents, site.dims):
+        s = bfn(st, sc, ar)
+        if type(s) is not int:
+            return False
+        down = up = 0  # the subscript's reach from the first point
+        for k, cfn in enumerate(cfns):
+            c = cfn(st, sc, ar)
+            if type(c) is not int:
+                return False
+            lo, step, trips = space[k]
+            s += c * lo
+            reach = c * step * (trips - 1)
+            if reach < 0:
+                down += reach
+            else:
+                up += reach
+            slopes[k] += c * stride
+        if s + down < 1 or (ext is not None and s + up > ext):
+            return False
+        base += (s - 1) * stride
+        top += (s + up - 1) * stride
+        if ext is not None:
+            stride *= ext
+    ds = [c * step for c, (_lo, step, _t) in zip(slopes, space)]
+    shape = tuple(t for _lo, _step, t in space)
+    if written and not grid_injective(ds, shape):
+        return False
+    if len(space) == 1:
+        d, trips = ds[0], shape[0]
+        site.offs = list(range(base, base + d * trips, d)) if d else [base] * trips
+        if hooked:
+            site.offv = (
+                _np.arange(base, base + d * trips, d, dtype=_np.int64)
+                if d
+                else _np.full(trips, base, _np.int64)
+            )
+        return True
+    if top >> 62:
+        return False  # keep the int64 grid arithmetic exact
+    grid = _np.arange(shape[0], dtype=_np.int64) * ds[0] + base
+    for d, trips in zip(ds[1:], shape[1:]):
+        grid = _np.add.outer(grid, _np.arange(trips, dtype=_np.int64) * d)
+    site.offs = grid.ravel().tolist()
+    if hooked:
+        site.offv = grid
+    return True
+
+
 class _VecLoop:
-    """A compiled whole-iteration-space program for one DO loop."""
+    """A compiled whole-iteration-space program: one DO loop, or a
+    rectangular nest of two (outer level first)."""
 
     __slots__ = (
         "sites", "stmts", "invariants", "mod_checks", "write_sites",
@@ -819,19 +1053,24 @@ class _VecLoop:
         self.write_sites = write_sites  # set of written site objects
         #: one iteration's accesses in scalar order: [(kind, site index)]
         self.accesses = accesses
-        self.uses_iv = uses_iv  # a value reads the loop variable
+        self.uses_iv = uses_iv  # the loop levels whose variable a value reads
 
     # ------------------------------------------------------------------
-    def execute(self, st, sc, ar, lo, step, trips, hook, token) -> bool:
-        """Run the whole iteration space; False = fall back to the
-        scalar instruction loop (which reproduces exact tree-walker
-        behaviour, including any error at its exact iteration).  After
-        a run, a loop *hook* gets the accesses as one ``block`` call."""
-        nbody = len(self.stmts)
-        if st.steps + trips * nbody > st.max_steps:
+    def execute(self, st, sc, ar, space, hook, token, inner=None) -> bool:
+        """Run the whole iteration space, one ``(lo, step, trips)`` per
+        level, and take its steps; False = fall back to the scalar
+        instruction loop (which reproduces exact tree-walker behaviour,
+        including any error at its exact iteration).  After a run, a
+        loop *hook* gets the accesses as one ``block`` call (*inner*
+        describes a nest's inner loop)."""
+        nsteps = len(self.stmts)
+        for _lo, _step, trips in reversed(space):
+            nsteps = trips * nsteps + 1
+        nsteps -= 1  # the outermost loop has taken its own step
+        if st.steps + nsteps > st.max_steps:
             perf.bump("rt.vec_fallback")
             return False
-        last = lo + (trips - 1) * step
+        hooked = hook is not None
         try:
             for site in self.sites:
                 arr = ar[site.slot]
@@ -845,54 +1084,14 @@ class _VecLoop:
                 if inv_vals[k] == 0:
                     perf.bump("rt.vec_fallback")
                     return False
-
+            written = self.write_sites
             for site in self.sites:
-                arr = site.arr
-                extents = arr.extents
-                if len(extents) != len(site.dims):
+                if not _place(site, st, sc, ar, space, hooked, site in written):
                     perf.bump("rt.vec_fallback")
                     return False
-                # flat offset of iteration t: base + slope * step * t
-                base = slope = 0
-                stride = 1
-                for k, (cfn, bfn) in enumerate(site.dims):
-                    c = cfn(st, sc, ar)
-                    b = bfn(st, sc, ar)
-                    if type(c) is not int or type(b) is not int:
-                        perf.bump("rt.vec_fallback")
-                        return False
-                    s_a = c * lo + b
-                    s_b = c * last + b
-                    s_min, s_max = (s_a, s_b) if s_a <= s_b else (s_b, s_a)
-                    ext = extents[k]
-                    if s_min < 1 or (ext is not None and s_max > ext):
-                        perf.bump("rt.vec_fallback")
-                        return False
-                    base += (s_a - 1) * stride
-                    slope += c * stride
-                    if ext is not None:
-                        stride *= ext
-                if site in self.write_sites and slope == 0:
-                    perf.bump("rt.vec_fallback")
-                    return False
-                d = slope * step
-                if d:
-                    site.offs = list(range(base, base + d * trips, d))
-                else:
-                    site.offs = [base] * trips
-                if hook is not None:
-                    site.offv = (
-                        _np.arange(base, base + d * trips, d, dtype=_np.int64)
-                        if d
-                        else _np.full(trips, base, _np.int64)
-                    )
 
             # cross-name buffer aliasing (formals viewing one actual)
-            written_bufs = {
-                id(self.sites[i].data): self.sites[i].name
-                for i in range(len(self.sites))
-                if self.sites[i] in self.write_sites
-            }
+            written_bufs = {id(site.data): site.name for site in written}
             for site in self.sites:
                 wname = written_bufs.get(id(site.data))
                 if wname is not None and wname != site.name:
@@ -905,35 +1104,46 @@ class _VecLoop:
             perf.bump("rt.vec_fallback")
             return False
 
+        shape = tuple(t for _lo, _step, t in space)
+        n = math.prod(shape)
         rt = _VecRt()
-        rt.iv = (
-            _np.arange(trips, dtype=_np.int64) * step + lo if self.uses_iv else None
-        )
-        rt.inv, rt.sites, rt.n = inv_vals, self.sites, trips
+        rt.ivs = [None] * len(space)
+        for k in self.uses_iv:
+            lo, step, trips = space[k]
+            iv = _np.arange(trips, dtype=_np.int64) * step + lo
+            if len(space) > 1:
+                axis = [1] * len(space)
+                axis[k] = trips
+                iv = _np.broadcast_to(iv.reshape(axis), shape).reshape(-1)
+            rt.ivs[k] = iv
+        rt.inv, rt.sites, rt.n = inv_vals, self.sites, n
         for tgt_idx, value_fn in self.stmts:
             res = value_fn(rt)
             if isinstance(res, _np.ndarray):
                 out = res.astype(_np.float64, copy=False)
             else:
-                out = _np.full(trips, float(res))
+                out = _np.full(n, float(res))
             site = self.sites[tgt_idx]
             site.data.update(zip(site.offs, out.tolist()))
-        if hook is not None:
+        st.steps += nsteps
+        if hooked:
             sites = self.sites
+            lo, step, trips = space[0]
             hook.block(
                 token, lo, step, trips,
                 [(k, sites[i].arr, sites[i].offv) for k, i in self.accesses],
+                inner,
             )
         for site in self.sites:  # drop per-execution references
             site.offs = site.offv = site.data = site.arr = None
         return True
 
 
-def _expr_uses(e: Expr, loopvar: str) -> Tuple[bool, bool]:
-    """(references the loop variable, references any array)."""
+def _expr_uses(e: Expr, loopvars) -> Tuple[bool, bool]:
+    """(references one of *loopvars*, references any array)."""
     uses_var = uses_array = False
     for sub in walk_exprs(e):
-        if isinstance(sub, VarRef) and sub.name == loopvar:
+        if isinstance(sub, VarRef) and sub.name in loopvars:
             uses_var = True
         elif isinstance(sub, ArrayRef):
             uses_array = True
@@ -942,6 +1152,26 @@ def _expr_uses(e: Expr, loopvar: str) -> Tuple[bool, bool]:
 
 def _kfn(v):
     return lambda st, sc, ar: v
+
+
+_ZERO = _kfn(0)
+_ONE = _kfn(1)
+
+
+def _neg(f):
+    return lambda st, sc, ar: -f(st, sc, ar)
+
+
+def _add(f, g):
+    return lambda st, sc, ar: f(st, sc, ar) + g(st, sc, ar)
+
+
+def _sub(f, g):
+    return lambda st, sc, ar: f(st, sc, ar) - g(st, sc, ar)
+
+
+def _mul(f, g):
+    return lambda st, sc, ar: f(st, sc, ar) * g(st, sc, ar)
 
 
 def _skey(e: Expr):
@@ -961,77 +1191,75 @@ def _subs_key(ref: ArrayRef) -> tuple:
     return tuple(_skey(s) for s in ref.subscripts)
 
 
-def _affine(e: Expr, ctx: _Ctx, loopvar: str):
-    """Decompose *e* as ``coeff * i + base`` with loop-invariant closures
-    for both parts; returns ``(coeff_fn, base_fn, coeff_is_zero)`` or
-    ``None``.  Exactness requires integer values at runtime — verified
-    at loop entry before the vector program commits."""
+def _affine(e: Expr, ctx: _Ctx, level: Dict[str, int]):
+    """Decompose *e* as ``sum(c[k] * v[k]) + base`` over the loop
+    variables *level* (name -> level) with loop-invariant closures;
+    returns ``(coefficient fns, base fn, zero flags)``, one coefficient
+    and one "structurally zero" flag per level, or ``None``.  Exactness
+    requires integer values at runtime — verified at loop entry before
+    the vector program commits."""
+    nlev = len(level)
     if isinstance(e, Num):
-        return _kfn(0), _kfn(e.value), True
+        return (_ZERO,) * nlev, _kfn(e.value), (True,) * nlev
     if isinstance(e, VarRef):
-        if e.name == loopvar:
-            return _kfn(1), _kfn(0), False
-        fn = _compile_expr(e, ctx)[0]
-        return _kfn(0), fn, True
+        k = level.get(e.name)
+        if k is not None:
+            return (
+                tuple(_ONE if j == k else _ZERO for j in range(nlev)),
+                _ZERO,
+                tuple(j != k for j in range(nlev)),
+            )
+        return (_ZERO,) * nlev, _compile_expr(e, ctx)[0], (True,) * nlev
     if isinstance(e, UnOp) and e.op == "-":
-        sub = _affine(e.operand, ctx, loopvar)
+        sub = _affine(e.operand, ctx, level)
         if sub is None:
             return None
-        c, b, z = sub
-        return (
-            (lambda st, sc, ar: -c(st, sc, ar)),
-            (lambda st, sc, ar: -b(st, sc, ar)),
-            z,
-        )
+        cs, b, zs = sub
+        return tuple(map(_neg, cs)), _neg(b), zs
     if isinstance(e, BinOp) and e.op in ("+", "-"):
-        left = _affine(e.left, ctx, loopvar)
-        right = _affine(e.right, ctx, loopvar)
+        left = _affine(e.left, ctx, level)
+        right = _affine(e.right, ctx, level)
         if left is None or right is None:
             return None
-        lc, lb, lz = left
-        rc, rb, rz = right
-        if e.op == "+":
-            return (
-                (lambda st, sc, ar: lc(st, sc, ar) + rc(st, sc, ar)),
-                (lambda st, sc, ar: lb(st, sc, ar) + rb(st, sc, ar)),
-                lz and rz,
-            )
+        (lcs, lb, lzs), (rcs, rb, rzs) = left, right
+        op = _add if e.op == "+" else _sub
         return (
-            (lambda st, sc, ar: lc(st, sc, ar) - rc(st, sc, ar)),
-            (lambda st, sc, ar: lb(st, sc, ar) - rb(st, sc, ar)),
-            lz and rz,
+            tuple(
+                _ZERO if lz and rz else op(lc, rc)
+                for lc, rc, lz, rz in zip(lcs, rcs, lzs, rzs)
+            ),
+            op(lb, rb),
+            tuple(lz and rz for lz, rz in zip(lzs, rzs)),
         )
     if isinstance(e, BinOp) and e.op == "*":
-        left = _affine(e.left, ctx, loopvar)
-        right = _affine(e.right, ctx, loopvar)
+        left = _affine(e.left, ctx, level)
+        right = _affine(e.right, ctx, level)
         if left is not None and right is not None:
-            lc, lb, lz = left
-            rc, rb, rz = right
-            if rz:
-                return (
-                    (lambda st, sc, ar: lc(st, sc, ar) * rb(st, sc, ar)),
-                    (lambda st, sc, ar: lb(st, sc, ar) * rb(st, sc, ar)),
-                    lz,
-                )
-            if lz:
-                return (
-                    (lambda st, sc, ar: rc(st, sc, ar) * lb(st, sc, ar)),
-                    (lambda st, sc, ar: rb(st, sc, ar) * lb(st, sc, ar)),
-                    rz,
-                )
+            if all(right[2]):
+                (cs, b, zs), k = left, right[1]
+            elif all(left[2]):
+                (cs, b, zs), k = right, left[1]
+            else:
+                return None
+            return (
+                tuple(_ZERO if z else _mul(c, k) for c, z in zip(cs, zs)),
+                _mul(b, k),
+                zs,
+            )
         return None
-    uses_var, uses_array = _expr_uses(e, loopvar)
+    uses_var, uses_array = _expr_uses(e, level)
     if not uses_var and not uses_array:
-        return _kfn(0), _compile_expr(e, ctx)[0], True
+        return (_ZERO,) * nlev, _compile_expr(e, ctx)[0], (True,) * nlev
     return None
 
 
 class _VecCompiler:
-    """Builds the vector program for one straight-line loop body."""
+    """Builds the vector program for one straight-line loop body over
+    the iteration space of *loopvars* (outermost first)."""
 
-    def __init__(self, ctx: _Ctx, loopvar: str, write_subs: dict) -> None:
+    def __init__(self, ctx: _Ctx, loopvars: tuple, write_subs: dict) -> None:
         self.ctx = ctx
-        self.loopvar = loopvar
+        self.level = {v: k for k, v in enumerate(loopvars)}
         self.write_subs = write_subs  # name -> subscript key
         self.sites: List[_VecSite] = []
         self.site_keys: Dict[Tuple, int] = {}
@@ -1040,7 +1268,7 @@ class _VecCompiler:
         #: site indices of the array reads compiled so far, in the
         #: scalar engine's evaluation order (left to right)
         self.reads: List[int] = []
-        self.uses_iv = False
+        self.uses_iv: set = set()
 
     def invariant_slot(self, e: Expr) -> int:
         k = len(self.invariants)
@@ -1057,7 +1285,7 @@ class _VecCompiler:
             return None
         dims = []
         for s in ref.subscripts:
-            dec = _affine(s, self.ctx, self.loopvar)
+            dec = _affine(s, self.ctx, self.level)
             if dec is None:
                 return None
             dims.append((dec[0], dec[1]))
@@ -1068,32 +1296,25 @@ class _VecCompiler:
 
     def value(self, e: Expr) -> Optional[Callable]:
         """Compile *e* to ``fn(rt) -> ndarray | scalar``."""
-        uses_var, uses_array = _expr_uses(e, self.loopvar)
+        uses_var, uses_array = _expr_uses(e, self.level)
         if not uses_var and not uses_array:
-            # invariant scalar subtree: pre-evaluated once at loop
-            # entry (inside the fallback guard, so a raising subtree —
-            # division by zero, say — reverts to the scalar loop before
-            # anything has been written)
+            # invariant scalar subtree (every scalar but the loop
+            # variables): pre-evaluated once at loop entry (inside the
+            # fallback guard, so a raising subtree — division by zero,
+            # say — reverts to the scalar loop before anything has been
+            # written)
             k = self.invariant_slot(e)
             return lambda rt: rt.inv[k]
         return self._value_node(e)
-
-    def _touches_written(self, e: Expr) -> bool:
-        for sub in walk_exprs(e):
-            if isinstance(sub, ArrayRef) and sub.name in self.write_subs:
-                return True
-        return False
 
     def _value_node(self, e: Expr) -> Optional[Callable]:
         if isinstance(e, Num):
             v = e.value
             return lambda rt: v
-        if isinstance(e, VarRef):
-            if e.name == self.loopvar:
-                self.uses_iv = True
-                return lambda rt: rt.iv
-            name = e.name
-            return lambda rt: rt.sc.get(name, 0)
+        if isinstance(e, VarRef):  # a loop variable: value() took the rest
+            k = self.level[e.name]
+            self.uses_iv.add(k)
+            return lambda rt: rt.ivs[k]
         if isinstance(e, ArrayRef):
             if e.name in self.write_subs and (
                 _subs_key(e) != self.write_subs[e.name]
@@ -1157,7 +1378,7 @@ class _VecCompiler:
             if dividend is None:
                 return None
             div_e = e.args[1]
-            div_var, div_arr = _expr_uses(div_e, self.loopvar)
+            div_var, div_arr = _expr_uses(div_e, self.level)
             if div_var or div_arr:
                 return None  # divisor must be a loop-invariant scalar
             k = self.invariant_slot(div_e)
@@ -1175,15 +1396,23 @@ class _VecCompiler:
         return None
 
 
-def _try_vectorize(stmt: DoLoop, ctx: _Ctx) -> Optional[_VecLoop]:
-    """Compile the loop's whole-iteration-space program, or ``None``
-    when the body is not a straight-line affine candidate."""
+def _try_vectorize(
+    stmt: DoLoop, ctx: _Ctx, outer: Optional[DoLoop] = None
+) -> Optional[_VecLoop]:
+    """Compile the loop's whole-iteration-space program — over the 2-D
+    space of *outer* and *stmt* when *stmt* is the whole body of
+    *outer* — or ``None`` when the body is not a straight-line affine
+    candidate."""
     if not stmt.body:
         return None
     assigns: List[Assign] = []
     for s in stmt.body:
         if not isinstance(s, Assign) or not isinstance(s.target, ArrayRef):
             return None  # control flow, calls, or scalar carry
+        if outer is not None and not any(
+            _expr_uses(sub, (outer.var,))[0] for sub in s.target.subscripts
+        ):
+            return None  # every outer iteration writes the same elements
         assigns.append(s)
 
     # all writes (and reads) of one array must share one subscript tuple
@@ -1193,7 +1422,8 @@ def _try_vectorize(stmt: DoLoop, ctx: _Ctx) -> Optional[_VecLoop]:
         if write_subs.setdefault(s.target.name, key) != key:
             return None
 
-    comp = _VecCompiler(ctx, stmt.var, write_subs)
+    loopvars = (stmt.var,) if outer is None else (outer.var, stmt.var)
+    comp = _VecCompiler(ctx, loopvars, write_subs)
     stmts = []
     write_sites = set()
     accesses: List[Tuple[str, int]] = []
@@ -1211,7 +1441,7 @@ def _try_vectorize(stmt: DoLoop, ctx: _Ctx) -> Optional[_VecLoop]:
         comp.reads.clear()
     return _VecLoop(
         comp.sites, stmts, comp.invariants, comp.mod_checks, write_sites,
-        accesses, comp.uses_iv,
+        accesses, sorted(comp.uses_iv),
     )
 
 

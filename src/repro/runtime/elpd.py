@@ -19,7 +19,7 @@ The implementation logs every array access of the run once, keyed by
 the underlying buffer's serial and the flat offset (so reshaped views
 alias correctly).  Each dynamic loop instance keeps only its iteration
 boundaries into the log and classifies its slice once, at loop exit;
-vectorized loops hand their accesses over as one block.  See
+vectorized loops and nests hand their accesses over as one block.  See
 ``docs/ALGORITHMS.md`` §6 and ``docs/PERF.md`` §4.
 """
 
@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro import perf
 from repro.lang.astnodes import Program
+from repro.runtime.bytecode import grid_injective
 from repro.runtime.interp import Interpreter
 from repro.runtime.values import ArrayStorage, RuntimeError_
 
@@ -214,6 +215,67 @@ def _scan_np(hook, inst: _Instance, entries, a: int) -> tuple:
     return tuple(col[order] for col in merged)
 
 
+def _max_offset(offs) -> int:
+    """The largest of one site's offsets: affine along each axis of the
+    iteration space, so it sits at a corner."""
+    if offs.ndim == 1:
+        return max(int(offs[0]), int(offs[-1]))
+    return int(max(offs[0, 0], offs[0, -1], offs[-1, 0], offs[-1, -1]))
+
+
+def _site_distinct(offs) -> int:
+    """How many elements one site touches over the iteration space."""
+    if offs.ndim == 1:  # affine: all equal or all different
+        return 1 if offs[0] == offs[-1] else len(offs)
+    n_o, n_i = offs.shape
+    d_o = int(offs[1, 0] - offs[0, 0]) if n_o > 1 else 0
+    d_i = int(offs[0, 1] - offs[0, 0]) if n_i > 1 else 0
+    if not d_o:
+        return n_i if d_i else 1
+    if not d_i:
+        return n_o
+    if grid_injective([d_o, d_i], offs.shape):
+        return offs.size
+    return len(_np.unique(offs))
+
+
+def _by_buffer(accesses) -> list:
+    """Each buffer's distinct sites' offsets (a site read and written
+    hands over one array, and counts once)."""
+    by_buf: Dict[int, dict] = {}
+    for _k, storage, offs in accesses:
+        by_buf.setdefault(storage.serial, {})[id(offs)] = offs
+    return [list(sites.values()) for sites in by_buf.values()]
+
+
+def _distinct(accesses) -> int:
+    """How many elements a block touches."""
+    n = 0
+    for sites in _by_buffer(accesses):
+        if len(sites) == 1:
+            n += _site_distinct(sites[0])
+        elif sum(o.size for o in sites) < _BULK_MIN:
+            n += len(set().union(*(o.ravel().tolist() for o in sites)))
+        else:
+            n += len(_np.unique(_np.concatenate([o.ravel() for o in sites])))
+    return n
+
+
+def _row_distinct(accesses) -> int:
+    """The distinct elements of each row of a nest block (one inner
+    instance), summed over the rows."""
+    n = 0
+    for sites in _by_buffer(accesses):
+        if len(sites) == 1:
+            offs = sites[0]
+            # a row is affine: all equal or all different
+            n += len(offs) * (1 if offs[0, 0] == offs[0, -1] else offs.shape[1])
+        else:
+            rows = _np.sort(_np.concatenate(sites, axis=1), axis=1)
+            n += len(rows) + int(_np.count_nonzero(rows[:, 1:] != rows[:, :-1]))
+    return n
+
+
 @dataclass
 class LoopObservation:
     """Aggregated dynamic verdict for one loop label."""
@@ -225,8 +287,15 @@ class LoopObservation:
     flow_arrays: Set[str] = field(default_factory=set)
     total_iterations: int = 0
 
-    def merge(self, cls: str, conflicts: Set[str], flows: Set[str], iters: int) -> None:
-        self.instances += 1
+    def merge(
+        self,
+        cls: str,
+        conflicts: Set[str],
+        flows: Set[str],
+        iters: int,
+        instances: int = 1,
+    ) -> None:
+        self.instances += instances
         self.total_iterations += iters
         if _RANKING[cls] > _RANKING[self.classification]:
             self.classification = cls
@@ -321,34 +390,48 @@ class _ElpdHook:
         if self.live and self._pos() - self.seg_pos[0] > _LOG_MAX:
             self._fold()
 
-    def block(self, token, lo, step, trips, accesses):
-        """A vector loop's whole run.  Its own instance needs no
-        per-element pass: the vector entry checks admit only injective
-        write offsets, reads of a written array through the write's own
-        subscripts, and no second name on a written buffer, so no
-        element is written in one iteration and touched in another.
-        The instance is independent; it counts its distinct elements.
+    def block(self, token, lo, step, trips, accesses, inner=None):
+        """A vector program's whole run: one loop, or with *inner* a
+        rectangular nest, whose offsets have one row per outer
+        iteration.  No instance of the block's own loops needs a
+        per-element pass: the vector entry checks admit only write
+        offsets injective over the whole iteration space, reads of a
+        written array through the write's own subscripts, and no second
+        name on a written buffer, so no element is written in one
+        iteration of either loop and touched in another.  Those
+        instances are independent; each counts its distinct elements.
         The entries go to the log for the enclosing instances."""
         inst = self.active[token]
-        if not self.live:
+        rows = inner is not None and (
+            self.targets is None or inner.stmt.label in self.targets
+        )
+        if not (self.live or rows):
             return
-        bits = []
-        for kind, storage, offs in accesses:
-            b = self.views.get(storage)
-            if b is None:
-                b = self._view(storage)
-            if max(int(offs[0]), int(offs[-1])) > _OFF_MASK:  # affine
+        for _kind, storage, offs in accesses:
+            if _max_offset(offs) > _OFF_MASK:
                 raise RuntimeError_(
                     f"array {storage.name}: flat offset beyond the ELPD "
                     f"shadow's 2**{_OFF_BITS}"
                 )
-            bits.append(b | (kind == "w"))
         if inst is not None:
             inst.iters += trips
-            inst.count = self._distinct(accesses, bits)
-            if self.live == 1:
-                return  # no enclosing instance reads the log
-        entries = self._block_entries(trips, accesses, bits)
+            inst.count = _distinct(accesses)
+        if rows:
+            label = inner.stmt.label
+            obs = self.report.observations.get(label)
+            if obs is None:
+                obs = self.report.observations[label] = LoopObservation(label)
+            obs.merge("independent", set(), set(), trips * inner.trips, trips)
+            perf.bump("elpd.shadow.elements", _row_distinct(accesses))
+        if self.live <= (inst is not None):
+            return  # no enclosing instance reads the log
+        bits = []
+        for kind, storage, _offs in accesses:
+            b = self.views.get(storage)
+            if b is None:
+                b = self._view(storage)
+            bits.append(b | (kind == "w"))
+        entries = self._block_entries(accesses, bits)
         if isinstance(entries, list):
             self.cur += entries
         else:
@@ -393,38 +476,22 @@ class _ElpdHook:
             self.cur.append(bits | offset << 1 | (kind == "w"))
 
     # -- the log ----------------------------------------------------------
-    def _block_entries(self, trips, accesses, bits):
-        """A block's entries in scalar order: a list when small (or
-        too wide for int64), else an int64 array."""
+    def _block_entries(self, accesses, bits):
+        """A block's entries in scalar order (iteration by iteration,
+        outer level first): a list when small (or too wide for int64),
+        else an int64 array."""
         m = len(bits)
-        if self.wide or trips * m < _BULK_MIN:
-            out = [0] * (trips * m)
+        n = accesses[0][2].size
+        if self.wide or n * m < _BULK_MIN:
+            out = [0] * (n * m)
             for j, (b, (_k, _s, offs)) in enumerate(zip(bits, accesses)):
-                out[j::m] = [b | o << 1 for o in offs.tolist()]
+                out[j::m] = [b | o << 1 for o in offs.ravel().tolist()]
             return out
-        out = _np.empty((trips, m), _np.int64)
+        out = _np.empty((n, m), _np.int64)
         for j, (b, (_k, _s, offs)) in enumerate(zip(bits, accesses)):
-            _np.left_shift(offs, 1, out=out[:, j])
+            _np.left_shift(offs.reshape(-1), 1, out=out[:, j])
             out[:, j] |= b
         return out.reshape(-1)
-
-    def _distinct(self, accesses, bits) -> int:
-        """How many elements a block touches.  One site's offsets are
-        affine in the iteration: all equal or all different."""
-        by_buf: Dict[int, dict] = {}
-        for (_k, _s, offs), b in zip(accesses, bits):
-            sites = by_buf.setdefault(self.view_buf[b >> _VIEW_SHIFT], {})
-            sites[id(offs)] = offs  # a site read and written counts once
-        n = 0
-        for sites in by_buf.values():
-            if len(sites) == 1:
-                (offs,) = sites.values()
-                n += 1 if offs[0] == offs[-1] else len(offs)
-            elif sum(map(len, sites.values())) < _BULK_MIN:
-                n += len(set().union(*(o.tolist() for o in sites.values())))
-            else:
-                n += len(_np.unique(_np.concatenate(list(sites.values()))))
-        return n
 
     def _entries(self, a: int, b: int, as_array: bool):
         """The log entries at positions ``a..b``."""
@@ -522,29 +589,34 @@ def static_scalar_obstacles(program: Program) -> Dict[str, Set[str]]:
     instrumented"); scalar recurrences are resolved by the compiler's
     scalar analysis.  This helper reproduces that static side so the
     combined oracle (:func:`run_oracle`) matches the paper's notion of
-    an inherently parallel loop.
+    an inherently parallel loop: a declared scalar other than the loop's
+    own and inner indices, written in an iteration and read there before
+    any write, and not a recognized reduction.  It runs the analysis's
+    scalar-flow pass (:func:`repro.ir.loopinfo.scalar_flow`) on each
+    loop, and nothing else of the analysis.
     """
-    from repro.ir.loopinfo import collect_loop_info
-    from repro.ir.regiongraph import build_region_tree
+    from repro.ir.loopinfo import scalar_flow
     from repro.ir.symboltable import SymbolTable
     from repro.lang.astnodes import DoLoop, walk_stmts
 
     out: Dict[str, Set[str]] = {}
     for unit in program.units.values():
         symtab = SymbolTable(unit)
-        proc = build_region_tree(unit)
-        for loop, info in collect_loop_info(proc).items():
+        for loop in walk_stmts(unit.body):
+            if not isinstance(loop, DoLoop):
+                continue
+            writes, exposed, reductions = scalar_flow(loop)
             inner = {
                 s.var for s in walk_stmts(loop.body) if isinstance(s, DoLoop)
             }
             obstacles = {
                 name
-                for name in info.scalar_writes
+                for name in writes
                 if name != loop.var
                 and name not in inner
                 and symtab.is_scalar(name)
-                and name in info.scalar_exposed_reads
-                and name not in info.reductions
+                and name in exposed
+                and name not in reductions
             }
             if obstacles:
                 out[loop.label] = obstacles

@@ -16,8 +16,8 @@ analysis:
 Hook points (``access_hook``, ``loop_hook``) drive the ELPD oracle and
 the machine cost model without entangling them with evaluation.  A loop
 hook implements ``enter_loop``, ``iter_start``, ``block`` (a vectorized
-loop's whole run at once, see :mod:`repro.runtime.bytecode`) and
-``exit_loop``.  When a
+loop's or nest's whole run at once, see :mod:`repro.runtime.bytecode`)
+and ``exit_loop``.  When a
 :class:`~repro.codegen.plan.ParallelPlan` is supplied, two-version loops
 evaluate their derived run-time test on entry — exactly what generated
 code would do — and report the outcome to the loop hook.

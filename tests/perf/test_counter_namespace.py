@@ -154,6 +154,14 @@ def test_warm_fleet_namespaces_are_documented(registry):
         assert registry.get(name) == "counter", name
 
 
+def test_runtime_namespace_is_documented(registry):
+    """The bytecode runtime's counters, nest programs included."""
+    assert "rt" in _documented_prefixes()
+    for name in ("rt.compile_unit", "rt.vec_loop", "rt.vec_nest", "rt.vec_fallback"):
+        assert registry.get(name) == "counter", name
+    assert "`rt.vec_nest`" in PERF_MD.read_text()
+
+
 def test_registered_names_report_their_kind(registry):
     assert registry.get("pipeline.executor.tasks") == "counter"
     assert registry.get("affine.intern") == "memo"

@@ -11,7 +11,12 @@ reference semantics the differential suites compare them against:
   returns the same :class:`~repro.runtime.interp.ExecutionResult`.
 * :func:`run_elpd` and :func:`run_oracle` run the ELPD test on the tree
   walker, with one :class:`_ElementState` object per touched element and
-  loop instance, updated as each access happens.
+  loop instance, updated as each access happens; it counts
+  ``elpd.shadow.elements`` as the shipped hook does.
+  :func:`static_scalar_obstacles` reads the screened scalars off the
+  analysis's full loop info.
+* :func:`simulate` drives the cost model's loop hook from the tree
+  walker.
 
 Every result, hook call sequence, fault and ELPD verdict of the shipped
 runtime must match these exactly.
@@ -23,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro import perf
 from repro.lang.astnodes import (
     ASSUMED,
     ArrayRef,
@@ -43,11 +49,8 @@ from repro.lang.astnodes import (
     UnOp,
     VarRef,
 )
-from repro.runtime.elpd import (
-    ElpdReport,
-    LoopObservation,
-    static_scalar_obstacles,
-)
+from repro.machine.simulate import MachineResult, _CostHook
+from repro.runtime.elpd import ElpdReport, LoopObservation
 from repro.runtime.interp import (
     ExecutionResult,
     Interpreter,
@@ -453,6 +456,7 @@ class _ReferenceHook:
         iters = self.iters.pop()
         if inst is None:
             return
+        perf.bump("elpd.shadow.elements", len(inst.elements))
         cls, conflicts, flows = inst.classify()
         obs = self.report.observations.setdefault(
             inst.label, LoopObservation(inst.label)
@@ -488,6 +492,36 @@ def run_elpd(
     return hook.report
 
 
+def static_scalar_obstacles(program: Program) -> Dict[str, Set[str]]:
+    """:func:`repro.runtime.elpd.static_scalar_obstacles` from each
+    unit's region tree and full :class:`~repro.ir.loopinfo.LoopInfo`."""
+    from repro.ir.loopinfo import collect_loop_info
+    from repro.ir.regiongraph import build_region_tree
+    from repro.ir.symboltable import SymbolTable
+    from repro.lang.astnodes import walk_stmts
+
+    out: Dict[str, Set[str]] = {}
+    for unit in program.units.values():
+        symtab = SymbolTable(unit)
+        proc = build_region_tree(unit)
+        for loop, info in collect_loop_info(proc).items():
+            inner = {
+                s.var for s in walk_stmts(loop.body) if isinstance(s, DoLoop)
+            }
+            obstacles = {
+                name
+                for name in info.scalar_writes
+                if name != loop.var
+                and name not in inner
+                and symtab.is_scalar(name)
+                and name in info.scalar_exposed_reads
+                and name not in info.reductions
+            }
+            if obstacles:
+                out[loop.label] = obstacles
+    return out
+
+
 def run_oracle(
     program: Program,
     inputs: Sequence[Number] = (),
@@ -502,3 +536,24 @@ def run_oracle(
             obs.classification = "dependent"
             obs.flow_arrays |= {f"<scalar:{n}>" for n in names}
     return report
+
+
+def simulate(
+    program: Program,
+    plan,
+    inputs: Sequence[Number] = (),
+    max_steps: int = 10_000_000,
+) -> MachineResult:
+    """:func:`repro.machine.simulate.simulate` on the reference runtime."""
+    interp_ref: list = [None]
+    hook = _CostHook(plan, interp_ref)
+    interp = TreeInterpreter(
+        program, inputs, plan=plan, loop_hook=hook, max_steps=max_steps
+    )
+    interp_ref[0] = interp
+    result = interp.run()
+    return MachineResult(
+        serial_steps=float(result.steps),
+        instances=hook.instances,
+        failed_test_atoms=hook.failed_test_atoms,
+    )

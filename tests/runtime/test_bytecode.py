@@ -19,12 +19,16 @@ import pytest
 
 from repro import perf
 from repro.arraydf.options import AnalysisOptions
-from repro.codegen.plan import build_plan
+from repro.codegen.plan import LoopPlan, ParallelPlan, build_plan
+from repro.lang.astnodes import DoLoop, walk_stmts
 from repro.lang.parser import parse_program
+from repro.machine.simulate import simulate
 from repro.partests.driver import analyze_program
+from repro.predicates import Atom, LinAtom
 from repro.runtime import elpd
 from repro.runtime.interp import Interpreter, run_program
 from repro.runtime.values import RuntimeError_
+from repro.symbolic.affine import AffineExpr
 from tests.runtime import reference
 from tests.runtime.reference import TreeInterpreter
 
@@ -117,6 +121,19 @@ class TestErrorParity:
         assert msg == "array a: subscript 51 out of bounds 1..50 in dimension 1"
 
 
+    def test_error_inside_nest_candidate(self):
+        # only the last outer iteration leaves the bounds: the nest
+        # program falls back, and the fault surfaces in order
+        typ, msg = both_raise(
+            "program t\ninteger n\nreal a(40, 4)\nread n\n"
+            "do j = 1, 4\n do i = 1, n\n  a(i + 10 * j - 10, j) = 1.0\n"
+            " enddo\nenddo\nend\n",
+            [12],
+        )
+        assert typ is RuntimeError_
+        assert msg == "array a: subscript 41 out of bounds 1..40 in dimension 1"
+
+
 class TestStepBudget:
     SRC = (
         "program t\nreal a(100)\n"
@@ -144,6 +161,23 @@ class TestStepBudget:
         typ, msg = both_raise(src, [40], max_steps=30)
         assert typ is RuntimeError_
         assert msg == "step budget exceeded (30)"
+
+
+    NEST = (
+        "program t\nreal a(10, 10)\n"
+        "do j = 1, 10\n do i = 1, 10\n  a(i, j) = i * 1.0\n enddo\nenddo\nend\n"
+    )
+
+    def test_nest_budget_boundary_exact(self):
+        # 1 outer step + 10 x (1 inner step + 10 body steps)
+        perf.reset_counters()
+        assert both(self.NEST, max_steps=111).steps == 111
+        assert perf.counter("rt.vec_nest") == 1
+
+    def test_nest_budget_exceeded_same_message(self):
+        typ, msg = both_raise(self.NEST, max_steps=110)
+        assert typ is RuntimeError_
+        assert msg == "step budget exceeded (110)"
 
 
 class TestLoopVariableEndpoints:
@@ -232,11 +266,13 @@ class TestTwoVersionParity:
 
 class TraceHook:
     """Loop and access hook writing one event stream; a vector block is
-    expanded back into the per-iteration events it stands for."""
+    expanded back into the per-iteration events it stands for, and a
+    nest block into the inner loop instances as well."""
 
     def __init__(self):
         self.events = []
         self.blocks = 0
+        self.nests = 0
 
     def enter_loop(self, stmt, frame, ran_parallel):
         # the frame handed to hooks must resolve program state
@@ -250,12 +286,21 @@ class TraceHook:
     def iter_start(self, token, ivalue):
         self.events.append(("iter", token, ivalue))
 
-    def block(self, token, lo, step, trips, accesses):
+    def block(self, token, lo, step, trips, accesses, inner=None):
         self.blocks += 1
+        self.nests += inner is not None
         for t in range(trips):
             self.iter_start(token, lo + t * step)
-            for kind, storage, offsets in accesses:
-                self.access(kind, storage, int(offsets[t]))
+            if inner is None:
+                for kind, storage, offsets in accesses:
+                    self.access(kind, storage, int(offsets[t]))
+                continue
+            itoken = self.enter_loop(inner.stmt, inner.frame, inner.ran_parallel[t])
+            for u in range(inner.trips):
+                self.iter_start(itoken, inner.lo + u * inner.step)
+                for kind, storage, offsets in accesses:
+                    self.access(kind, storage, int(offsets[t, u]))
+            self.exit_loop(itoken)
 
     def exit_loop(self, token):
         self.events.append(("exit", token))
@@ -306,47 +351,265 @@ class TestHookSequenceParity:
             " c(i) = abs(b(i) - b(i)) + mod(b(i), 3.0)\n"
             "enddo\nend\n"
         ),
+        "nest: callee through a reshaped view in a repeat loop": (
+            "program t\ninteger n\nreal a(200)\nread n\n"
+            "do r = 1, 3\n call f(a, n, 6)\nenddo\nend\n"
+            "subroutine f(x, p, q)\ninteger p, q\nreal x(p, q)\n"
+            "do j = 1, q\n do i = 1, p\n  x(i, j) = i * 1.0 + j\n enddo\n"
+            "enddo\nend\n"
+        ),
+        "nest: init2d in the main unit": (
+            "program t\nreal g(12, 12)\n"
+            "do j = 1, 12\n do i = 1, 12\n  g(i, j) = i * 1.0 + j\n enddo\n"
+            "enddo\nend\n"
+        ),
+        "nest: inside another loop": (
+            "program t\ninteger n\nreal a(40, 6), b(40, 6)\nread n\n"
+            "do r = 1, 3\n do j = 1, 6\n  do i = 1, n\n"
+            "   a(i, j) = a(i, j) * 0.5 + b(i, j) + r\n"
+            "  enddo\n enddo\nenddo\nend\n"
+        ),
+        "nest: descending steps": (
+            "program t\ninteger n\nreal a(40, 4), b(40, 4)\nread n\n"
+            "do j = 4, 1, -1\n do i = n, 1, -2\n  b(i, j) = a(i, j) - j\n"
+            " enddo\nenddo\nend\n"
+        ),
+        "nest: inner trip count below 8": (
+            "program t\ninteger n\nreal c(3, 40)\nread n\n"
+            "do j = 1, n\n do i = 1, 3\n  c(i, j) = i + j * 2.0\n enddo\n"
+            "enddo\nend\n"
+        ),
+        "nest: two reads of an unwritten array": (
+            "program t\ninteger n\nreal a(40, 4), b(40, 4)\nread n\n"
+            "do j = 2, 4\n do i = 1, n\n"
+            "  a(i, j) = b(i, j) + b(i + 1, j - 1)\n"
+            " enddo\nenddo\nend\n"
+        ),
+        "nest: min, max and mod bodies": (
+            "program t\ninteger n\nreal a(40, 3), b(40, 3), c(40, 3)\nread n\n"
+            "do j = 1, 3\n do i = 1, n\n  b(i, j) = i * 0.5 - j\n enddo\n"
+            "enddo\n"
+            "do j = 1, 3\n do i = 1, n\n"
+            "  a(i, j) = min(b(i, j), 2.0 * j) + max(i * 1.0, b(i, j))\n"
+            "  c(i, j) = mod(i + j, 3) * 1.0 + mod(b(i, j), 4.0)\n"
+            " enddo\nenddo\nend\n"
+        ),
+    }
+    #: nests that stay on the per-iteration path: the outer loop runs
+    #: scalar and its inner loop vectorizes per iteration where it can
+    FALLBACK_SHAPES = {
+        "triangular inner bound": (
+            "program t\ninteger n\nreal a(40, 40)\nread n\n"
+            "do j = 1, n\n do i = 1, j\n  a(i, j) = i * 2.0\n enddo\n"
+            "enddo\nend\n"
+        ),
+        "inner bound read from an array": (
+            "program t\ninteger n, m(2)\nreal a(40, 4)\nread n\nm(1) = n\n"
+            "do j = 1, 4\n do i = 1, m(1)\n  a(i, j) = i * 1.0\n enddo\n"
+            "enddo\nend\n"
+        ),
+        "write not injective over the grid": (
+            "program t\ninteger n\nreal a(60), b(40)\nread n\n"
+            "do j = 1, 4\n do i = 1, n\n  a(i + j) = b(i) + 1.0\n enddo\n"
+            "enddo\nend\n"
+        ),
+        "write without the outer variable": (
+            "program t\ninteger n\nreal a(40), b(40, 4)\nread n\n"
+            "do j = 1, 4\n do i = 1, n\n  a(i) = b(i, j) + 1.0\n enddo\n"
+            "enddo\nend\n"
+        ),
+        "second statement in the outer body": (
+            "program t\ninteger n\nreal a(40, 4), b(40, 4)\nread n\n"
+            "do j = 1, 4\n do i = 1, n\n  a(i, j) = i * 1.0\n enddo\n"
+            " b(1, j) = 2.0\nenddo\nend\n"
+        ),
+        "zero-trip inner loop": (
+            "program t\ninteger n\nreal a(40, 4)\nread n\n"
+            "do j = 1, 4\n do i = 1, n - 20\n  a(i, j) = i * 1.0\n enddo\n"
+            "enddo\nend\n"
+        ),
+        "zero-trip outer loop": (
+            "program t\ninteger n\nreal a(40, 4)\nread n\n"
+            "do j = 5, 1\n do i = 1, n\n  a(i, j) = i * 1.0\n enddo\n"
+            "enddo\nend\n"
+        ),
     }
 
     def _trace(self, engine, src):
         hook = TraceHook()
         perf.reset_all_caches()
+        perf.reset_counters()
         result = engine(
             parse_program(src), [20], access_hook=hook.access, loop_hook=hook
         ).run()
         return result, hook
 
+    def _same_run(self, src):
+        bc_result, bc_hook = self._trace(Interpreter, src)
+        nests = perf.counter("rt.vec_nest")
+        tr_result, tr_hook = self._trace(TreeInterpreter, src)
+        assert bc_hook.events == tr_hook.events, src
+        assert bc_result.steps == tr_result.steps
+        assert bc_result.main_arrays == tr_result.main_arrays
+        assert bc_result.main_scalars == tr_result.main_scalars
+        assert bc_result.loop_events == tr_result.loop_events
+        assert bc_hook.nests == nests
+        return bc_hook
+
     def test_identical_hook_streams(self):
-        for src in [self.SRC, *self.BLOCK_SHAPES.values()]:
-            bc_result, bc_hook = self._trace(Interpreter, src)
-            tr_result, tr_hook = self._trace(TreeInterpreter, src)
-            assert bc_hook.events == tr_hook.events, src
-            assert bc_result.steps == tr_result.steps
-            assert bc_result.main_arrays == tr_result.main_arrays
-            if src != self.SRC:
-                assert bc_hook.blocks > 0, src
+        self._same_run(self.SRC)
+        for name, src in self.BLOCK_SHAPES.items():
+            hook = self._same_run(src)
+            assert hook.blocks > 0, name
+            assert (hook.nests > 0) == name.startswith("nest:"), name
         # reads precede the write within each first-loop iteration
         _result, hook = self._trace(Interpreter, self.SRC)
         first = [e for e in hook.events if e[1] in ("a", "b")][:2]
         assert first == [("r", "b", 0), ("w", "a", 0)]
 
+    def test_fallback_nests_keep_the_per_iteration_path(self):
+        for name, src in self.FALLBACK_SHAPES.items():
+            hook = self._same_run(src)
+            assert hook.nests == 0, name
+            # the inner loop vectorized one outer iteration at a time
+            assert (hook.blocks > 0) != name.startswith("zero-trip"), name
+
+    def test_nest_sets_counters(self):
+        # rt.vec_nest counts nest programs; rt.vec_loop counts the inner
+        # instances they ran, as the per-iteration path would
+        perf.reset_all_caches()
+        perf.reset_counters()
+        run_program(parse_program(self.BLOCK_SHAPES["nest: init2d in the main unit"]))
+        assert perf.counter("rt.vec_nest") == 1
+        assert perf.counter("rt.vec_loop") == 12
+
+    @staticmethod
+    def _labels(src):
+        program = parse_program(src)
+        return [
+            s.label
+            for unit in program.units.values()
+            for s in walk_stmts(unit.body)
+            if isinstance(s, DoLoop)
+        ]
+
     def test_elpd_verdicts_match_reference_on_block_shapes(self):
-        for src in self.BLOCK_SHAPES.values():
-            got = []
-            for module in (elpd, reference):
-                perf.reset_all_caches()
-                report = module.run_elpd(parse_program(src), [20])
-                got.append({
-                    label: (
-                        obs.classification,
-                        obs.instances,
-                        obs.total_iterations,
-                        obs.conflict_arrays,
-                        obs.flow_arrays,
+        shapes = {**self.BLOCK_SHAPES, **self.FALLBACK_SHAPES}
+        for name, src in shapes.items():
+            # every loop instrumented, then each loop alone: a nest's
+            # inner or outer level without the other
+            for targets in [None, *([label] for label in self._labels(src))]:
+                got = []
+                for module in (elpd, reference):
+                    perf.reset_all_caches()
+                    perf.reset_counters()
+                    report = module.run_elpd(parse_program(src), [20], targets)
+                    got.append((
+                        {
+                            label: (
+                                obs.classification,
+                                obs.instances,
+                                obs.total_iterations,
+                                obs.conflict_arrays,
+                                obs.flow_arrays,
+                            )
+                            for label, obs in report.observations.items()
+                        },
+                        report.steps,
+                        perf.counter("elpd.shadow.elements"),
+                    ))
+                assert got[0] == got[1], (name, targets)
+
+
+class TestNestCostModel:
+    """``simulate()`` on nest programs equals the reference interpreter
+    driving the same cost hook, whatever the plan says of the inner
+    loop."""
+
+    SRC = TestHookSequenceParity.BLOCK_SHAPES["nest: inside another loop"]
+
+    @staticmethod
+    def _plan(program, **modes):
+        """A hand-made plan: ``L<k>=(mode, test, enclosed)`` per loop."""
+        loops = {}
+        for unit in program.units.values():
+            for s in walk_stmts(unit.body):
+                spec = isinstance(s, DoLoop) and modes.get(s.label.split(":")[1])
+                if spec:
+                    mode, pred, enclosed = spec
+                    loops[s.nid] = LoopPlan(
+                        s.label, s.nid, mode, pred, 2 if pred else 0,
+                        enclosed=enclosed,
                     )
-                    for label, obs in report.observations.items()
-                })
-            assert got[0] == got[1], src
+        return ParallelPlan(program, loops)
+
+    @staticmethod
+    def _test(lhs, rhs):
+        return Atom(LinAtom.le(lhs, rhs))
+
+    def plans(self, program):
+        n, j = AffineExpr.var("n"), AffineExpr.var("j")
+        passing = self._test(n, AffineExpr.const(100))
+        failing = self._test(AffineExpr.const(100), n)
+        outer_var = self._test(j, AffineExpr.const(2))
+        return {
+            "inner parallel": self._plan(program, L3=("parallel", None, False)),
+            "inner enclosed": self._plan(
+                program,
+                L2=("parallel", None, False),
+                L3=("parallel", None, True),
+            ),
+            "inner test passes": self._plan(
+                program, L3=("two_version", passing, False)
+            ),
+            "inner test fails": self._plan(
+                program, L3=("two_version", failing, False)
+            ),
+            "inner test reads the outer variable": self._plan(
+                program,
+                L1=("two_version", passing, False),
+                L3=("two_version", outer_var, False),
+            ),
+        }
+
+    def _both(self, program, plan):
+        perf.reset_all_caches()
+        perf.reset_counters()
+        got = simulate(program, plan, [20])
+        assert perf.counter("rt.vec_nest") == 3  # one nest per r iteration
+        return got, reference.simulate(program, plan, [20])
+
+    def test_machine_results_match_reference(self):
+        program = parse_program(self.SRC)
+        for name, plan in self.plans(program).items():
+            got, want = self._both(program, plan)
+            assert got == want, name
+            events = [
+                _run_on(engine, self.SRC, [20], plan=plan).loop_events
+                for engine in ENGINES
+            ]
+            assert events[0] == events[1], name
+
+    def test_outer_variable_test_decides_each_instance(self):
+        program = parse_program(self.SRC)
+        plan = self.plans(program)["inner test reads the outer variable"]
+        got, _want = self._both(program, plan)
+        inner = [i for i in got.instances if i.label == "t:L3"]
+        # j = 1, 2 pass and j = 3..6 fail, in each of 3 r iterations
+        assert len(inner) == 6
+        assert all(i.iterations == 20 and i.serial_work == 20.0 for i in inner)
+        assert got.failed_test_atoms == 12 * 2
+
+    def test_callee_nest_under_the_analysis_plan(self):
+        src = TestHookSequenceParity.BLOCK_SHAPES[
+            "nest: callee through a reshaped view in a repeat loop"
+        ]
+        program = parse_program(src)
+        plan = build_plan(analyze_program(program, AnalysisOptions.predicated()))
+        perf.reset_counters()
+        got = simulate(program, plan, [20])
+        assert perf.counter("rt.vec_nest") == 3
+        assert got == reference.simulate(program, plan, [20])
 
 
 class TestVectorizedPath:

@@ -131,34 +131,84 @@ def generate(seed, size=SIZE):
     return "\n".join(lines) + "\n", inputs
 
 
+GRIDS = ["ga", "gb", "gw"]
+#: subscripts of the 16 x 5 grid arrays; the written ones read the outer
+#: variable, so a perfect nest of them can run as one vector program
+GRID_WRITES = ["i, j", "i + 1, j", "i + 2, j", "i, j + 1"]
+GRID_READS = [*GRID_WRITES, "3, j", "i, 1", "i + 1, 2"]
+
+
+def _grid_body(rng):
+    """A nest body over the grid arrays.  Each written array keeps one
+    subscript, which most reads of it use too (a read through another
+    subscript keeps the nest off the vector path)."""
+    targets = [rng.choice(GRIDS) for _ in range(rng.randint(1, 3))]
+    subs = {a: rng.choice(GRID_WRITES) for a in targets}
+
+    def ref():
+        a = rng.choice(GRIDS)
+        if a in subs and rng.random() < 0.9:
+            return a, subs[a]
+        return a, rng.choice(GRID_READS)
+
+    lines = []
+    for tgt in targets:
+        (a, s), (b, t) = ref(), ref()
+        expr = rng.choice(EXPRS).format(
+            a=a, s=s, b=b, t=t, i=rng.choice(["i", "j", "i + j"])
+        )
+        lines.append(f"{tgt}({subs[tgt]}) = {expr}")
+    return lines
+
+
+def _row_body(rng):
+    """A body over the 1-D arrays (it writes the same elements in every
+    outer iteration, so only the inner loop vectorizes)."""
+    lines = []
+    for _ in range(rng.randint(1, 3)):
+        sub = rng.choice(SUBSCRIPTS[:5]).format(i="i")
+        expr = rng.choice(EXPRS[:8]).format(
+            a=rng.choice(ARRAYS),
+            b=rng.choice(ARRAYS),
+            s=rng.choice((sub, sub, *SUBSCRIPTS)).format(i="i"),
+            t=rng.choice((sub, sub, *SUBSCRIPTS)).format(i="i"),
+            i="i",
+        )
+        lines.append(f"{rng.choice(ARRAYS)}({sub}) = {expr}")
+    return lines
+
+
 def generate_blocks(seed, size=SIZE):
     """Nests of straight-line array assignments, the shape the vector
-    programs take, so the ELPD sweep below runs on vector blocks: an
-    inner loop inside an outer one, and a callee loop through a view."""
+    programs take, so the ELPD sweep below runs on vector blocks:
+    perfect nests over 2-D arrays (one nest program each), some inside
+    an enclosing loop that reads their log entries; inner loops inside
+    an outer one; and a callee loop through a view."""
     rng = random.Random(seed)
     lines = [
         "program fb",
         "  integer n, k",
         f"  real {', '.join(f'{a}({size})' for a in ARRAYS)}",
+        f"  real {', '.join(f'{g}(16, 5)' for g in GRIDS)}",
         "  read n, k",
     ]
     for _ in range(rng.randint(1, 3)):
-        lines.append(f"  do j = 1, {rng.randint(2, 4)}")
-        lines.append("    do i = 1, n")
-        for _ in range(rng.randint(1, 3)):
-            sub = rng.choice(SUBSCRIPTS[:5]).format(i="i")
-            expr = rng.choice(EXPRS[:8]).format(
-                a=rng.choice(ARRAYS),
-                b=rng.choice(ARRAYS),
-                s=rng.choice((sub, sub, *SUBSCRIPTS)).format(i="i"),
-                t=rng.choice((sub, sub, *SUBSCRIPTS)).format(i="i"),
-                i="i",
-            )
-            lines.append(f"      {rng.choice(ARRAYS)}({sub}) = {expr}")
-        lines.append("    enddo")
-        if rng.random() < 0.5:
-            lines.append(f"    call sweep({rng.choice(ARRAYS)}, n)")
-        lines.append("  enddo")
+        grid = rng.random() < 0.8
+        pad = "  "
+        enclose = rng.random() < 0.4
+        if enclose:
+            lines.append("  do r = 1, 2")
+            pad = "    "
+        lines.append(f"{pad}do j = 1, {rng.randint(2, 4)}")
+        lines.append(f"{pad}  do i = 1, n")
+        body = _grid_body(rng) if grid else _row_body(rng)
+        lines.extend(f"{pad}    {s}" for s in body)
+        lines.append(f"{pad}  enddo")
+        if rng.random() < (0.2 if grid else 0.5):
+            lines.append(f"{pad}  call sweep({rng.choice(ARRAYS)}, n)")
+        lines.append(f"{pad}enddo")
+        if enclose:
+            lines.append("  enddo")
     lines.append("end")
     lines += [
         "subroutine sweep(v, n)",
@@ -257,6 +307,14 @@ def test_elpd_verdicts_identical(seed):
 
 
 @pytest.mark.parametrize("seed", range(20))
+def test_block_execution_identical(seed):
+    src, inputs = generate_blocks(seed)
+    bc = _observe(Interpreter, src, inputs)
+    tree = _observe(reference.TreeInterpreter, src, inputs)
+    assert bc == tree, f"engines diverged (seed {seed})\n{src}"
+
+
+@pytest.mark.parametrize("seed", range(20))
 def test_elpd_block_verdicts_identical(seed):
     src, inputs = generate_blocks(seed)
     bc = _observe_elpd(elpd, src, inputs)
@@ -265,10 +323,12 @@ def test_elpd_block_verdicts_identical(seed):
 
 
 def test_block_sweep_reaches_vector_blocks():
-    vectorized = 0
+    vectorized = nests = 0
     for seed in range(20):
         src, inputs = generate_blocks(seed)
         perf.reset_counters()
         elpd.run_elpd(parse_program(src), inputs, max_steps=200_000)
         vectorized += perf.counter("rt.vec_loop") > 0
+        nests += perf.counter("rt.vec_nest") > 0
     assert vectorized >= 15
+    assert nests >= 12

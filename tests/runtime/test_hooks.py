@@ -15,9 +15,14 @@ class RecordingHook:
     def iter_start(self, token, ivalue):
         self.events.append(("iter", token, ivalue))
 
-    def block(self, token, lo, step, trips, accesses):
+    def block(self, token, lo, step, trips, accesses, inner=None):
         for t in range(trips):
             self.iter_start(token, lo + t * step)
+            if inner is not None:
+                itoken = self.enter_loop(inner.stmt, inner.frame, inner.ran_parallel[t])
+                for u in range(inner.trips):
+                    self.iter_start(itoken, inner.lo + u * inner.step)
+                self.exit_loop(itoken)
 
     def exit_loop(self, token):
         self.events.append(("exit",))

@@ -1,14 +1,9 @@
-"""Pipeline scheduling benchmarks: serial vs intra-program parallel.
+"""Pipeline benchmark: one program through the whole pass pipeline.
 
 Times the full pass pipeline (cold caches each round) on the largest
-multi-procedure program in the suite, once with the serial pass-major
-schedule (``jobs=1``) and once with the dependency-driven thread
-schedule (``jobs=4``).  Results are byte-identical by construction (the
-integration suite pins that); these benchmarks time the *cost* of the
-scheduler instead.  ``test_pipeline_parallel`` bounds scheduling
-overhead — on a single-core runner threads cannot win, so ``make
-perfgate`` checks the parallel mean stays within a constant factor of
-the serial one (``--max-ratio``) rather than demanding a speedup.
+multi-procedure program in the suite.  One program always runs
+serially, pass-major with units bottom-up, so this is the cost of the
+analysis plus the pass manager's bookkeeping.
 """
 
 from repro import perf
@@ -20,25 +15,18 @@ from repro.suites import get_program
 PROGRAM = "applu"
 
 
-def _pipeline_run(jobs):
+def _pipeline_run():
     perf.reset_all_caches()
     ctx = run_pipeline(
-        get_program(PROGRAM).fresh_program(),
-        AnalysisOptions.predicated(),
-        jobs=jobs,
+        get_program(PROGRAM).fresh_program(), AnalysisOptions.predicated()
     )
     return ctx.get("result")
 
 
 def test_pipeline_serial(benchmark):
-    result = benchmark(_pipeline_run, 1)
+    result = benchmark(_pipeline_run)
     assert result.total_loops > 0
     perf.reset_all_caches()
     perf.reset_counters()
-    _pipeline_run(1)
-    benchmark.extra_info["total_ops[jobs=1]"] = perf.total_ops()
-
-
-def test_pipeline_parallel(benchmark):
-    result = benchmark(_pipeline_run, 4)
-    assert result.total_loops > 0
+    _pipeline_run()
+    benchmark.extra_info["total_ops"] = perf.total_ops()

@@ -3,8 +3,7 @@
 Usage::
 
     python -m repro analyze FILE [--base] [--report] [--emit]
-                    [--cache DIR] [--profile] [--jobs N]
-                    [--explain-pipeline]
+                    [--cache DIR] [--profile] [--explain-pipeline]
                     [--max-wall S] [--max-ops N] [--max-fm N]
     python -m repro run FILE [inputs...]
     python -m repro elpd FILE [inputs...]
@@ -30,11 +29,11 @@ door over the persistent job queue and a worker fleet (see
 ``--max-wall``/``--max-ops``/``--max-fm`` bound one request's resources
 (exhaustion degrades the answer soundly instead of failing).
 
-``analyze`` runs the pass pipeline: ``--jobs N`` with N > 1 schedules
-independent callgraph subtrees on a pool of N worker processes, and
+``analyze`` runs the pass pipeline serially, in process;
 ``--explain-pipeline`` dumps the pass graph, the per-unit schedule and
-per-pass timings as JSON.  Output is byte-identical for every job count;
-the execution model is documented end-to-end in ``docs/EXECUTION.md``.
+per-pass timings as JSON.  ``experiments --jobs N`` fans per-program
+work over N worker processes, with output byte-identical for every job
+count; the execution model is documented in ``docs/EXECUTION.md``.
 
 The module is a small subcommand registry: each command contributes a
 ``(name, help, configure, run)`` record via :func:`command`, and
@@ -148,19 +147,10 @@ def _configure_analyze(p: argparse.ArgumentParser) -> None:
         help="Fourier-Motzkin bound-pair budget",
     )
     p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="analyze independent callgraph subtrees on N worker "
-        "processes; 1 runs in-process (default: REPRO_JOBS or 1; output "
-        "is byte-identical for any N)",
-    )
-    p.add_argument(
         "--explain-pipeline",
         action="store_true",
         help="append a JSON dump of the pass graph, the per-unit schedule "
-        "(waves, workers, parallel subtrees) and per-pass timings",
+        "and per-pass timings",
     )
 
 
@@ -192,7 +182,6 @@ def _cmd_analyze(args) -> int:
             program,
             opts,
             cache=default_cache(),
-            jobs=args.jobs,
             goals=goals,
             explain=args.explain_pipeline,
         )

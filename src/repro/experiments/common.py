@@ -121,7 +121,8 @@ def parallel_map(
     payloads rather than full analysis objects to keep that cheap.
 
     The calls run in a :func:`repro.pipeline.executor.pool_session`, on
-    the pool ``jobs > 1`` pipeline runs use.  Each call runs under the
+    the pool batch chunks use; each counts as one
+    ``pipeline.executor.tasks``.  Each call runs under the
     remaining budget of the calling thread's request, taken at submit,
     and its trips count against that request.  Each result carries the
     perf work its worker did since it forked; the parent folds it in
@@ -139,6 +140,7 @@ def parallel_map(
 
     task = partial(_instrumented, fn, pexec.remaining_budget())
     results = []
+    perf.bump("pipeline.executor.tasks", len(items))
     with pexec.pool_session(jobs) as pool:
         try:
             for pid, result, trips, snap in pool.map(task, items):

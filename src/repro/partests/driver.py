@@ -476,10 +476,9 @@ def analyze_program(
     program: Program,
     opts: Optional[AnalysisOptions] = None,
     cache: Optional[SummaryCache] = None,
-    jobs: Optional[int] = 1,
 ) -> ProgramResult:
     """Run the compile flow (:func:`repro.pipeline.run_pipeline`) for
     *program* and return its per-loop decisions."""
     from repro.pipeline import run_pipeline
 
-    return run_pipeline(program, opts, cache=cache, jobs=jobs).get("result")
+    return run_pipeline(program, opts, cache=cache).get("result")

@@ -1,11 +1,11 @@
 """The unified pass pipeline.
 
 One explicit compile flow: :func:`run_pipeline` builds a
-:class:`~repro.pipeline.context.ProgramContext`, schedules the passes of
+:class:`~repro.pipeline.context.ProgramContext`, runs the passes of
 :func:`~repro.pipeline.passes.analysis_passes` under a
-:class:`~repro.pipeline.manager.PassManager`, and returns the context —
-with ``jobs > 1`` running independent callgraph subtrees concurrently,
-byte-identical to the serial results.
+:class:`~repro.pipeline.manager.PassManager`, and returns the context.
+One program runs serially; :func:`run_pipeline_batch` fans many
+programs over the process pool, byte-identical to a serial loop.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ def run_pipeline(
     program,
     opts: Optional[AnalysisOptions] = None,
     cache=None,
-    jobs: Optional[int] = 1,
     goals: Sequence[str] = ("result",),
     explain: bool = False,
 ) -> ProgramContext:
@@ -80,12 +79,7 @@ def run_pipeline(
     cache attached the program-level fast path is honored first: an
     unchanged program loads its whole result in one rebind, scheduling
     nothing upstream; a fresh, undegraded run stores the program payload
-    back.
-
-    *jobs* ``None`` defers to ``REPRO_JOBS`` (default 1).  ``jobs=1``
-    runs in-process; ``jobs > 1`` runs the unit tasks of a multi-unit
-    program on the shared process pool.  Every job count produces
-    byte-identical artifacts (see ``docs/EXECUTION.md``).
+    back.  The passes run serially in the calling thread.
     """
     from repro.partests.driver import _decision_rows, rebind_program
     from repro.service.cache import program_key
@@ -109,7 +103,7 @@ def run_pipeline(
 
     manager = PassManager(analysis_passes())
     fresh_result = not ctx.has("result")
-    manager.run(ctx, jobs=jobs, goals=goals, explain=explain)
+    manager.run(ctx, goals=goals, explain=explain)
 
     if ctx.has("result"):
         result = ctx.get("result")
@@ -157,23 +151,22 @@ def run_pipeline_batch(
     :class:`~repro.partests.driver.ProgramResult` objects **in input
     order**.
 
-    Distinct programs share no artifacts, so they are the coarsest
-    independent "subtrees" the pool can schedule — this is where the
-    process pool pays off even for single-procedure programs, whose
-    intra-program task graph has nothing to overlap.  Under ``jobs > 1``
-    the batch is coalesced into *chunks* of consecutive programs
-    (*chunk* per pool task, or an auto size — see
-    :func:`resolve_batch_chunk`), so a stream of tiny programs pays one
-    pickle/queue round trip per chunk instead of per program.  Each
-    chunk runs its programs' full pipelines serially inside a pool
-    worker — on the worker's warm substrate, when the fleet is warm —
+    Distinct programs share no artifacts, so whole programs are the
+    grain the process pool schedules.  Under ``jobs > 1`` the batch is
+    coalesced into *chunks* of consecutive programs (*chunk* per pool
+    task, or an auto size — see :func:`resolve_batch_chunk`), so a
+    stream of tiny programs pays one pickle/queue round trip per chunk
+    instead of per program.  Each chunk runs its programs' full
+    pipelines serially inside a pool worker — on the worker's warm
+    substrate, when the fleet is warm —
     and ships back per-program decision rows (the exact payload shape
     the program-level cache stores); the parent rebinds them onto its
     own parses in input order, so results are byte-identical to a
     serial loop *and* to any other chunking.  A degraded
     (budget-tripped) worker result is rebound as-is — conservative and,
-    as always, never written to any cache.  ``jobs=1`` analyzes the
-    programs locally, one by one.
+    as always, never written to any cache — and its trips count against
+    the calling thread's budget scope, as a local run's would.
+    ``jobs=1`` analyzes the programs locally, one by one.
     """
     from repro.partests.driver import rebind_program
 
@@ -182,13 +175,13 @@ def run_pipeline_batch(
     programs = list(programs)
 
     def local(program):
-        return run_pipeline(program, opts, cache=cache, jobs=1).get("result")
+        return run_pipeline(program, opts, cache=cache).get("result")
 
     if jobs <= 1 or len(programs) <= 1:
         return [local(p) for p in programs]
 
     from repro.linalg.fourier_motzkin import replay_fallback_warnings
-    from repro.service.budgets import suspended
+    from repro.service.budgets import record_trips, suspended
 
     chunk = resolve_batch_chunk(chunk, len(programs), jobs)
     chunks = [
@@ -220,6 +213,7 @@ def run_pipeline_batch(
                 _executor_mod.absorb_worker(out["pid"], out["snapshot"])
                 replay_fallback_warnings(out["warnings"])
                 for program, prog_out in zip(group, out["programs"]):
+                    record_trips(prog_out["trips"])
                     # rebinding a completed worker result may not re-trip
                     # the (possibly exhausted) request budget
                     with suspended(), perf.phase("driver.rebind"):

@@ -7,8 +7,7 @@ artifacts it writes (``outputs``).  Artifacts live in a
 unit for unit-scoped passes and per program for program-scoped ones.
 The :class:`~repro.pipeline.manager.PassManager` uses the declarations
 — never the pass bodies — to schedule work, so the dependence structure
-of the analysis itself is explicit and independent subtrees of the
-callgraph can run concurrently.
+of the analysis itself is explicit.
 
 The contract every pass must honor:
 
@@ -16,8 +15,8 @@ The contract every pass must honor:
   (for unit scope: its own unit's artifacts, plus its callees' for
   inputs suffixed ``@callees``) and must write every declared output;
 * **purity per key** — a unit-scoped pass result is a pure function of
-  its declared inputs, so concurrent execution over independent units
-  (and the content-addressed cache) cannot change results;
+  its declared inputs, so the content-addressed cache cannot change
+  results;
 * **budget behavior** — a pass that can exhaust the active
   :class:`~repro.service.budgets.Budget` must degrade *soundly* (answers
   only move toward "not parallel") and mark the context degraded so
@@ -66,41 +65,10 @@ class Pass:
     outputs: Tuple[str, ...] = ()
     #: participates in the content-addressed summary cache
     cacheable: bool = False
-    #: may run on the ``jobs > 1`` process pool
-    #: (export_task/run_remote/merge_remote)
-    distributable: bool = False
 
     def run(self, ctx: "ProgramContext", unit: Optional[str] = None) -> None:
         raise NotImplementedError
 
-    # ------------------------------------------------------------------
-    # process-pool protocol (distributable passes only)
-    # ------------------------------------------------------------------
-    # Under ``jobs > 1`` the manager never calls ``run`` for a unit-scope
-    # task of a multi-unit program; it ships a picklable task built by
-    # ``export_task`` to a pool worker, the worker executes
-    # ``run_remote`` against its own rebuilt engine, and the parent folds
-    # the returned payload back with ``merge_remote``.  The contract
-    # mirrors the cache path: a payload must round-trip through pickle
-    # into values that rebind to the parent's parse bit-for-bit, so the
-    # job count is invisible in every artifact.  Degradation signals (taint, degraded flags) must
-    # travel inside the payload — soundness may not be lost at the
-    # process boundary.
-
-    def export_task(self, ctx: "ProgramContext", unit: str) -> dict:
-        """The picklable inputs of one remote ``(self, unit)`` task."""
-        raise NotImplementedError
-
-    def run_remote(self, engine, unit: str, task: dict) -> dict:
-        """Execute in the worker against its engine; return a payload."""
-        raise NotImplementedError
-
-    def merge_remote(self, ctx: "ProgramContext", unit: str, payload: dict) -> None:
-        """Fold a worker payload into the parent context (must leave the
-        store exactly as a local ``run`` would have)."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
     def describe(self) -> dict:
         """JSON-able declaration record (``--explain-pipeline``)."""
         return {

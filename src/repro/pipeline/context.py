@@ -2,14 +2,11 @@
 
 A :class:`ProgramContext` owns every artifact one compile flow produces:
 program-scoped artifacts under ``(name, None)`` and unit-scoped ones
-under ``(name, unit)``.  Passes communicate *only* through the store, so
-the :class:`~repro.pipeline.manager.PassManager` can schedule any two
-tasks whose declared artifact keys do not depend on each other — in
-particular, unit tasks over independent subtrees of the callgraph —
-concurrently.  Keys are written exactly once (per run), always by the
-scheduling thread (pool results are merged there), which makes the
-parallel merge deterministic: the final store contents are a pure
-function of the inputs, never of scheduling order.
+under ``(name, unit)``.  Passes communicate *only* through the store,
+which is what lets the :class:`~repro.pipeline.manager.PassManager`
+order them from their declared artifacts alone.  Each key is written
+once per run, so the final store contents are a pure function of the
+inputs.
 """
 
 from __future__ import annotations
@@ -46,9 +43,6 @@ class ProgramContext:
         self._store: Dict[Tuple[str, Optional[str]], Any] = {
             ("source_program", None): source_program
         }
-        #: raw shipped payloads from process-executor tasks, kept beside
-        #: the hydrated artifacts (see :meth:`stash_payload`)
-        self._payloads: Dict[Tuple[str, Optional[str]], Any] = {}
         #: filled by ``PassManager.run(..., explain=True)``
         self.explain: Optional[dict] = None
 
@@ -77,25 +71,6 @@ class ProgramContext:
         """The artifact for every unit of *units* (program-scope reads)."""
         return {u: self.get(artifact, u) for u in units}
 
-    def stash_payload(
-        self, artifact: str, unit: Optional[str], payload: Any
-    ) -> None:
-        """Keep the raw (picklable) payload a worker shipped for
-        ``(artifact, unit)``.
-
-        When the parent merges a process-executor result it *hydrates*
-        the payload into interned values for the store (so local passes
-        read normal artifacts), but later remote tasks that declare the
-        artifact as an input can be fed the already-serialized payload
-        verbatim instead of re-projecting the hydrated value.
-        """
-        self._payloads[(artifact, unit)] = payload
-
-    def payload(self, artifact: str, unit: Optional[str] = None) -> Any:
-        """The stashed shipped payload for ``(artifact, unit)``, or
-        ``None`` when the artifact was produced locally."""
-        return self._payloads.get((artifact, unit))
-
     def available_artifacts(self) -> Tuple[str, ...]:
         """The distinct artifact names currently present (for wiring
         validation against preloaded contexts)."""
@@ -114,11 +89,10 @@ class ProgramContext:
         """Did any pass degrade under a budget?
 
         Covers both granularities — budget-demoted loop decisions and
-        budget-demoted (tainted) unit summaries — including degradation
-        inside pool workers, whose taint flags travel back in the merged
-        payloads.  Deterministic for a given cache state, unlike a delta
-        over the process-global ``budget.*`` counters, which concurrent
-        service jobs would cross-contaminate.
+        budget-demoted (tainted) unit summaries.  Deterministic for a
+        given cache state, unlike a delta over the process-global
+        ``budget.*`` counters, which concurrent service jobs would
+        cross-contaminate.
         """
         if self.has("degraded") and self.get("degraded"):
             return True

@@ -1,21 +1,17 @@
 """The shared process pool behind ``jobs > 1``.
 
-The job count alone picks where work runs: ``jobs=1`` runs in-process,
-serially; ``jobs > 1`` ships the unit tasks of a pass-manager region,
-the chunks of :func:`repro.pipeline.run_pipeline_batch` and the calls
-of :func:`repro.experiments.common.parallel_map` to one persistent,
+One program always runs serially, in process
+(:class:`~repro.pipeline.manager.PassManager`).  The job count picks
+where *many* independent pieces of work run: ``jobs=1`` runs them
+in-process, one by one; ``jobs > 1`` ships the chunks of
+:func:`repro.pipeline.run_pipeline_batch` and the calls of
+:func:`repro.experiments.common.parallel_map` to one persistent,
 fork-preferred :class:`~concurrent.futures.ProcessPoolExecutor`.  A
 caller passing ``jobs=None`` gets ``REPRO_JOBS``, else 1.
 
-Each worker builds the hash-consed substrate for a program it has not
-seen (``pipeline.executor.builds``) and keeps it, with the memo tables,
-alive across runs within a fleet epoch (``pipeline.executor.reuses``;
-epoch invalidation and taint eviction force ``.rebuilds``).  It hydrates
-shipped callee results back into interned values
-(``pipeline.executor.hydrations``), runs the ``(pass, unit)`` task under
-the shipped remaining budget, and returns a picklable payload the parent
-merges in deterministic parse order — byte-identical to the serial
-schedule.
+Workers keep their memo and intern tables alive across tasks within a
+*fleet epoch*; a task from a newer epoch (the parent reset its caches)
+drops all of that first (:func:`_sync_epoch`).
 
 Observability: every worker result carries the worker's
 :func:`repro.perf.snapshot`; the parent folds per-PID deltas into its
@@ -39,33 +35,17 @@ import pickle
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Optional
 
 from repro import perf
 from repro.service.budgets import Budget, active_budget
 
-#: executor tasks shipped to pool workers (pipeline tasks and batch
-#: chunks both count here)
+#: tasks shipped to pool workers: batch chunks and experiment-map calls
 perf.declare("pipeline.executor.tasks")
-#: first-touch engine builds: a worker unpickled a program it had never
-#: seen and built a fresh ArrayDataflow engine
-perf.declare("pipeline.executor.builds")
-#: invalidation-forced rebuilds: a worker rebuilt an engine for a
-#: program it had already built once (epoch sync, taint eviction, or
-#: LRU pressure dropped the warm engine)
-perf.declare("pipeline.executor.rebuilds")
-#: warm-fleet engine reuses: a task was served by an engine a previous
-#: run of the same program/options left behind
-perf.declare("pipeline.executor.reuses")
 #: a worker dropped its warm state because a task arrived from a newer
 #: fleet epoch (a cache reset in the parent)
 perf.declare("pipeline.executor.epoch_syncs")
-#: shipped payloads hydrated back into interned summaries inside a
-#: worker (the cache-hydration alternative to rebuilding from source)
-perf.declare("pipeline.executor.hydrations")
-#: a ``jobs > 1`` region ran serially because one of its passes is not
-#: distributable, or a shipped payload failed to rebind and the parent
+#: a batch program's shipped rows failed to rebind and the parent
 #: recomputed it locally
 perf.declare("pipeline.executor.fallback")
 #: whole programs fanned out by run_pipeline_batch
@@ -126,8 +106,7 @@ def _worker_init() -> None:
     already exhausted) — left in place it would trip inside the pool's
     call-queue unpickling, before any task's ``budget_scope`` starts,
     killing the worker.  Tasks carry their own shipped remaining budget
-    instead.  The engine memo is cleared for the same reason: worker
-    engines must be built (and counted) worker-side.
+    instead.
 
     The worker also disowns the parent's pool handle and pool lock: a
     later worker-side ``perf.reset_all_caches()`` (epoch sync) runs the
@@ -143,7 +122,6 @@ def _worker_init() -> None:
     from repro.service import budgets
 
     budgets.clear_thread_budget()
-    _worker_engines.clear()
     _pool = None
     _pool_jobs = 0
     _pool_lock = threading.RLock()
@@ -176,9 +154,9 @@ def process_pool(jobs: int):
 def pool_session(jobs: int) -> Iterator[Any]:
     """The shared pool, sized to *jobs*, for the calling thread alone.
 
-    Every ``jobs > 1`` user (unit regions, batch chunks, experiment
-    maps) submits inside a session, so two threads never resize the
-    pool under each other; they take turns instead.
+    Every ``jobs > 1`` user (batch chunks, experiment maps) submits
+    inside a session, so two threads never resize the pool under each
+    other; they take turns instead.
     """
     with _pool_lock:
         try:
@@ -262,59 +240,11 @@ def remaining_budget() -> Optional[Budget]:
 
 
 # ----------------------------------------------------------------------
-# task shipping
+# worker side
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TaskHeader:
-    """Everything a worker needs to (re)build the substrate for one run.
-
-    ``engine_key`` is a pure content hash of (program, options, cache
-    root): two runs of the same inputs share a worker-side engine, so a
-    fleet re-analyzing the same program pays the substrate build once
-    per worker per *epoch* instead of once per run.  Mutable engine state
-    cannot leak between runs: degraded (tainted) engines are evicted
-    after the task that degraded them, every other piece of engine state
-    is a pure function of the key's content, and ``epoch`` (the
-    :func:`repro.perf.epoch` at submit) invalidates all warm state when
-    the parent resets its caches.
-    """
-
-    engine_key: str
-    program_blob: bytes
-    opts: Any
-    cache_root: Optional[str]
-    epoch: int = 0
-
-
-def make_header(program, opts, cache) -> TaskHeader:
-    """Serialize *program* once for all of a run's tasks."""
-    import hashlib
-
-    blob = pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL)
-    root = str(cache.root) if cache is not None else None
-    h = hashlib.sha256(blob)
-    h.update(pickle.dumps(opts, protocol=pickle.HIGHEST_PROTOCOL))
-    h.update(repr(root).encode())
-    return TaskHeader(h.hexdigest()[:24], blob, opts, root, perf.epoch())
-
-
-#: worker-side engines keyed by TaskHeader.engine_key (bounded: a
-#: long-lived worker serving many runs drops the oldest engine)
-_worker_engines: Dict[str, Any] = {}
-_WORKER_ENGINE_MAX = 4
-# engines hold interned values: any cache reset inside a worker (an
-# epoch sync, or FIGO's cold-cache measurements) must drop them too
-perf.on_reset(_worker_engines.clear)
-#: content keys this worker has built an engine for at least once —
-#: distinguishes first-touch builds from invalidation-forced rebuilds.
-#: A plain set of short digests (bounded below), deliberately *not*
-#: cleared on epoch sync: post-sync rebuilds are exactly the rebuilds
-#: the counter split exists to expose.
-_worker_built_keys: set = set()
-_WORKER_BUILT_KEYS_MAX = 65536
-#: the fleet epoch this worker's warm state (engines, memo/intern
-#: tables) is current for; ``None`` only before the initializer ran
+#: the fleet epoch this worker's warm state (memo/intern tables) is
+#: current for; ``None`` only before the initializer ran
 _worker_epoch: Optional[int] = None
 
 
@@ -322,11 +252,10 @@ def _sync_epoch(epoch: int) -> None:
     """Drop all warm state when a task arrives from a newer fleet epoch.
 
     The parent bumps :func:`repro.perf.epoch` on every cache reset;
-    shipping the epoch with each task (header or chunk) lets a
-    long-lived worker notice and invalidate *everything* — cached
-    engines and the full memo/intern substrate — before touching the
-    task.  Within one epoch nothing is ever invalidated, which is
-    the whole warm-fleet bargain.
+    shipping the epoch with each task lets a long-lived worker notice
+    and invalidate *everything* — the full memo/intern substrate —
+    before touching the task.  Within one epoch nothing is ever
+    invalidated, which is the whole warm-fleet bargain.
     """
     global _worker_epoch
     if _worker_epoch == epoch:
@@ -334,45 +263,6 @@ def _sync_epoch(epoch: int) -> None:
     perf.reset_all_caches()
     _worker_epoch = epoch
     perf.bump("pipeline.executor.epoch_syncs")
-
-
-def _evict_engine_if_tainted(engine_key: str, engine) -> None:
-    """Never let a degraded engine survive into another run.
-
-    A budget-tripped task leaves conservative (tainted) summaries in the
-    engine's mutable state; under content keys a later run with a looser
-    budget would find them in ``engine.units`` and skip recomputation —
-    serving degraded rows as clean.  Evicting on taint keeps the
-    byte-identity contract: degraded state is never cached, anywhere.
-    """
-    if engine.tainted_units and _worker_engines.get(engine_key) is engine:
-        del _worker_engines[engine_key]
-
-
-def _worker_engine(header: TaskHeader):
-    engine = _worker_engines.get(header.engine_key)
-    if engine is not None and not engine.tainted_units:
-        perf.bump("pipeline.executor.reuses")
-        return engine
-    from repro.arraydf.analysis import ArrayDataflow
-    from repro.service.cache import SummaryCache
-
-    if header.engine_key in _worker_built_keys:
-        perf.bump("pipeline.executor.rebuilds")
-    else:
-        perf.bump("pipeline.executor.builds")
-        if len(_worker_built_keys) >= _WORKER_BUILT_KEYS_MAX:
-            _worker_built_keys.clear()
-        _worker_built_keys.add(header.engine_key)
-    program = pickle.loads(header.program_blob)
-    cache = (
-        SummaryCache(header.cache_root) if header.cache_root else None
-    )
-    engine = ArrayDataflow(program, header.opts, cache=cache, propagated=True)
-    while len(_worker_engines) >= _WORKER_ENGINE_MAX:
-        _worker_engines.pop(next(iter(_worker_engines)))
-    _worker_engines[header.engine_key] = engine
-    return engine
 
 
 def worker_snapshot() -> Dict:
@@ -385,19 +275,6 @@ def worker_snapshot() -> Dict:
     under-report across a sync; counters are never reset and stay exact.)
     """
     return perf.snapshot_delta(perf.snapshot(), _worker_snap_base or {})
-
-
-def dump_task(task: Dict) -> bytes:
-    """Parent-side pickling of a task payload, budget-suspended.
-
-    Symmetric to :func:`load_result`: the bytes cross the pool's queue
-    threads as an opaque blob, so no interning (and no budget
-    checkpoint) can run outside the task's own ``budget_scope``.
-    """
-    from repro.service.budgets import suspended
-
-    with suspended():
-        return pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def load_result(blob: bytes) -> Dict:
@@ -415,36 +292,6 @@ def load_result(blob: bytes) -> Dict:
 
     with suspended():
         return pickle.loads(blob)
-
-
-def run_remote_task(
-    header: TaskHeader, budget: Optional[Budget], p, unit: str, task_blob: bytes
-) -> bytes:
-    """Worker-side entry point for one distributed ``(pass, unit)`` task."""
-    from repro.linalg.fourier_motzkin import capture_fallback_warnings
-    from repro.service.budgets import budget_scope, suspended
-
-    start = time.perf_counter()
-    _sync_epoch(header.epoch)
-    engine = _worker_engine(header)
-    with suspended():
-        task = pickle.loads(task_blob)
-    with capture_fallback_warnings() as fm_warnings:
-        with budget_scope(budget):
-            with perf.phase(f"pass.{p.name}"):
-                payload = p.run_remote(engine, unit, task)
-    _evict_engine_if_tainted(header.engine_key, engine)
-    perf.enforce_memo_caps()
-    return pickle.dumps(
-        {
-            "pid": os.getpid(),
-            "payload": payload,
-            "seconds": time.perf_counter() - start,
-            "warnings": fm_warnings,
-            "snapshot": worker_snapshot(),
-        },
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
 
 
 def run_remote_chunk(
@@ -466,7 +313,8 @@ def run_remote_chunk(
     and chunks within the fleet epoch).  Ships one per-program payload
     list back: decision rows in input order, each the same shape the
     program-level cache stores, which the parent rebinds onto its own
-    parses.
+    parses, and the budget trips the program's scope recorded, which
+    the parent counts against its own scope.
     """
     from repro.linalg.fourier_motzkin import capture_fallback_warnings
     from repro.partests.driver import _decision_rows
@@ -481,8 +329,8 @@ def run_remote_chunk(
     with capture_fallback_warnings() as fm_warnings:
         for program in programs:
             start = time.perf_counter()
-            with budget_scope(budget):
-                ctx = run_pipeline(program, opts, cache=cache, jobs=1)
+            with budget_scope(budget) as scope:
+                ctx = run_pipeline(program, opts, cache=cache)
             result = ctx.get("result")
             outs.append(
                 {
@@ -495,7 +343,7 @@ def run_remote_chunk(
                         )
                         for name in ctx.unit_names()
                     ],
-                    "degraded": ctx.degraded,
+                    "trips": dict(scope.trips) if scope is not None else {},
                     "seconds": time.perf_counter() - start,
                 }
             )

@@ -88,10 +88,7 @@ class ScreenPass(Pass):
     would need the summary, so called units always summarize).
 
     Cacheable under the unit's own content key (empty callee-key list —
-    the screen never looks across calls).  Distributable: the worker
-    recomputes the screen from its rebuilt engine, which is cheaper than
-    shipping it; the skip flag stays parent-side state derived from the
-    callgraph after merge.
+    the screen never looks across calls).
     """
 
     name = "screen"
@@ -99,7 +96,6 @@ class ScreenPass(Pass):
     inputs = ("engine",)
     outputs = ("screen",)
     cacheable = True
-    distributable = True
 
     @staticmethod
     def _key(engine, unit: str) -> Optional[str]:
@@ -112,7 +108,7 @@ class ScreenPass(Pass):
 
     @staticmethod
     def _compute(engine, unit: str):
-        """Screen one unit via the engine's cache (worker or parent)."""
+        """Screen one unit via the engine's cache."""
         from repro.arraydf.screen import rebind_screen, screen_payload, screen_unit
 
         key = ScreenPass._key(engine, unit)
@@ -127,10 +123,10 @@ class ScreenPass(Pass):
             engine.cache.store(key, "screen", screen_payload(screen))
         return screen
 
-    @staticmethod
-    def _attach(ctx: ProgramContext, unit: str, screen) -> None:
-        """Derive the caller-dependent state and publish the screen."""
+    def run(self, ctx: ProgramContext, unit: Optional[str] = None) -> None:
+        assert unit is not None
         engine = ctx.engine
+        screen = self._compute(engine, unit)
         caller_free = not engine.callgraph.callers(unit)
         screen.skip_summary = screen.full_cover and caller_free
         if caller_free:
@@ -139,48 +135,15 @@ class ScreenPass(Pass):
             engine.screen_hints[unit] = frozenset(screen.independent_labels)
         ctx.put("screen", screen, unit)
 
-    def run(self, ctx: ProgramContext, unit: Optional[str] = None) -> None:
-        assert unit is not None
-        self._attach(ctx, unit, self._compute(ctx.engine, unit))
-
-    # -- process-pool protocol -----------------------------------------
-    def export_task(self, ctx: ProgramContext, unit: str) -> dict:
-        return {}
-
-    def run_remote(self, engine, unit: str, task: dict) -> dict:
-        from repro.arraydf.screen import screen_payload
-
-        return {"screen": screen_payload(self._compute(engine, unit))}
-
-    def merge_remote(self, ctx: ProgramContext, unit: str, payload: dict) -> None:
-        from repro import perf
-        from repro.arraydf.screen import rebind_screen
-
-        screen = rebind_screen(payload["screen"], unit)
-        if screen is None:
-            # same source text on both sides, so this cannot happen in
-            # practice; recompute locally (pure → identical) if it does
-            perf.bump("pipeline.executor.fallback")
-            self.run(ctx, unit=unit)
-            return
-        self._attach(ctx, unit, screen)
-
 
 class SummarizePass(Pass):
     """The array data-flow walk of one unit.
 
     Bottom-up: a unit's walk splices in its callees' summaries, declared
-    by the ``summary@callees`` input — the edge the scheduler turns into
-    the callgraph dependence structure.  With a cache attached the
-    engine loads/stores the summary under its content key; a budget trip
+    by the ``summary@callees`` input — the edge that makes the scheduler
+    run units callees first.  With a cache attached the engine
+    loads/stores the summary under its content key; a budget trip
     degrades the unit soundly (and taints it out of the cache).
-
-    Distributable: the remote task ships each direct callee's summary
-    payload (the cache projection — interned values only), its content
-    key and its taint flag; the worker hydrates those into its rebuilt
-    engine, walks the unit, and ships the unit's own payload back with
-    its taint flag, so budget degradation crosses the process boundary
-    exactly as it crosses the cache boundary.
 
     A unit the screen marked ``skip_summary`` never walks at all: its
     summary slot takes the :class:`~repro.arraydf.screen.ScreenedUnit`
@@ -195,7 +158,6 @@ class SummarizePass(Pass):
     inputs = ("engine", "screen", "summary@callees")
     outputs = ("summary",)
     cacheable = True
-    distributable = True
 
     def run(self, ctx: ProgramContext, unit: Optional[str] = None) -> None:
         assert unit is not None
@@ -207,90 +169,6 @@ class SummarizePass(Pass):
             ctx.put("summary", ScreenedUnit(unit), unit)
             return
         ctx.put("summary", ctx.engine.run_unit(unit), unit)
-
-    # -- process-pool protocol -----------------------------------------
-    def export_task(self, ctx: ProgramContext, unit: str) -> dict:
-        from repro.arraydf.analysis import _summary_payload
-
-        if ctx.get("screen", unit).skip_summary:
-            return {"screened": True}
-        engine = ctx.engine
-        callees = []
-        for c in sorted(engine.callgraph.callees(unit)):
-            payload = ctx.payload("summary", c)
-            if payload is None:
-                payload = _summary_payload(ctx.get("summary", c))
-            callees.append(
-                (
-                    c,
-                    payload,
-                    c in engine.tainted_units,
-                    engine.unit_keys.get(c),
-                )
-            )
-        # the elision decision is the parent's: it depends on who calls
-        # the unit, which the worker's task does not see
-        return {
-            "callees": callees,
-            "elide": sorted(engine.screen_hints.get(unit, ())),
-        }
-
-    def run_remote(self, engine, unit: str, task: dict) -> dict:
-        from repro import perf
-        from repro.arraydf.analysis import _summary_payload
-
-        if task.get("screened"):
-            return {"screened": True}
-        # always assign (even empty): a warm-fleet engine reused across
-        # runs must not keep a previous task's elide hints for this unit
-        engine.screen_hints[unit] = frozenset(task.get("elide") or ())
-        for name, payload, tainted, key in task["callees"]:
-            if tainted:
-                engine.tainted_units.add(name)
-            if key is not None:
-                engine.unit_keys[name] = key
-            if name in engine.units:
-                continue
-            rebound = engine._rebind_summary(payload, engine.program.units[name])
-            if rebound is None:
-                raise RuntimeError(
-                    f"summary payload for callee {name!r} failed to rebind"
-                )
-            engine.units[name] = rebound
-            perf.bump("pipeline.executor.hydrations")
-        summary = engine.run_unit(unit)
-        return {
-            "summary": _summary_payload(summary),
-            "tainted": unit in engine.tainted_units,
-            "unit_key": engine.unit_keys.get(unit),
-        }
-
-    def merge_remote(self, ctx: ProgramContext, unit: str, payload: dict) -> None:
-        from repro import perf
-
-        if payload.get("screened"):
-            from repro.arraydf.screen import ScreenedUnit
-
-            perf.bump("screen.saved_units")
-            ctx.put("summary", ScreenedUnit(unit), unit)
-            return
-        engine = ctx.engine
-        if payload["unit_key"] is not None:
-            engine.unit_keys[unit] = payload["unit_key"]
-        if payload["tainted"]:
-            engine.tainted_units.add(unit)
-        rebound = engine._rebind_summary(
-            payload["summary"], engine.program.units[unit]
-        )
-        if rebound is None:
-            # same source text on both sides, so this cannot fail in
-            # practice; recompute locally (pure → identical) if it does
-            perf.bump("pipeline.executor.fallback")
-            rebound = engine.run_unit(unit)
-        else:
-            engine.units[unit] = rebound
-        ctx.put("summary", rebound, unit)
-        ctx.stash_payload("summary", unit, payload["summary"])
 
 
 class DecidePass(Pass):
@@ -315,7 +193,6 @@ class DecidePass(Pass):
     inputs = ("engine", "screen", "summary")
     outputs = ("decisions", "decisions_degraded")
     cacheable = True
-    distributable = True
 
     @staticmethod
     def _screened_rows(engine, unit: str, screen):
@@ -362,100 +239,15 @@ class DecidePass(Pass):
         ctx.put("decisions", rows, unit)
         ctx.put("decisions_degraded", degraded, unit)
 
-    # -- process-pool protocol -----------------------------------------
-    def export_task(self, ctx: ProgramContext, unit: str) -> dict:
-        from repro.arraydf.analysis import _summary_payload
-        from repro.arraydf.screen import screen_payload
-
-        engine = ctx.engine
-        screen = ctx.get("screen", unit)
-        if screen.skip_summary:
-            # ship the rows themselves: the skip decision is the
-            # parent's, made after merging every unit's screen
-            return {"screened": True, "screen": screen_payload(screen)}
-        payload = ctx.payload("summary", unit)
-        if payload is None:
-            payload = _summary_payload(ctx.get("summary", unit))
-        # ship the parent's screen rows: worker decisions must fast-path
-        # exactly the loops the parent screened (identical by contract,
-        # and elided summaries carry no projected values to decide from)
-        return {
-            "summary": payload,
-            "tainted": unit in engine.tainted_units,
-            "unit_key": engine.unit_keys.get(unit),
-            "screen": screen_payload(screen),
-        }
-
-    def run_remote(self, engine, unit: str, task: dict) -> dict:
-        from repro import perf
-        from repro.arraydf.screen import rebind_screen
-        from repro.partests.driver import _decision_rows, decide_unit
-
-        screen = rebind_screen(task["screen"], unit)
-        if screen is None:
-            raise RuntimeError(
-                f"screen payload for unit {unit!r} failed to rebind"
-            )
-        if task.get("screened"):
-            rows = self._screened_rows(engine, unit, screen)
-            return {"decisions": _decision_rows(rows), "degraded": False}
-        if task["unit_key"] is not None:
-            engine.unit_keys[unit] = task["unit_key"]
-        if task["tainted"]:
-            engine.tainted_units.add(unit)
-        summary = engine.units.get(unit)
-        if summary is None:
-            summary = engine._rebind_summary(
-                task["summary"], engine.program.units[unit]
-            )
-            if summary is None:
-                raise RuntimeError(
-                    f"summary payload for unit {unit!r} failed to rebind"
-                )
-            engine.units[unit] = summary
-            perf.bump("pipeline.executor.hydrations")
-        rows, degraded = decide_unit(
-            engine,
-            unit,
-            summary,
-            engine.symtabs[unit],
-            engine.opts,
-            engine.cache,
-            screen=screen,
-        )
-        return {"decisions": _decision_rows(rows), "degraded": degraded}
-
-    def merge_remote(self, ctx: ProgramContext, unit: str, payload: dict) -> None:
-        from repro import perf
-        from repro.arraydf.screen import ScreenedUnit
-        from repro.partests.driver import _rebind_decisions
-
-        summary = ctx.get("summary", unit)
-        if isinstance(summary, ScreenedUnit):
-            screen = ctx.get("screen", unit)
-            ctx.put(
-                "decisions", self._screened_rows(ctx.engine, unit, screen), unit
-            )
-            ctx.put("decisions_degraded", False, unit)
-            return
-        rows = _rebind_decisions(payload["decisions"], summary, unit)
-        if rows is None:
-            # cannot fail for same-parse payloads; recompute locally
-            perf.bump("pipeline.executor.fallback")
-            self.run(ctx, unit=unit)
-            return
-        ctx.put("decisions", rows, unit)
-        ctx.put("decisions_degraded", payload["degraded"], unit)
-
 
 class EnclosePass(Pass):
     """Assemble the :class:`~repro.partests.driver.ProgramResult`.
 
     The deterministic merge point: per-unit decisions are concatenated
-    in program (parse) order — never in completion order — so the
-    result is byte-identical for any worker count.  Loops nested inside
-    a parallelized loop are flagged ``enclosed`` here because the
-    marking needs every unit's decisions at once.
+    in program (parse) order, not in the bottom-up order the units ran
+    in.  Loops nested inside a parallelized loop are flagged
+    ``enclosed`` here because the marking needs every unit's decisions
+    at once.
     """
 
     name = "enclose"

@@ -16,8 +16,9 @@ kinds exist:
 
 ``experiment``
     The body names a paper table/figure (``which`` ∈ fig1 / tab1 / tab2
-    / tab3 / figs / figo) plus an optional per-job ``jobs`` fan-out; the
-    response carries the formatted text the CLI would print.
+    / tab3 / figs / figo) plus an optional per-job ``jobs`` fan-out,
+    clamped to ``1..os.cpu_count()``; the response carries the formatted
+    text the CLI would print.
 
 :func:`execute_job` never raises: a bad request becomes an ``"ok":
 false`` response (and a *failed* receipt) — one poisoned job never
@@ -28,6 +29,7 @@ degradation and cost.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from typing import Dict, Optional, Tuple
@@ -109,7 +111,7 @@ def run_analyze(body: Dict) -> Tuple[Dict, Dict]:
     The response dict is the pinned JSON-lines wire format (see
     :mod:`repro.service.server`); *extras* carries what the receipt
     needs beyond the response (parsed program, options, budget, trips).
-    The pipeline runs in the calling worker thread (``jobs=1``).
+    The pipeline runs in the calling worker thread.
     """
     rid = body.get("id")
     extras: Dict = {
@@ -191,7 +193,9 @@ def run_experiment(body: Dict) -> Tuple[Dict, Dict]:
                 f"(use one of {', '.join(EXPERIMENTS)})"
             )
         extras["which"] = which
-        jobs = int(body.get("jobs", 1))
+        # the pool forks all its workers at the first submit: never more
+        # than the host has cores, whatever the request asks for
+        jobs = min(max(1, int(body.get("jobs", 1))), os.cpu_count() or 1)
         budget = Budget.from_dict(body.get("budget"))
         extras["budget"] = budget
         with budget_scope(budget) as scope:

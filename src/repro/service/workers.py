@@ -10,7 +10,7 @@ via :meth:`~repro.service.queue.JobQueue.finish`.
 Worker threads are where the thread-local budget design pays off: every
 job activates *its own* budget scope in its worker's thread, so a fleet
 runs many budgeted jobs concurrently without one job's spend metering
-another's.  Each job's pipeline runs in its worker thread (``jobs=1``).
+another's.  Each job's pipeline runs in its worker thread.
 All workers share the process-wide summary cache — a long-lived fleet
 warms it monotonically.
 

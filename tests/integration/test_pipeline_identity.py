@@ -1,7 +1,7 @@
-"""Byte-identity of the pass pipeline across schedules.
+"""Byte-identity of the pass pipeline across job counts.
 
-A pooled schedule (``jobs > 1``: unit tasks on worker processes) must
-match the serial one byte for byte — wall-clock timing lines excluded,
+A pooled batch (``jobs > 1``: whole programs on worker processes) must
+match a serial run byte for byte — wall-clock timing lines excluded,
 everything else pinned.  The experiment tables themselves are pinned
 against a committed expected file by
 ``tests/experiments/test_golden_tables.py``.
@@ -15,7 +15,9 @@ import warnings
 
 from repro import perf
 from repro.arraydf.options import AnalysisOptions
+from repro.codegen.plan import build_plan
 from repro.codegen.report import format_report
+from repro.codegen.twoversion import transform_program
 from repro.lang.prettyprint import pretty
 from repro.pipeline import run_pipeline, run_pipeline_batch
 from repro.service import Budget, budget_scope
@@ -25,55 +27,69 @@ from repro.suites import all_programs, get_program
 _TIMING = re.compile(r"analysis: [0-9.]+ ms")
 
 
-def _outputs(program, jobs):
-    ctx = run_pipeline(
-        program,
-        AnalysisOptions.predicated(),
-        jobs=jobs,
-        goals=("result", "transformed"),
-    )
-    report = _TIMING.sub(
-        "analysis: - ms", format_report(ctx.get("result"), title="t")
-    )
-    return report, pretty(ctx.get("transformed"))
+def _report(result):
+    return _TIMING.sub("analysis: - ms", format_report(result, title="t"))
 
 
 def _serial(benches):
-    return [_outputs(b.fresh_program(), jobs=1) for b in benches]
+    """Report and two-version source of each program, run in process."""
+    out = []
+    for bench in benches:
+        ctx = run_pipeline(
+            bench.fresh_program(),
+            AnalysisOptions.predicated(),
+            goals=("result", "transformed"),
+        )
+        out.append((_report(ctx.get("result")), pretty(ctx.get("transformed"))))
+    return out
+
+
+def _batch(benches, jobs):
+    """The same, from a batch: the two-version source is built from each
+    rebound result as the plan and twoversion passes would."""
+    programs = [b.fresh_program() for b in benches]
+    results = run_pipeline_batch(
+        programs, AnalysisOptions.predicated(), jobs=jobs
+    )
+    return [
+        (_report(r), pretty(transform_program(p, build_plan(r))))
+        for p, r in zip(programs, results)
+    ]
 
 
 class TestParallelVsSerial:
     def test_every_suite_program_identical_any_job_count(self):
         benches = all_programs()
-        for bench, expected in zip(benches, _serial(benches)):
-            got = _outputs(bench.fresh_program(), jobs=4)
+        for bench, expected, got in zip(
+            benches, _serial(benches), _batch(benches, jobs=4)
+        ):
             assert got == expected, bench.name
 
 
 class TestProcessExecutorIdentity:
     """The pool is invisible in every artifact.
 
-    At ``jobs > 1`` workers rebuild the substrate per process and ship
-    payloads back as pickled projections; the parent rebinds them in
-    deterministic parse order, so the report and the transformed source
-    must match the serial schedule byte for byte.  ``run_pipeline_batch``
-    ships whole programs in chunks and rebinds their rows in input order.
+    ``run_pipeline_batch`` ships whole programs to pool workers in
+    chunks; the parent rebinds their decision rows onto its own parses
+    in input order, so the report and the transformed source must match
+    a serial run byte for byte.
     """
 
     def test_every_suite_program_identical_under_process_pool(self):
         benches = all_programs()
-        for bench, expected in zip(benches, _serial(benches)):
-            got = _outputs(bench.fresh_program(), jobs=2)
+        for bench, expected, got in zip(
+            benches, _serial(benches), _batch(benches, jobs=2)
+        ):
             assert got == expected, bench.name
 
     def test_multi_unit_programs_identical_at_any_job_count(self):
         benches = [get_program(name) for name in ("applu", "turb3d")]
-        for bench, expected in zip(benches, _serial(benches)):
-            for jobs in (2, 4):
-                perf.reset_counters()
-                got = _outputs(bench.fresh_program(), jobs=jobs)
-                assert perf.counter("pipeline.executor.tasks") > 0
-                assert got == expected, (bench.name, jobs)
+        expected = _serial(benches)
+        for jobs in (2, 4):
+            perf.reset_counters()
+            got = _batch(benches, jobs=jobs)
+            assert perf.counter("pipeline.executor.tasks") > 0
+            assert got == expected, jobs
 
     def test_batch_matches_serial_loop(self):
         benches = all_programs()[:8]
@@ -101,15 +117,12 @@ class TestBudgetDegradationThroughPipeline:
     def _statuses(self, result):
         return {l.label: l.status for l in result.loops}
 
-    def _run(self, program, budget=None, cache=None, jobs=1):
+    def _run(self, program, budget=None, cache=None):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with budget_scope(budget):
                 ctx = run_pipeline(
-                    program,
-                    AnalysisOptions.predicated(),
-                    cache=cache,
-                    jobs=jobs,
+                    program, AnalysisOptions.predicated(), cache=cache
                 )
         return ctx
 
@@ -119,9 +132,7 @@ class TestBudgetDegradationThroughPipeline:
         before = perf.counter("budget.degraded_unit") + perf.counter(
             "budget.degraded_loop"
         )
-        ctx = self._run(
-            bench.fresh_program(), Budget(max_fm_constraints=1), jobs=2
-        )
+        ctx = self._run(bench.fresh_program(), Budget(max_fm_constraints=1))
         tripped = (
             perf.counter("budget.degraded_unit")
             + perf.counter("budget.degraded_loop")
@@ -142,11 +153,20 @@ class TestBudgetDegradationThroughPipeline:
         perf.reset_all_caches()
         cache = SummaryCache(tmp_path / "c")
         bench = all_programs()[0]
+        # on pool workers (two chunks) as in process
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with budget_scope(Budget(max_fm_constraints=1)) as scope:
+                run_pipeline_batch(
+                    [bench.fresh_program(), bench.fresh_program()],
+                    AnalysisOptions.predicated(),
+                    cache=cache,
+                    jobs=2,
+                    chunk=1,
+                )
+        assert scope.degraded, "budget never tripped — test is vacuous"
         self._run(
-            bench.fresh_program(),
-            Budget(max_fm_constraints=1),
-            cache=cache,
-            jobs=2,
+            bench.fresh_program(), Budget(max_fm_constraints=1), cache=cache
         )
         # the budget-independent screen rows may be stored; the degraded
         # analysis artifacts (summaries, decisions) must not be

@@ -136,14 +136,11 @@ def test_job_system_namespaces_are_documented(registry):
 
 
 def test_warm_fleet_namespaces_are_documented(registry):
-    """The PR-10 names: warm-fleet lifecycle counters, batch chunking,
-    queue batch submits and the perf layer's own events."""
+    """The warm-fleet names: epoch syncs, batch chunking, queue batch
+    submits and the perf layer's own events."""
     prefixes = _documented_prefixes()
     assert "perf" in prefixes
     for name in (
-        "pipeline.executor.builds",
-        "pipeline.executor.rebuilds",
-        "pipeline.executor.reuses",
         "pipeline.executor.epoch_syncs",
         "pipeline.executor.chunks",
         "pipeline.executor.batch_programs",

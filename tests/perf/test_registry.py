@@ -52,8 +52,8 @@ class TestCacheRegistryCompleteness:
         """The scan actually catches a rogue table (meta-test)."""
         rogue = perf.Memo("rogue")  # deliberately bypasses memo_table
         assert perf.tracked_cache(rogue) is None
-        assert perf.tracked_cache(perf.memo_table("pipeline.schedule")) == (
-            "pipeline.schedule",
+        assert perf.tracked_cache(perf.memo_table("summary.union")) == (
+            "summary.union",
             "memo",
         )
 
@@ -77,16 +77,3 @@ class TestCacheRegistryCompleteness:
         assert analyzed.cache_info().currsize > 0
         perf.reset_all_caches()
         assert analyzed.cache_info().currsize == 0
-
-    def test_pipeline_schedule_memo_clears_on_reset(self):
-        from repro.arraydf.options import AnalysisOptions
-        from repro.pipeline import run_pipeline
-        from repro.pipeline.manager import _schedule_memo
-        from repro.suites import get_program
-
-        run_pipeline(
-            get_program("swim").fresh_program(), AnalysisOptions.predicated()
-        )
-        assert len(_schedule_memo.data) > 0
-        perf.reset_all_caches()
-        assert len(_schedule_memo.data) == 0

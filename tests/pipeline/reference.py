@@ -30,8 +30,8 @@ def unscreened() -> Iterator[None]:
     """Run the analysis without the screen inside the block.
 
     Caches are reset on entry and exit: screen rows cached on one side
-    never serve the other, and the process pool is torn down, so
-    ``jobs > 1`` workers fork with the empty screen in place.
+    never serve the other, and the process pool is torn down, so pool
+    workers fork with the empty screen in place.
     """
     saved = ScreenPass.__dict__["_compute"]
     perf.reset_all_caches()

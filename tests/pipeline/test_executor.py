@@ -1,12 +1,12 @@
 """The executor layer: job-count selection, process pool, invisibility.
 
-``jobs`` alone picks where work runs: 1 in-process, more on the shared
-process pool.  The pool must be *invisible*: for any suite program, the
-job count may change where tasks run but never what they produce —
-including how budget exhaustion degrades the answer.
+``jobs`` alone picks where a batch runs: 1 in-process, more on the
+shared process pool.  The pool must be *invisible*: for any suite
+program, the job count may change where a program is analyzed but never
+what comes out — including how budget exhaustion degrades the answer
+and what the caller's budget scope records.
 """
 
-import hashlib
 import random
 import threading
 import time
@@ -17,7 +17,6 @@ import pytest
 
 from repro import perf
 from repro.arraydf.options import AnalysisOptions
-from repro.lang.parser import parse_program
 from repro.linalg.fourier_motzkin import (
     _note_fallback,
     capture_fallback_warnings,
@@ -25,7 +24,6 @@ from repro.linalg.fourier_motzkin import (
 )
 from repro.pipeline import run_pipeline, run_pipeline_batch
 from repro.pipeline import executor as pexec
-from repro.pipeline.passes import SummarizePass
 from repro.service.budgets import Budget, budget_scope
 from repro.suites import all_programs, get_program
 
@@ -57,51 +55,13 @@ def _rows_of(result):
     ]
 
 
-def _rows(ctx):
-    return _rows_of(ctx.get("result"))
-
-
-SRC = """
-program main
-  integer n
-  real a(100)
-  read n
-  call work(a, n)
-end
-subroutine work(x, m)
-  integer m
-  real x(100)
-  do i = 1, m
-    x(i) = 0.0
-  enddo
-end
-"""
-
-
 class TestPool:
-    def test_multi_unit_program_ships_tasks_to_the_pool(self):
-        """``jobs=2`` on a multi-unit suite program runs its unit tasks
-        on pool processes, with the rows of the serial run."""
-        bench = get_program("applu")
-        serial = run_pipeline(bench.fresh_program(), jobs=1)
-        perf.reset_all_caches()
-        perf.reset_counters()
-        pooled = run_pipeline(bench.fresh_program(), jobs=2, explain=True)
-        assert perf.counter("pipeline.executor.tasks") > 0
-        workers = {
-            r["worker"]
-            for r in pooled.explain["schedule"]
-            if r.get("unit") is not None
-        }
-        assert workers and all(w.startswith("proc-") for w in workers)
-        assert _rows(pooled) == _rows(serial)
-
     def test_threads_with_different_job_counts_take_turns(self):
         """A second fleet-style thread sizing the one pool differently
         must wait for the first, not cancel its tasks by resizing."""
         benches = all_programs()
         expected = [
-            _rows_of(run_pipeline(b.fresh_program(), jobs=1).get("result"))
+            _rows_of(run_pipeline(b.fresh_program()).get("result"))
             for b in benches
         ]
         perf.reset_all_caches()
@@ -160,23 +120,6 @@ class TestPool:
         assert got["figo"][got["figo"].index("FIGO-b"):] in golden
 
 
-class TestFallback:
-    def test_non_distributable_region_falls_back_to_serial(
-        self, monkeypatch
-    ):
-        """A unit-scope region containing any non-distributable pass
-        runs serially and counts the fallback."""
-        monkeypatch.setattr(SummarizePass, "distributable", False)
-        before = perf.counter("pipeline.executor.fallback")
-        tasks = perf.counter("pipeline.executor.tasks")
-        ctx = run_pipeline(
-            parse_program(SRC), AnalysisOptions.predicated(), jobs=2
-        )
-        assert perf.counter("pipeline.executor.fallback") > before
-        assert perf.counter("pipeline.executor.tasks") == tasks
-        assert [l.label for l in ctx.get("result").loops] == ["work:L1"]
-
-
 class TestWarningPlumbing:
     def test_capture_collects_instead_of_warning(self):
         perf.reset_all_caches()
@@ -214,33 +157,41 @@ class TestExecutorInvisibility:
     #: serial, and the process pool at two sizes
     JOBS = (1, 2, 4)
 
-    def _result_hash(self, bench, jobs, budget=None):
-        """A hash over everything ``--profile`` makes visible about the
-        result: per-loop decisions plus the degradation flag."""
+    def _outcome(self, benches, jobs, budget=None):
+        """Everything visible about a batch: per-loop decisions, and
+        whether the caller's budget scope degraded and which kinds of
+        trip it recorded."""
         perf.reset_all_caches()  # identical memo warmth for every run
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            with budget_scope(budget):
-                ctx = run_pipeline(
-                    bench.fresh_program(),
+            with budget_scope(budget) as scope:
+                results = run_pipeline_batch(
+                    [b.fresh_program() for b in benches],
                     AnalysisOptions.predicated(),
                     jobs=jobs,
+                    chunk=1,
                 )
-        blob = repr((_rows(ctx), ctx.degraded)).encode()
-        return hashlib.sha256(blob).hexdigest()
+        return (
+            [_rows_of(r) for r in results],
+            scope is not None and scope.degraded,
+            sorted(scope.trips) if scope is not None else [],
+        )
 
     def test_unbudgeted_results_identical_across_combos(self):
         rng = random.Random(20260808)
-        for bench in rng.sample(all_programs(), 4):
-            hashes = {self._result_hash(bench, jobs) for jobs in self.JOBS}
-            assert len(hashes) == 1, bench.name
+        benches = rng.sample(all_programs(), 4)
+        serial = self._outcome(benches, 1)
+        for jobs in self.JOBS[1:]:
+            assert self._outcome(benches, jobs) == serial, jobs
 
     def test_budget_degradation_identical_across_combos(self):
         """Exhaustion under a tight op budget degrades the same loops
-        to the same statuses no matter where the tasks ran."""
-        for bench in (all_programs()[0], get_program("applu")):
-            hashes = {
-                jobs: self._result_hash(bench, jobs, budget=Budget(max_ops=1))
-                for jobs in self.JOBS
-            }
-            assert len(set(hashes.values())) == 1, (bench.name, hashes)
+        to the same statuses no matter where the programs ran, and the
+        trips of pool workers reach the caller's scope, so a pooled
+        batch reports itself degraded as a serial one does."""
+        benches = [all_programs()[0], get_program("applu")]
+        budget = Budget(max_ops=1)
+        serial = self._outcome(benches, 1, budget)
+        assert serial[1], "budget never tripped — test is vacuous"
+        for jobs in self.JOBS[1:]:
+            assert self._outcome(benches, jobs, budget) == serial, jobs

@@ -1,7 +1,4 @@
-"""PassManager scheduling: wiring, pruning, dependence order, parallelism."""
-
-import threading
-import time
+"""PassManager scheduling: wiring, pruning, dependence order."""
 
 import pytest
 
@@ -14,9 +11,10 @@ from repro.pipeline import (
     ProgramContext,
     analysis_passes,
     run_pipeline,
+    run_pipeline_batch,
 )
 from repro.pipeline.base import PROGRAM_SCOPE, UNIT_SCOPE, Pass
-from repro.pipeline.manager import _build_region_schedule
+from repro.pipeline.passes import DecidePass, ScreenPass, SummarizePass
 
 # main calls left and right; left calls leaf — two independent subtrees
 # below main ({left, leaf} and {right})
@@ -61,42 +59,28 @@ class _Record(Pass):
         self.log = log
 
     def run(self, ctx, unit=None):
-        self.log.append((self.name, unit, threading.current_thread().name))
+        self.log.append((self.name, unit))
         for out in self.outputs:
             ctx.put(out, f"{out}:{unit}", unit)
 
 
 class _Boom(Pass):
-    """A unit pass that fails on leaf and on right, with the pool
-    protocol so ``jobs > 1`` ships it.  leaf comes first in schedule
-    order but fails last in time."""
+    """A unit pass that fails on leaf and on right; leaf comes first in
+    the bottom-up order."""
 
     name = "boom"
     scope = UNIT_SCOPE
     inputs = ("engine",)
     outputs = ("junk",)
-    distributable = True
 
-    @staticmethod
-    def _work(unit):
-        if unit == "leaf":
-            time.sleep(0.2)
-            raise RuntimeError("boom:leaf")
-        if unit == "right":
-            raise RuntimeError("boom:right")
-        return unit
+    def __init__(self):
+        self.ran = []
 
     def run(self, ctx, unit=None):
-        ctx.put("junk", unit, self._work(unit))
-
-    def export_task(self, ctx, unit):
-        return {}
-
-    def run_remote(self, engine, unit, task):
-        return self._work(unit)
-
-    def merge_remote(self, ctx, unit, payload):
-        ctx.put("junk", unit, payload)
+        self.ran.append(unit)
+        if unit in ("leaf", "right"):
+            raise RuntimeError(f"boom:{unit}")
+        ctx.put("junk", unit, unit)
 
 
 def _ctx(src=SRC, **kw):
@@ -141,110 +125,73 @@ class TestWiring:
 
 
 class TestRegionSchedule:
-    PASSES = analysis_passes()
+    """Unit-scope passes run pass-major, units bottom-up."""
 
-    def _schedule(self):
-        ctx = _ctx()
-        units = ("main", "left", "leaf", "right")
-        edges = (("left", "leaf"), ("main", "left"), ("main", "right"))
-        region = tuple(p for p in self.PASSES if p.scope == UNIT_SCOPE)
-        return _build_region_schedule(units, edges, region)
+    CALLEES = {"main": ("left", "right"), "left": ("leaf",)}
+
+    def _order(self):
+        ctx = run_pipeline(
+            parse_program(SRC), AnalysisOptions.predicated(), explain=True
+        )
+        return [
+            (r["pass"], r["unit"])
+            for r in ctx.explain["schedule"]
+            if r["unit"] is not None
+        ]
 
     def test_screen_tasks_are_dependence_free(self):
-        sched = self._schedule()
-        # region pass 0 = screen: per-unit syntax, no callee coupling
-        deps = sched["deps"]
-        for unit in ("main", "left", "leaf", "right"):
-            assert deps[(0, unit)] == ()
+        # per-unit syntax: no input from another unit-scope pass, no
+        # callee input, so every unit's screen runs first
+        assert ScreenPass.inputs == ("engine",)
+        order = self._order()
+        assert [p for p, _u in order[:4]] == ["screen"] * 4
 
     def test_summarize_waits_for_screen_and_callees_only(self):
-        sched = self._schedule()
-        # region pass 1 = summarize
-        deps = sched["deps"]
-        assert deps[(1, "leaf")] == ((0, "leaf"),)
-        assert deps[(1, "right")] == ((0, "right"),)
-        assert set(deps[(1, "left")]) == {(0, "left"), (1, "leaf")}
-        assert set(deps[(1, "main")]) == {
-            (0, "main"),
-            (1, "left"),
-            (1, "right"),
-        }
+        assert SummarizePass.inputs == ("engine", "screen", "summary@callees")
+        order = self._order()
+        for unit in ("main", "left", "leaf", "right"):
+            at = order.index(("summarize", unit))
+            assert order.index(("screen", unit)) < at
+            for callee in self.CALLEES.get(unit, ()):
+                assert order.index(("summarize", callee)) < at
 
     def test_decide_depends_on_own_screen_and_summary_only(self):
-        sched = self._schedule()
-        # region pass 2 = decide
+        assert DecidePass.inputs == ("engine", "screen", "summary")
+        order = self._order()
         for unit in ("main", "left", "leaf", "right"):
-            assert sched["deps"][(2, unit)] == ((0, unit), (1, unit))
-
-    def test_waves_expose_parallelism(self):
-        sched = self._schedule()
-        wave = sched["wave"]
-        # every screen fires immediately
-        assert all(wave[(0, u)] == 0 for u in ("main", "left", "leaf", "right"))
-        # leaf and right are independent roots: same summarize wave
-        assert wave[(1, "leaf")] == wave[(1, "right")] == 1
-        assert wave[(1, "left")] == 2
-        assert wave[(1, "main")] == 3
-        # decide rides one wave behind its summarize
-        assert wave[(2, "right")] == 2
+            at = order.index(("decide", unit))
+            assert order.index(("screen", unit)) < at
+            assert order.index(("summarize", unit)) < at
 
     def test_serial_task_order_is_pass_major_bottom_up(self):
-        sched = self._schedule()
-        tasks = sched["tasks"]
-        summarize_units = [u for i, u in tasks if i == 1]
-        # bottom-up: leaf before left before main
-        assert summarize_units.index("leaf") < summarize_units.index("left")
-        assert summarize_units.index("left") < summarize_units.index("main")
-        # pass-major: all screen before any summarize before any decide
-        assert tasks.index((1, "leaf")) > tasks.index((0, "main"))
-        assert tasks.index((2, "leaf")) > tasks.index((1, "main"))
-
-    def test_schedule_is_memoized(self):
-        perf.reset_all_caches()
-        from repro.pipeline.manager import _schedule_memo
-
-        run_pipeline(parse_program(SRC), AnalysisOptions.predicated())
-        misses = _schedule_memo.misses
-        run_pipeline(parse_program(SRC), AnalysisOptions.predicated())
-        assert _schedule_memo.misses == misses  # second run hits
-        assert _schedule_memo.hits > 0
+        bottom_up = ["leaf", "left", "right", "main"]
+        assert self._order() == [
+            (p, u) for p in ("screen", "summarize", "decide") for u in bottom_up
+        ]
 
 
 class TestParallelExecution:
-    def test_parallel_respects_dependences(self):
-        """Under many workers, every callee summary still lands before
-        its caller's walk starts (run repeatedly to shake races)."""
-        for _ in range(5):
-            ctx = run_pipeline(
-                parse_program(SRC), AnalysisOptions.predicated(), jobs=4
-            )
-            assert sorted(l.label for l in ctx.get("result").loops) == [
-                "leaf:L1",
-                "right:L1",
-            ]
-
-    def test_parallel_uses_worker_processes(self):
-        ctx = run_pipeline(
-            parse_program(SRC),
-            AnalysisOptions.predicated(),
-            jobs=4,
-            explain=True,
-        )
-        workers = {
-            r["worker"]
-            for r in ctx.explain["schedule"]
-            if r.get("unit") is not None
-        }
-        assert workers and all(w.startswith("proc-") for w in workers)
-
     def test_pass_failure_propagates_deterministically(self):
-        """The failure first in schedule order is raised, serially and
-        on the pool, where right fails before leaf does."""
-        passes = list(analysis_passes())[:2] + [_Boom()]
-        for jobs in (1, 4):
+        """The failure first in schedule order is raised: within one
+        program, the first unit in bottom-up order, after which nothing
+        runs; across a batch, the first failing program in input order,
+        serially and on the pool."""
+        boom = _Boom()
+        passes = list(analysis_passes())[:2] + [boom]
+        with pytest.raises(RuntimeError, match="boom:leaf"):
+            PassManager(passes).run(_ctx())
+        assert boom.ran == ["leaf"]
+
+        def batch():
+            programs = [parse_program(SRC) for _ in range(4)]
+            del programs[1].units["leaf"]  # left calls the missing leaf
+            del programs[3].units["right"]  # main calls the missing right
+            return programs
+
+        for jobs in (1, 2):
             perf.reset_counters()
-            with pytest.raises(RuntimeError, match="boom:leaf"):
-                PassManager(passes).run(_ctx(), jobs=jobs)
+            with pytest.raises(KeyError, match="leaf"):
+                run_pipeline_batch(batch(), jobs=jobs, chunk=1)
             shipped = perf.counter("pipeline.executor.tasks")
             assert (shipped > 0) == (jobs > 1)
 
@@ -254,12 +201,17 @@ class TestExplain:
         ctx = run_pipeline(
             parse_program(SRC),
             AnalysisOptions.predicated(),
-            jobs=2,
             goals=("transformed",),
             explain=True,
         )
         ex = ctx.explain
-        assert ex["jobs"] == 2
+        assert set(ex) == {
+            "units",
+            "callgraph",
+            "passes",
+            "schedule",
+            "pass_seconds",
+        }
         assert ex["units"] == ["main", "left", "leaf", "right"]
         assert ["left", "leaf"] in [
             sorted(e, reverse=True) for e in ex["callgraph"]
@@ -275,16 +227,11 @@ class TestExplain:
             "plan",
             "twoversion",
         ]
-        assert all("seconds" in r for r in ex["schedule"] if not r.get("skipped"))
+        for r in ex["schedule"]:
+            assert set(r) == {"pass", "unit", "start", "seconds"}
         assert ex["pass_seconds"].keys() == set(names)
-        # first wave holds every unit's screen (all dependence-free)
-        first_wave = {tuple(t) for t in ex["waves"][0]}
-        assert ("screen", "leaf") in first_wave
-        assert ("screen", "right") in first_wave
-        # the independent subtree roots summarize in the next wave
-        second_wave = {tuple(t) for t in ex["waves"][1]}
-        assert ("summarize", "leaf") in second_wave
-        assert ("summarize", "right") in second_wave
+        # one task per program-scope pass, one per unit for unit scope
+        assert len(ex["schedule"]) == 5 + 3 * 4
 
     def test_explain_off_by_default(self):
         ctx = run_pipeline(parse_program(SRC), AnalysisOptions.predicated())

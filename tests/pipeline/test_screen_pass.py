@@ -11,8 +11,8 @@ tests:
   recompute the projected value on demand and gets exactly what the
   unscreened walk produces;
 * both paths are invisible in the results — screened and unscreened
-  (``tests/pipeline/reference.py``), cold and warm cache, serial and
-  pooled schedules all agree.
+  (``tests/pipeline/reference.py``), cold and warm cache, serial runs
+  and pooled batches all agree.
 """
 
 from contextlib import nullcontext
@@ -22,7 +22,7 @@ from repro.arraydf.analysis import reproject_loop
 from repro.arraydf.options import AnalysisOptions
 from repro.arraydf.screen import ScreenedUnit
 from repro.lang.parser import parse_program
-from repro.pipeline import run_pipeline
+from repro.pipeline import run_pipeline, run_pipeline_batch
 from repro.service.cache import SummaryCache
 from repro.suites import get_program
 
@@ -60,11 +60,15 @@ end
 OPTS = AnalysisOptions.predicated()
 
 
-def _rows(ctx):
+def _result_rows(result):
     return [
         (l.label, l.status, str(l.condition), l.reason, l.enclosed)
-        for l in ctx.get("result").loops
+        for l in result.loops
     ]
+
+
+def _rows(ctx):
+    return _result_rows(ctx.get("result"))
 
 
 def _run(program, screen_on, **kw):
@@ -173,11 +177,14 @@ class TestWarmAndExecutors:
         assert warm == cold
 
     def test_pool_agrees_with_serial(self):
-        serial = _rows(
-            _run(parse_program(SKIP_SRC), True, jobs=1, goals=("result",))
-        )
+        """Pool workers screen (and skip) exactly as the parent does."""
+        serial = _rows(_run(parse_program(SKIP_SRC), True, goals=("result",)))
         for jobs in (2, 4):
-            pooled = _rows(
-                _run(parse_program(SKIP_SRC), True, jobs=jobs, goals=("result",))
+            perf.reset_all_caches()
+            pooled = run_pipeline_batch(
+                [parse_program(SKIP_SRC), parse_program(SKIP_SRC)],
+                OPTS,
+                jobs=jobs,
+                chunk=1,
             )
-            assert pooled == serial, jobs
+            assert [_result_rows(r) for r in pooled] == [serial, serial], jobs

@@ -1,14 +1,13 @@
-"""The warm fleet: content keys, epoch invalidation, taint eviction.
+"""The warm fleet: epoch invalidation and batch chunking.
 
-Pool workers keep their engines and memo tables alive across runs
-within a *fleet epoch* (``docs/EXECUTION.md`` §7).  The contract
-under test:
+Pool workers keep their memo and intern tables alive across batch
+chunks within a *fleet epoch* (``docs/EXECUTION.md`` §7).  The
+contract under test:
 
-* engine keys are pure content hashes of (program, options, cache
-  root);
 * every cache reset bumps the epoch, and a worker seeing a newer epoch
   drops *all* warm state before touching the task;
-* a degraded (budget-tainted) engine never survives into another run;
+* a degraded (budget-tripped) run never leaves anything behind that a
+  later run could serve as clean;
 * none of which may change any analysis answer, for any job count,
   chunking, or budget.
 """
@@ -20,11 +19,7 @@ import pytest
 
 from repro import perf
 from repro.arraydf.options import AnalysisOptions
-from repro.pipeline import (
-    resolve_batch_chunk,
-    run_pipeline,
-    run_pipeline_batch,
-)
+from repro.pipeline import resolve_batch_chunk, run_pipeline_batch
 from repro.pipeline import executor as pexec
 from repro.service.budgets import Budget, budget_scope
 from repro.suites import all_programs, get_program
@@ -33,8 +28,6 @@ from repro.suites import all_programs, get_program
 @pytest.fixture(autouse=True)
 def _restore_state():
     yield
-    pexec._worker_engines.clear()
-    pexec._worker_built_keys.clear()
     pexec._worker_epoch = None
 
 
@@ -44,35 +37,6 @@ def _bench(i=0):
 
 def _opts():
     return AnalysisOptions.predicated()
-
-
-# ----------------------------------------------------------------------
-# engine keys
-# ----------------------------------------------------------------------
-class TestEngineKeys:
-    def test_warm_keys_are_stable_content_hashes(self):
-        p = _bench().fresh_program()
-        h1 = pexec.make_header(p, _opts(), None)
-        h2 = pexec.make_header(p, _opts(), None)
-        assert h1.engine_key == h2.engine_key
-        assert len(h1.engine_key) == 24
-        int(h1.engine_key, 16)  # pure hex: no nonce suffix
-
-    def test_warm_keys_separate_distinct_inputs(self):
-        p, q = _bench(0).fresh_program(), _bench(1).fresh_program()
-        keys = {
-            pexec.make_header(p, _opts(), None).engine_key,
-            pexec.make_header(q, _opts(), None).engine_key,
-            pexec.make_header(p, AnalysisOptions.base(), None).engine_key,
-        }
-        assert len(keys) == 3
-
-    def test_header_carries_the_current_epoch(self):
-        p = _bench().fresh_program()
-        before = perf.epoch()
-        assert pexec.make_header(p, _opts(), None).epoch == before
-        perf.bump_epoch()
-        assert pexec.make_header(p, _opts(), None).epoch == before + 1
 
 
 # ----------------------------------------------------------------------
@@ -92,68 +56,32 @@ class TestEpochBumps:
 
 
 # ----------------------------------------------------------------------
-# worker-side reuse / rebuild / eviction (functions called in-process:
-# the worker entry points are plain functions, so this is deterministic
-# where a live pool's task routing is not)
+# worker-side epoch sync (called in-process: the worker entry points are
+# plain functions, so this is deterministic where a live pool's task
+# routing is not)
 # ----------------------------------------------------------------------
-class TestWorkerEngineLifecycle:
-    def _header(self):
-        return pexec.make_header(_bench().fresh_program(), _opts(), None)
+class TestWorkerEpochSync:
+    def _warm(self):
+        run_pipeline_batch([_bench().fresh_program()], _opts(), jobs=1)
+        assert perf.memo_table("fm.eliminate").data
 
-    def test_first_touch_builds_then_reuses(self):
-        h = self._header()
-        pexec._sync_epoch(h.epoch)
-        b0 = perf.counter("pipeline.executor.builds")
-        r0 = perf.counter("pipeline.executor.reuses")
-        e1 = pexec._worker_engine(h)
-        assert perf.counter("pipeline.executor.builds") == b0 + 1
-        e2 = pexec._worker_engine(h)
-        assert e2 is e1
-        assert perf.counter("pipeline.executor.reuses") == r0 + 1
-
-    def test_epoch_sync_drops_engines_and_counts_rebuild(self):
-        h = self._header()
-        pexec._sync_epoch(h.epoch)
-        pexec._worker_engine(h)
+    def test_epoch_sync_drops_warm_state(self):
+        epoch = perf.epoch()  # as shipped with a task
+        pexec._sync_epoch(epoch)
+        self._warm()
         s0 = perf.counter("pipeline.executor.epoch_syncs")
-        pexec._sync_epoch(h.epoch + 1)
+        pexec._sync_epoch(epoch + 1)
         assert perf.counter("pipeline.executor.epoch_syncs") == s0 + 1
-        assert pexec._worker_engines == {}
-        rb0 = perf.counter("pipeline.executor.rebuilds")
-        pexec._worker_engine(h)  # key seen before: rebuild, not build
-        assert perf.counter("pipeline.executor.rebuilds") == rb0 + 1
+        assert not perf.memo_table("fm.eliminate").data
 
     def test_same_epoch_sync_is_a_noop(self):
-        h = self._header()
-        pexec._sync_epoch(h.epoch)
-        pexec._worker_engine(h)
+        epoch = perf.epoch()
+        pexec._sync_epoch(epoch)
+        self._warm()
         s0 = perf.counter("pipeline.executor.epoch_syncs")
-        pexec._sync_epoch(h.epoch)
+        pexec._sync_epoch(epoch)
         assert perf.counter("pipeline.executor.epoch_syncs") == s0
-        assert pexec._worker_engines  # warm state untouched
-
-    def test_tainted_engine_is_evicted_not_reused(self):
-        h = self._header()
-        pexec._sync_epoch(h.epoch)
-        engine = pexec._worker_engine(h)
-        engine.tainted_units.add("main")  # simulate a budget trip
-        pexec._evict_engine_if_tainted(h.engine_key, engine)
-        assert h.engine_key not in pexec._worker_engines
-        rb0 = perf.counter("pipeline.executor.rebuilds")
-        fresh = pexec._worker_engine(h)
-        assert fresh is not engine
-        assert perf.counter("pipeline.executor.rebuilds") == rb0 + 1
-
-    def test_engine_lru_is_bounded(self):
-        pexec._sync_epoch(perf.epoch())
-        for i in range(pexec._WORKER_ENGINE_MAX + 2):
-            h = pexec.make_header(
-                _bench(i % len(all_programs())).fresh_program(),
-                _opts(),
-                None,
-            )
-            pexec._worker_engine(h)
-        assert len(pexec._worker_engines) <= pexec._WORKER_ENGINE_MAX
+        assert perf.memo_table("fm.eliminate").data  # warm state untouched
 
 
 # ----------------------------------------------------------------------
@@ -164,17 +92,24 @@ JOBS = (1, 2, 4)
 
 
 def _result_hash(bench, jobs, budget=None):
+    """Rows and budget state of a two-program batch of *bench*, so
+    ``jobs > 1`` ships one chunk to each of two pool workers."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        with budget_scope(budget):
-            ctx = run_pipeline(
-                bench.fresh_program(), AnalysisOptions.predicated(), jobs=jobs
+        with budget_scope(budget) as scope:
+            results = run_pipeline_batch(
+                [bench.fresh_program(), bench.fresh_program()],
+                AnalysisOptions.predicated(),
+                jobs=jobs,
+                chunk=1,
             )
     rows = [
         (l.label, l.status, str(l.condition), l.enclosed, l.runtime_test)
-        for l in ctx.get("result").loops
+        for r in results
+        for l in r.loops
     ]
-    return hashlib.sha256(repr((rows, ctx.degraded)).encode()).hexdigest()
+    degraded = scope is not None and scope.degraded
+    return hashlib.sha256(repr((rows, degraded)).encode()).hexdigest()
 
 
 class TestEpochInvalidationProperty:
@@ -182,7 +117,7 @@ class TestEpochInvalidationProperty:
     change *where* and *how much* work happens — never what comes out."""
 
     def test_warm_rerun_and_epoch_bump_preserve_results(self):
-        bench = get_program("applu")  # two units: jobs > 1 uses the pool
+        bench = get_program("applu")  # two units
         for jobs in JOBS:
             perf.reset_all_caches()
             fresh = _result_hash(bench, jobs)
@@ -207,9 +142,9 @@ class TestEpochInvalidationProperty:
             assert cold1 == cold2, jobs
 
     def test_degraded_run_never_poisons_the_next(self):
-        """A budget-tripped run leaves tainted engines behind; the next
+        """A budget-tripped run leaves warm workers behind; the next
         *unbudgeted* run in the same epoch must still produce the clean
-        answer (taint eviction, not a nonce, is what protects it)."""
+        answer (degraded results are never memoized or cached)."""
         bench = get_program("applu")
         for jobs in JOBS:
             perf.reset_all_caches()

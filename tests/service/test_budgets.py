@@ -147,3 +147,26 @@ class TestPooledExperimentJobs:
         assert pooled == serial
         assert serial_receipt["degradation"]["degraded"]
         assert pooled_receipt["degradation"]["degraded"]
+
+    def test_job_count_is_capped_at_the_cpu_count(self, monkeypatch):
+        """A request's ``jobs`` never sizes the pool past the host's
+        cores: the fork pool starts every worker at its first submit."""
+        import os
+
+        from repro.pipeline import executor as pexec
+        from repro.service.jobs import run_experiment
+
+        asked = []
+
+        def refuse(jobs):  # records the size, starts no process
+            asked.append(jobs)
+            raise RuntimeError("pool refused")
+
+        monkeypatch.setattr(pexec, "process_pool", refuse)
+        resp, _ = run_experiment({"id": 1, "which": "tab2", "jobs": 100000})
+        cpus = os.cpu_count() or 1
+        if cpus > 1:
+            assert asked == [cpus]
+            assert not resp["ok"]
+        else:  # one core: the map runs in process, no pool at all
+            assert asked == [] and resp["ok"]

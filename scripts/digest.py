@@ -1,7 +1,7 @@
 """Print one hash per program of everything the analysis and the runtime
 observably do.
 
-    python scripts/digest.py [--seeds 7 8] [--count 1000]
+    python scripts/digest.py [--seeds 7 8] [--count 1000] [--cold]
 
 The programs are the 30 suite programs, then
 ``Generator(seed).programs(count)`` from ``perfbench/gen.py`` for each
@@ -19,6 +19,12 @@ seed.  Each output line is ``<program name> <hash>``.  The hash covers:
 A step that raises hashes the exception's type and message instead.
 Run it from the repository root at two commits and diff the output: a
 change that keeps behaviour identical prints the same lines.
+
+``--cold`` calls ``perf.reset_all_caches()`` before each program, so
+every program runs on empty memo tables.  Diffing the default output
+against ``--cold`` output at one commit checks that warm state (memo
+tables filled by the programs before) changes no byte of any decision
+row, two-version program or runtime fact.
 """
 
 from __future__ import annotations
@@ -109,10 +115,12 @@ def oracle_facts(program, inputs):
     )
 
 
-def digest(source, inputs) -> str:
+def digest(source, inputs, cold=False) -> str:
     from repro import perf
     from repro.lang.parser import parse_program
 
+    if cold:
+        perf.reset_all_caches()
     facts = []
     for observe in (analysis_facts, run_facts, oracle_facts):
         try:
@@ -127,6 +135,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="*", default=[7, 8])
     parser.add_argument("--count", type=int, default=1000)
+    parser.add_argument(
+        "--cold",
+        action="store_true",
+        help="reset every memo table before each program",
+    )
     args = parser.parse_args(argv)
 
     import gen
@@ -138,7 +151,7 @@ def main(argv=None) -> int:
             (f"s{seed}/{op['name']}", op["source"], op["inputs"]) for op in ops
         ]
     for name, source, inputs in programs:
-        print(name, digest(source, inputs), flush=True)
+        print(name, digest(source, inputs, args.cold), flush=True)
     return 0
 
 

@@ -22,7 +22,7 @@ For every loop the walker records a :class:`LoopSummary` carrying both
 the per-iteration body value and the projected loop value — the
 parallelization tests in :mod:`repro.partests` consume the former.
 
-Two serving-substrate hooks wrap the per-unit walk:
+Three serving-substrate hooks wrap the walk:
 
 * **summary cache** — with a :class:`~repro.service.cache.SummaryCache`,
   each unit's summary is stored under a content key (canonical unit
@@ -31,15 +31,25 @@ Two serving-substrate hooks wrap the per-unit walk:
   generated names are drawn from a per-unit source so a unit's summary
   is a pure function of its key — cached and recomputed summaries are
   structurally identical.
+* **nest memo** — within one process, the rows of every call-free
+  top-level loop nest are memoized in ``nest.summary`` under the nest's
+  canonical text, the options, the path predicate, the root's elision
+  flag and the declarations of the names the nest references; a later
+  walk of the same nest, in any program, rebinds the rows to its own
+  loops by position instead of walking.  Such a walk draws no fresh
+  names (the prior-iteration copy is ``__tprior_<index>``), so its rows
+  are a pure function of that key.  The driver's ``nest.decisions``
+  memo reuses the key for the nest's loop decisions.
 * **budgets** — when the active :class:`~repro.service.budgets.Budget`
   trips mid-unit, the unit degrades to the conservative whole-array
   summary from :mod:`repro.service.degrade` (sound, never stored in the
   cache) instead of crashing; callers of a degraded unit are tainted and
-  bypass the cache store as well.
+  bypass the cache store as well.  A tripped walk stores no nest rows.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -79,6 +89,7 @@ from repro.lang.astnodes import (
     Assign,
     DoLoop,
     Expr,
+    If,
     PrintStmt,
     Program,
     ReadStmt,
@@ -86,6 +97,7 @@ from repro.lang.astnodes import (
     VarRef,
     walk_exprs,
 )
+from repro.lang.prettyprint import decl_str, stmt_str
 from repro.linalg.constraint import Constraint
 from repro.linalg.system import LinearSystem
 from repro.predicates.formula import Predicate, TRUE, p_and
@@ -96,7 +108,18 @@ from repro.regions.summary import SummarySet
 from repro.service.budgets import BudgetExceeded, checkpoint
 from repro.service.cache import SummaryCache, unit_key
 from repro.symbolic.affine import AffineExpr
-from repro.symbolic.terms import FreshNameSource
+from repro.symbolic.terms import GEN_PREFIX, FreshNameSource
+
+#: the rows of each call-free top-level loop nest (see the module
+#: docstring), keyed by :meth:`_UnitWalker._nest_key`
+_NEST_SUMMARIES = perf.memo_table("nest.summary", cap=2048)
+#: top-level nests that contain a call: their walk reads callee
+#: summaries and fresh names, so they are never memoized
+perf.declare("nest.excluded")
+
+#: identifiers in a nest's canonical text; a word character or a dot
+#: before the match makes it part of a number (``1e-05``)
+_IDENT = re.compile(r"(?<![\w.])[a-z_]\w*")
 
 
 @dataclass
@@ -127,6 +150,9 @@ class UnitSummary:
     proc_value: AccessValue
     loops: Dict[DoLoop, LoopSummary] = field(default_factory=dict)
     loop_info: Dict[DoLoop, LoopInfo] = field(default_factory=dict)
+    #: the memo key of each call-free top-level nest, by its outermost
+    #: loop; the driver keys the nest's decisions by it
+    nest_keys: Dict[DoLoop, tuple] = field(default_factory=dict)
 
 
 class ArrayDataflow:
@@ -179,11 +205,10 @@ class ArrayDataflow:
     def run_unit(self, name: str) -> UnitSummary:
         """Analyze one unit and record its summary.
 
-        Every callee of *name* must have been analyzed already (the
-        caller — :meth:`run` or the pipeline scheduler — is responsible
-        for the bottom-up order).  The walk itself keeps all mutable
-        state in a per-call :class:`_UnitWalker`, so distinct units may
-        be analyzed concurrently.
+        Every callee of *name* must have been analyzed already: the
+        caller — :meth:`run` or the pipeline's summarize pass — runs
+        units in ``callgraph.bottom_up_order()``.  The walk keeps its
+        mutable state in a per-call :class:`_UnitWalker`.
         """
         summary = self._run_unit(name)
         self.units[name] = summary
@@ -225,7 +250,7 @@ class ArrayDataflow:
             with perf.analysis_context(name):
                 # fresh names are per-walk so a summary is a pure function
                 # of (unit source, callee summaries, options) — a cache
-                # requirement, and what makes concurrent walks safe
+                # requirement
                 summary = _UnitWalker(
                     self, self.screen_hints.get(name, frozenset())
                 ).analyze(unit)
@@ -258,29 +283,19 @@ class ArrayDataflow:
         and recomputed so every AST reference points into *this* parse.
         Returns ``None`` (treated as a miss) on any shape mismatch.
         """
-        try:
-            proc_value, loop_rows = payload
-        except (TypeError, ValueError):
-            return None
         proc = build_region_tree(unit)
         info = collect_loop_info(proc)
         by_label = {loop.label: loop for loop in info}
+        try:
+            proc_value, loop_rows = payload
+            loops = [by_label.get(row[0]) for row in loop_rows]
+        except (TypeError, ValueError, IndexError):
+            return None
+        bound = _bind_loop_rows(loop_rows, loops, info, unit.name)
+        if bound is None:
+            return None
         summary = UnitSummary(unit.name, proc_value, {}, info)
-        for label, body_value, loop_value, path_pred in loop_rows:
-            loop = by_label.get(label)
-            if loop is None:
-                return None
-            summary.loops[loop] = LoopSummary(
-                loop=loop,
-                info=info[loop],
-                body_value=body_value,
-                loop_value=(
-                    AccessValue.empty() if loop_value is None else loop_value
-                ),
-                unit_name=unit.name,
-                path_pred=path_pred,
-                elided=loop_value is None,
-            )
+        summary.loops.update((ls.loop, ls) for ls in bound)
         return summary
 
     def all_loop_summaries(self) -> List[LoopSummary]:
@@ -295,11 +310,10 @@ class _UnitWalker:
     """One unit's bottom-up region walk.
 
     A walker is created per :meth:`ArrayDataflow.run_unit` call and owns
-    the only mutable walk state (the fresh-name source), so concurrent
-    walks of *different* units — the pipeline's intra-program scheduler —
-    share nothing writable.  Callee summaries are read from the parent
-    dataflow's ``units`` table, which the scheduler guarantees is
-    populated bottom-up.
+    the only mutable walk state, the fresh-name source that call sites
+    draw from.  Callee summaries are read from the parent dataflow's
+    ``units`` table, which :meth:`ArrayDataflow.run_unit`'s bottom-up
+    contract has populated.
     """
 
     __slots__ = ("opts", "symtabs", "units", "fresh", "elide")
@@ -316,13 +330,10 @@ class _UnitWalker:
 
     @classmethod
     def _bare(cls, opts) -> "_UnitWalker":
-        """A walker shim for reprojecting one loop outside any walk."""
+        """A walker shim for reprojecting one loop outside any walk
+        (a projection reads only the options)."""
         w = cls.__new__(cls)
         w.opts = opts
-        w.symtabs = {}
-        w.units = {}
-        w.fresh = FreshNameSource()
-        w.elide = frozenset()
         return w
 
     # ------------------------------------------------------------------
@@ -518,9 +529,7 @@ class _UnitWalker:
 
             info = analyze_loop(region)
             out.loop_info[loop] = info
-        body_value = self._region_value(
-            region.body_seq, symtab, out, path_pred
-        )
+        top = not region.enclosing_loops()
         # tier-0 screen elision: an outermost screened-independent loop
         # of a caller-free unit feeds its projected value only into the
         # unit's (unread) proc value — skip the whole iteration-space
@@ -528,20 +537,30 @@ class _UnitWalker:
         # loop comes pre-made from the screen; should the cross-check
         # ever refuse it, :func:`reproject_loop` rebuilds the real value
         # on demand.
-        if loop.label in self.elide and not region.enclosing_loops():
-            perf.bump("screen.saved_units")
-            summary = LoopSummary(
-                loop=loop,
-                info=info,
-                body_value=body_value,
-                loop_value=AccessValue.empty(),
-                unit_name=out.unit_name,
-                path_pred=path_pred,
-                elided=True,
+        elided = top and loop.label in self.elide
+        key = None
+        if top and info.has_calls:
+            perf.bump("nest.excluded")
+        elif top:
+            key = out.nest_keys[loop] = self._nest_key(
+                loop, symtab, path_pred, elided
             )
-            out.loops[loop] = summary
-            return summary.loop_value
-        loop_value = self._project_loop(body_value, loop, info)
+            rows = _NEST_SUMMARIES.get(key)
+            if rows is not None:
+                # the key holds the nest's text, so the rows fit its loops
+                bound = _bind_loop_rows(
+                    rows, _nest_loops([loop], []), out.loop_info, out.unit_name
+                )
+                out.loops.update((ls.loop, ls) for ls in bound)
+                return bound[-1].loop_value
+        body_value = self._region_value(
+            region.body_seq, symtab, out, path_pred
+        )
+        if elided:
+            perf.bump("screen.saved_units")
+            loop_value = AccessValue.empty()
+        else:
+            loop_value = self._project_loop(body_value, loop, info)
         out.loops[loop] = LoopSummary(
             loop=loop,
             info=info,
@@ -549,8 +568,33 @@ class _UnitWalker:
             loop_value=loop_value,
             unit_name=out.unit_name,
             path_pred=path_pred,
+            elided=elided,
         )
+        if key is not None:
+            _NEST_SUMMARIES.data[key] = _loop_rows(
+                out.loops[l] for l in _nest_loops([loop], [])
+            )
         return loop_value
+
+    def _nest_key(
+        self, loop: DoLoop, symtab: SymbolTable, path_pred: Predicate, elided: bool
+    ) -> tuple:
+        """What a call-free top-level nest's walk and decisions read.
+
+        The walk reads the nest's statements, the options and the path
+        predicate; the elision flag decides whether the root is
+        projected; the decisions also read the declarations of the
+        names the nest mentions (scalar or array, or undeclared).  Each
+        declaration's text carries its name, so the declared ones are
+        enough: every other identifier of the text is undeclared.
+        """
+        text = stmt_str(loop)
+        decls = tuple(
+            decl_str(d)
+            for d in map(symtab.decl, sorted(set(_IDENT.findall(text))))
+            if d is not None
+        )
+        return (text, self.opts, path_pred, elided, decls)
 
     def _project_loop(
         self, body: AccessValue, loop: DoLoop, info: LoopInfo
@@ -649,7 +693,9 @@ class _UnitWalker:
         iterations (sound: nothing is subtracted).
         """
         out: List[GuardedSummary] = []
-        prior = self.fresh.fresh(f"{index}_prior")
+        # created and eliminated inside this projection, so one name per
+        # index is enough and the walk draws no fresh names
+        prior = f"{GEN_PREFIX}prior_{index}"
         if step is not None and step < 0:
             order = Constraint.gt(
                 AffineExpr.var(prior), AffineExpr.var(index)
@@ -749,24 +795,74 @@ def _summary_payload(summary: UnitSummary):
     reused by another parse anyway).  Loop rows keep the walker's
     post-order so a rebound summary reports loops in the same order.
     """
-    loop_rows = [
-        # ``None`` marks an elided (never computed) projection; such
-        # payloads only cross the process-executor boundary — elided
-        # summaries never reach the cache
+    return (summary.proc_value, _loop_rows(summary.loops.values()))
+
+
+def _loop_rows(loop_summaries) -> list:
+    """AST-free rows of loop summaries, in the order given.
+
+    A row is ``(label, body value, loop value, path predicate)``, with
+    ``None`` for the loop value of an elided (never computed)
+    projection; the memo keeps those, the disk cache never stores them.
+    """
+    return [
         (ls.label, ls.body_value, None if ls.elided else ls.loop_value, ls.path_pred)
-        for ls in summary.loops.values()
+        for ls in loop_summaries
     ]
-    return (summary.proc_value, loop_rows)
+
+
+def _bind_loop_rows(
+    rows, loops: List[Optional[DoLoop]], loop_info, unit_name: str
+) -> Optional[List[LoopSummary]]:
+    """Reattach :func:`_loop_rows` rows to the current parse's *loops*,
+    matched by position; ``None`` on any shape mismatch.  The disk
+    cache finds the loops by the rows' labels, the nest memo by the
+    nest's walk order."""
+    if len(rows) != len(loops):
+        return None
+    out: List[LoopSummary] = []
+    try:
+        for loop, (_label, body_value, loop_value, path_pred) in zip(loops, rows):
+            if loop is None:
+                return None
+            out.append(
+                LoopSummary(
+                    loop=loop,
+                    info=loop_info[loop],
+                    body_value=body_value,
+                    loop_value=(
+                        AccessValue.empty() if loop_value is None else loop_value
+                    ),
+                    unit_name=unit_name,
+                    path_pred=path_pred,
+                    elided=loop_value is None,
+                )
+            )
+    except (TypeError, ValueError, KeyError):
+        return None
+    return out
+
+
+def _nest_loops(stmts, out: List[DoLoop]) -> List[DoLoop]:
+    """The loops of *stmts* in the walker's post-order, appended to
+    *out* (call with ``[loop]`` for one nest)."""
+    for s in stmts:
+        if isinstance(s, DoLoop):
+            _nest_loops(s.body, out)
+            out.append(s)
+        elif isinstance(s, If):
+            _nest_loops(s.then_body, out)
+            _nest_loops(s.else_body, out)
+    return out
 
 
 def reproject_loop(loop_summary: LoopSummary, opts) -> AccessValue:
     """Recompute an elided loop's iteration-space projection on demand.
 
-    A pure function of the (real) body value, loop info and options —
-    the walker's fresh-name counter state is the only difference from
-    the inline projection, and fresh names never reach any reported
-    result (pinned by ``tests/ir/test_scalarprop_engine.py``'s
-    fresh-name perturbation test).
+    A pure function of the (real) body value, loop info and options:
+    a projection draws no fresh names, and the walker's fresh names
+    (call sites) never reach any reported result — pinned by
+    ``tests/arraydf/test_fresh_names.py``.
     """
     return _UnitWalker._bare(opts)._project_loop(
         loop_summary.body_value, loop_summary.loop, loop_summary.info

@@ -3,14 +3,16 @@
 The language is line-oriented: statements end at a newline (or ``;``).
 Comments run from ``!`` (or a leading ``c `` in column 1, Fortran-style)
 to end of line.  Keywords and identifiers are case-insensitive and are
-normalized to lower case.
+normalized to lower case.  Identifiers starting with ``__`` are
+reserved for the analysis's own names (region dimensions ``__d<k>``,
+generated ``__t…``) and rejected.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from repro.lang.errors import LexError
+from repro.lang.errors import LexError, ParseError
 from repro.lang.tokens import KEYWORDS, LOGICAL_WORDS, OPERATORS, TokKind, Token
 
 
@@ -101,6 +103,10 @@ def tokenize(source: str) -> List[Token]:
             while j < n and (source[j].isalnum() or source[j] == "_"):
                 j += 1
             word = source[i:j].lower()
+            if word.startswith("__"):
+                raise ParseError(
+                    f"identifier {word!r} uses the reserved prefix '__'", line
+                )
             if word in KEYWORDS:
                 emit(TokKind.KEYWORD, word)
             elif word in LOGICAL_WORDS:

@@ -129,6 +129,18 @@ def _stmt_lines(stmt: Stmt, indent: int, out: List[str]) -> None:
         raise TypeError(f"unknown statement {stmt!r}")
 
 
+def stmt_str(stmt: Stmt) -> str:
+    """Render one statement, with any nested body, unindented."""
+    lines: List[str] = []
+    _stmt_lines(stmt, 0, lines)
+    return "\n".join(lines)
+
+
+def decl_str(decl: Decl) -> str:
+    """Render one declaration as a type statement (``real a(10)``)."""
+    return f"{decl.typ} {_decl_str(decl)}"
+
+
 def unit_str(unit: Subroutine) -> str:
     lines: List[str] = []
     if unit.is_main:

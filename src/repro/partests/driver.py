@@ -24,10 +24,14 @@ The driver carries the serving-substrate hooks through the pipeline:
 * a :class:`~repro.service.cache.SummaryCache` is handed to the
   data-flow walker and additionally caches per-unit *decisions* (the
   dependence/privatization outcomes) under the same content keys;
+* the ``nest.decisions`` memo keeps the decision rows of every
+  call-free top-level loop nest under the walker's nest key (see
+  :mod:`repro.arraydf.analysis`), so a warm process decides a nest it
+  has seen in any earlier program by rebinding rows;
 * a tripped :class:`~repro.service.budgets.Budget` demotes the loop
   being decided to ``serial`` ("not proven parallel") instead of
   aborting the request — sound, counted in ``budget.degraded_loop``,
-  and never written back to the cache.
+  and never written back to the cache or the memo.
 """
 
 from __future__ import annotations
@@ -48,6 +52,10 @@ from repro.partests.runtime_tests import (
 from repro.predicates.formula import Predicate, TRUE
 from repro.service.budgets import BudgetExceeded
 from repro.service.cache import SummaryCache
+
+#: the decision rows of each call-free top-level loop nest, in
+#: ``_decision_rows`` form, under the walker's nest key
+_NEST_DECISIONS = perf.memo_table("nest.decisions", cap=2048)
 
 
 @dataclass
@@ -140,7 +148,7 @@ def rebind_program(
             loops_by_label = {
                 s.label: s for s in walk_stmts(unit.body) if isinstance(s, DoLoop)
             }
-            rebound = _rebind_rows(rows, loops_by_label, {}, unit_name)
+            rebound = _rebind_rows_by_label(rows, loops_by_label, unit_name)
             if rebound is None:
                 return None
             result.loops.extend(rebound)
@@ -174,6 +182,12 @@ def decide_unit(
     skipping the full dependence test; any mismatch falls back to
     :func:`decide_loop` (``screen.disagree``), keeping results identical
     by construction.
+
+    A nest the walker keyed (``summary.nest_keys``) is first looked up
+    in the ``nest.decisions`` memo: its rows are a function of the key,
+    since the screen rows of its loops are a function of the nest's
+    text and declarations too.  A nest with a budget-degraded loop is
+    not stored.
     """
     key = dataflow.unit_keys.get(unit_name)
     cacheable = (
@@ -190,41 +204,78 @@ def decide_unit(
     screen_rows = screen.rows if screen is not None else {}
     out: List[LoopResult] = []
     degraded = False
-    for loop, loop_summary in summary.loops.items():
-        row = screen_rows.get(loop.label)
-        if row is not None and row["status"] == "parallel":
-            screened = _screened_result(row, loop_summary, symtab, unit_name)
-            if screened is not None:
-                perf.bump("screen.agree")
-                out.append(screened)
-                continue
-            perf.bump("screen.disagree")
-        if loop_summary.elided:
-            # the walk skipped this loop's projection on the screen's
-            # word; the full test needs the real projected value
-            from repro.arraydf.analysis import reproject_loop
-
-            loop_summary.loop_value = reproject_loop(loop_summary, opts)
-            loop_summary.elided = False
-        try:
-            with perf.analysis_context(loop_summary.label):
-                out.append(decide_loop(loop_summary, symtab, opts))
-        except BudgetExceeded:
-            perf.bump("budget.degraded_loop")
-            degraded = True
-            out.append(
-                LoopResult(
-                    label=loop.label,
-                    unit=unit_name,
-                    loop=loop,
-                    status="serial",
-                    reason="budget exhausted: not proven parallel",
-                    depth=loop_summary.info.region.loop_depth(),
-                )
+    for nest_key, nest in _nests(summary):
+        rows = _NEST_DECISIONS.get(nest_key) if nest_key is not None else None
+        if rows is not None:
+            # the key holds the nest's text, so the rows fit its loops
+            out.extend(_rebind_rows(rows, [ls.loop for ls in nest], unit_name, nest))
+            continue
+        start = len(out)
+        nest_degraded = False
+        for loop_summary in nest:
+            result, loop_degraded = _decide_one(
+                loop_summary, screen_rows, symtab, opts, unit_name
             )
+            nest_degraded = nest_degraded or loop_degraded
+            out.append(result)
+        if nest_degraded:
+            degraded = True
+        elif nest_key is not None:
+            _NEST_DECISIONS.data[nest_key] = _decision_rows(out[start:])
     if cacheable and not degraded:
         cache.store(key, "decisions", _decision_rows(out))
     return out, degraded
+
+
+def _nests(summary) -> List[Tuple[Optional[tuple], List[LoopSummary]]]:
+    """The unit's loop summaries cut into top-level nests, in order,
+    each with its memo key (``None``: not memoizable).  Summaries are in
+    walk post-order, so a nest ends at its outermost loop."""
+    out = []
+    nest: List[LoopSummary] = []
+    for loop, loop_summary in summary.loops.items():
+        nest.append(loop_summary)
+        if loop_summary.info.region.loop_depth() == 0:
+            out.append((summary.nest_keys.get(loop), nest))
+            nest = []
+    return out
+
+
+def _decide_one(
+    loop_summary: LoopSummary, screen_rows, symtab, opts, unit_name: str
+) -> Tuple[LoopResult, bool]:
+    """One loop's decision, and whether a budget trip degraded it."""
+    loop = loop_summary.loop
+    row = screen_rows.get(loop.label)
+    if row is not None and row["status"] == "parallel":
+        screened = _screened_result(row, loop_summary, symtab, unit_name)
+        if screened is not None:
+            perf.bump("screen.agree")
+            return screened, False
+        perf.bump("screen.disagree")
+    if loop_summary.elided:
+        # the walk skipped this loop's projection on the screen's
+        # word; the full test needs the real projected value
+        from repro.arraydf.analysis import reproject_loop
+
+        loop_summary.loop_value = reproject_loop(loop_summary, opts)
+        loop_summary.elided = False
+    try:
+        with perf.analysis_context(loop_summary.label):
+            return decide_loop(loop_summary, symtab, opts), False
+    except BudgetExceeded:
+        perf.bump("budget.degraded_loop")
+        return (
+            LoopResult(
+                label=loop.label,
+                unit=unit_name,
+                loop=loop,
+                status="serial",
+                reason="budget exhausted: not proven parallel",
+                depth=loop_summary.info.region.loop_depth(),
+            ),
+            True,
+        )
 
 
 def decide_loop(summary: LoopSummary, symtab, opts: AnalysisOptions) -> LoopResult:
@@ -414,36 +465,36 @@ def _decision_rows(results: List[LoopResult]) -> list:
 
 
 def _rebind_rows(
-    rows, loops_by_label: Dict[str, DoLoop], summaries_by_label, unit_name: str
+    rows, loops: List[Optional[DoLoop]], unit_name: str, summaries=None
 ) -> Optional[List[LoopResult]]:
-    """Reattach cached decision rows to the current parse's loops.
+    """Reattach decision rows to the current parse's *loops*, matched by
+    position.
 
-    ``summaries_by_label`` supplies the rebound :class:`LoopSummary` per
-    label where available (the per-unit path); the program-level path
-    passes ``{}`` and verdicts carry no summary.  Returns ``None`` —
-    treated as a cache miss — on any shape mismatch.
+    *summaries* supplies the :class:`LoopSummary` of each loop where
+    available (the per-unit and nest paths); without it verdicts carry
+    no summary.  Returns ``None`` — treated as a miss — on any shape
+    mismatch.
     """
-    if not isinstance(rows, list) or len(rows) != len(loops_by_label):
+    if not isinstance(rows, list) or len(rows) != len(loops):
         return None
     out: List[LoopResult] = []
     try:
-        for row in rows:
-            loop = loops_by_label.get(row["label"])
+        for k, (row, loop) in enumerate(zip(rows, loops)):
             if loop is None:
                 return None
             verdict = None
             if row["verdict"] is not None:
                 verdicts, obstacles, reductions, privates = row["verdict"]
                 verdict = LoopVerdict(
-                    summary=summaries_by_label.get(row["label"]),
-                    array_verdicts=verdicts,
+                    summary=summaries[k] if summaries is not None else None,
+                    array_verdicts=dict(verdicts),
                     scalar_obstacles=obstacles,
                     reduction_scalars=reductions,
                     private_scalars=privates,
                 )
             out.append(
                 LoopResult(
-                    label=row["label"],
+                    label=loop.label,
                     unit=unit_name,
                     loop=loop,
                     status=row["status"],
@@ -463,13 +514,32 @@ def _rebind_rows(
     return out
 
 
+def _rebind_rows_by_label(
+    rows, loops_by_label: Dict[str, DoLoop], unit_name: str, summaries_by_label=None
+) -> Optional[List[LoopResult]]:
+    """:func:`_rebind_rows` for rows found by their labels (the disk
+    cache, batch results and screen rows)."""
+    if not isinstance(rows, list) or len(rows) != len(loops_by_label):
+        return None
+    try:
+        labels = [row["label"] for row in rows]
+    except (KeyError, TypeError):
+        return None
+    summaries = None
+    if summaries_by_label is not None:
+        summaries = [summaries_by_label.get(label) for label in labels]
+    return _rebind_rows(
+        rows, [loops_by_label.get(label) for label in labels], unit_name, summaries
+    )
+
+
 def _rebind_decisions(
     rows, summary, unit_name: str
 ) -> Optional[List[LoopResult]]:
     """Per-unit rebind: match against the unit's (rebound) summaries."""
     summaries_by_label = {ls.label: ls for ls in summary.loops.values()}
     loops_by_label = {l: ls.loop for l, ls in summaries_by_label.items()}
-    return _rebind_rows(rows, loops_by_label, summaries_by_label, unit_name)
+    return _rebind_rows_by_label(rows, loops_by_label, unit_name, summaries_by_label)
 
 
 def analyze_program(

@@ -134,8 +134,8 @@ _foreign: Dict[str, Dict[str, float]] = {}
 #: per-thread stack of analysis-context labels ("unit:Ln" /
 #: "unit:<proc>"); the top entry attributes substrate events (FM
 #: fallback drops, budget trips) to the procedure/loop being analyzed.
-#: Thread-local so the pipeline's intra-program worker threads cannot
-#: pop each other's labels.
+#: Thread-local so fleet worker threads, each analyzing its own job,
+#: cannot pop each other's labels.
 _context_local = threading.local()
 
 

@@ -90,7 +90,6 @@ def run_pipeline(
     goals = tuple(goals)
 
     pkey = None
-    fresh_result = False
     if cache is not None and "result" in goals:
         pkey = program_key(program, opts)
         payload = cache.load(pkey, "program")

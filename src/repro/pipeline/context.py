@@ -11,7 +11,7 @@ inputs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.arraydf.options import AnalysisOptions
 
@@ -66,10 +66,6 @@ class ProgramContext:
 
     def has(self, artifact: str, unit: Optional[str] = None) -> bool:
         return (artifact, unit) in self._store
-
-    def get_all(self, artifact: str, units: Iterable[str]) -> Dict[str, Any]:
-        """The artifact for every unit of *units* (program-scope reads)."""
-        return {u: self.get(artifact, u) for u in units}
 
     def available_artifacts(self) -> Tuple[str, ...]:
         """The distinct artifact names currently present (for wiring

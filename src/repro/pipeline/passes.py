@@ -140,8 +140,9 @@ class SummarizePass(Pass):
     """The array data-flow walk of one unit.
 
     Bottom-up: a unit's walk splices in its callees' summaries, declared
-    by the ``summary@callees`` input — the edge that makes the scheduler
-    run units callees first.  With a cache attached the engine
+    by the ``summary@callees`` input; the manager runs the pass over
+    ``engine.callgraph.bottom_up_order()``, callees first, so every
+    such input exists.  With a cache attached the engine
     loads/stores the summary under its content key; a budget trip
     degrades the unit soundly (and taints it out of the cache).
 
@@ -198,17 +199,16 @@ class DecidePass(Pass):
     def _screened_rows(engine, unit: str, screen):
         """The pre-made decision rows of a summary-skipped unit."""
         from repro.lang.astnodes import DoLoop, walk_stmts
-        from repro.partests.driver import _rebind_rows
+        from repro.partests.driver import _rebind_rows_by_label
 
         loops_by_label = {
             s.label: s
             for s in walk_stmts(engine.program.units[unit].body)
             if isinstance(s, DoLoop)
         }
-        rows = _rebind_rows(
+        rows = _rebind_rows_by_label(
             [screen.rows[label] for label in screen.order],
             loops_by_label,
-            {},
             unit,
         )
         if rows is None:  # pragma: no cover - full_cover guarantees shape

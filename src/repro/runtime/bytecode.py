@@ -1512,7 +1512,7 @@ def execute(interp) -> ExecutionResult:
             interp.steps = st.steps
             interp._input_pos = st.input_pos
 
-    return ExecutionResult(
+    result = ExecutionResult(
         outputs=st.outputs,
         steps=st.steps,
         main_arrays={
@@ -1522,3 +1522,10 @@ def execute(interp) -> ExecutionResult:
         main_scalars=dict(sc),
         loop_events=st.loop_events,
     )
+    # a unit's op closures hold its _Ctx, whose ``code`` holds the ops:
+    # break each cycle so reference counting frees the run's code
+    for unit_code in st.codes.values():
+        unit_code.ops = []
+    st.codes.clear()
+    st.cond_cache.clear()
+    return result

@@ -740,3 +740,32 @@ class TestCompileCache:
         del program
         gc.collect()
         assert ref() is None
+
+    def test_finished_runs_leave_no_code_cycles(self):
+        # a unit's op closures hold its _Ctx and _Ctx.code holds the
+        # ops; the run breaks that cycle, so reference counting alone
+        # frees each run's compiled code
+        from repro.runtime.bytecode import _CompiledUnit, _Ctx
+        from repro.suites import all_programs
+
+        benches = all_programs()[:10]
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for bench in benches:
+                run_program(bench.fresh_program(), bench.inputs)
+                elpd.run_oracle(bench.fresh_program(), bench.inputs)
+            gc.collect()
+            leaked = [
+                type(o).__name__
+                for o in gc.garbage
+                if isinstance(o, (_CompiledUnit, _Ctx))
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if was_enabled:
+                gc.enable()
+        assert leaked == []

@@ -7,7 +7,7 @@ Three questions, matching the PR's optimization claims:
   unscreened analysis on the same program (``test_whole_program_analysis``
   in ``test_core_micro.py`` is the screened default; the ``_unscreened``
   variant here runs the reference of ``tests/pipeline/reference.py``)?
-* how much summarization work does the suite skip on the screen's word?
+* does the suite skip dependence tests on the screen's word?
 
 Compare runs against the recorded baselines with
 ``benchmarks/check_regression.py``.
@@ -72,14 +72,15 @@ def test_whole_program_analysis_unscreened(benchmark):
     assert result.total_loops > 0
 
 
-def test_screen_saves_projection_work():
-    """Not a timing: the screen's saved-work counter must fire on the
-    suite (elided loop projections and skipped unit walks)."""
+def test_screen_saves_dependence_tests():
+    """Not a timing: on the suite, screened loops must take their
+    pre-made rows after the cross-check (``screen.agree``) instead of
+    the full dependence test."""
     perf.reset_all_caches()
     perf.reset_counters()
     _analyze_suite()
     counters = perf.snapshot()["counters"]
     perf.reset_all_caches()
-    assert counters["screen.saved_units"] > 0
+    assert counters["screen.agree"] > 0
     assert counters["screen.independent"] > 0
     assert counters["screen.disagree"] == 0

@@ -9,7 +9,9 @@ seed.  Each output line is ``<program name> <hash>``.  The hash covers:
 
 * the analysis under predicated and under base options: each loop's
   decision row (label, status, condition, reason, enclosed, run-time
-  test) and the pretty-printed two-version program;
+  test, private arrays, private and reduction scalars), the
+  ``format_report`` text without its timing (copy-in regions included)
+  and the pretty-printed two-version program;
 * the ``run_program`` result: outputs, steps, the final main scalars
   and arrays (floats as IEEE-754 bit patterns) and the loop events;
 * the ``run_oracle`` report: each loop's classification, instances,
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import re
 import struct
 import sys
 from pathlib import Path
@@ -38,6 +41,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
+
+#: the report's one run-dependent field
+_TIMING = re.compile(r"analysis: [0-9.]+ ms")
 
 
 def _bits(value):
@@ -48,12 +54,14 @@ def _bits(value):
 
 def analysis_facts(program, _inputs):
     from repro.arraydf.options import AnalysisOptions
+    from repro.codegen.report import format_report
     from repro.lang.prettyprint import pretty
     from repro.pipeline import run_pipeline
 
     facts = []
     for opts in (AnalysisOptions.predicated(), AnalysisOptions.base()):
         ctx = run_pipeline(program, opts, goals=("result", "transformed"))
+        result = ctx.get("result")
         facts.append(
             (
                 [
@@ -64,9 +72,13 @@ def analysis_facts(program, _inputs):
                         l.reason,
                         l.enclosed,
                         str(l.runtime_test),
+                        l.private_arrays,
+                        l.private_scalars,
+                        l.reduction_scalars,
                     )
-                    for l in ctx.get("result").loops
+                    for l in result.loops
                 ],
+                _TIMING.sub("", format_report(result)),
                 pretty(ctx.get("transformed")),
             )
         )

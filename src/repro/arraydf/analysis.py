@@ -18,9 +18,16 @@ region tree:
   exposed reads;
 * call sites splice in the callee's translated summary (``Reshape``).
 
-For every loop the walker records a :class:`LoopSummary` carrying both
-the per-iteration body value and the projected loop value — the
-parallelization tests in :mod:`repro.partests` consume the former.
+For every loop the walker records a :class:`LoopSummary` carrying the
+per-iteration body value — what the parallelization tests in
+:mod:`repro.partests` consume — and the loop value, the projection over
+the iteration space, computed when it is first read.  It has three
+readers: the enclosing region's composition, a caller's call-site
+translation (through the unit's proc value) and the copy-in region of
+an array the loop privatizes.  No unit can call the main program, so
+nothing reads its value: the walker visits the main program's top level
+for its loops only, folds nothing (``proc_value`` is ``None``), and an
+outermost main-program loop is projected only if it privatizes an array.
 
 Three serving-substrate hooks wrap the walk:
 
@@ -33,18 +40,22 @@ Three serving-substrate hooks wrap the walk:
   structurally identical.
 * **nest memo** — within one process, the rows of every call-free
   top-level loop nest are memoized in ``nest.summary`` under the nest's
-  canonical text, the options, the path predicate, the root's elision
-  flag and the declarations of the names the nest references; a later
-  walk of the same nest, in any program, rebinds the rows to its own
-  loops by position instead of walking.  Such a walk draws no fresh
-  names (the prior-iteration copy is ``__tprior_<index>``), so its rows
-  are a pure function of that key.  The driver's ``nest.decisions``
-  memo reuses the key for the nest's loop decisions.
+  canonical text, the options, the path predicate and the declarations
+  of the names the nest references; a later walk of the same nest, in
+  any program, rebinds the rows to its own loops by position instead of
+  walking.  Such a walk draws no fresh names (the prior-iteration copy
+  is ``__tprior_<index>``), so its rows are a pure function of that
+  key.  A row holds ``None`` for a loop value not yet projected; a
+  binding projects it on its own first read.  A walk that reads the
+  outermost loop's value of such an entry stores new rows that carry
+  it; rows are never written in place.  The driver's
+  ``nest.decisions`` memo reuses the key for the nest's loop decisions.
 * **budgets** — when the active :class:`~repro.service.budgets.Budget`
   trips mid-unit, the unit degrades to the conservative whole-array
   summary from :mod:`repro.service.degrade` (sound, never stored in the
   cache) instead of crashing; callers of a degraded unit are tainted and
-  bypass the cache store as well.  A tripped walk stores no nest rows.
+  bypass the cache store as well.  A tripped walk stores no nest rows;
+  a metered one reads none (:func:`~repro.service.budgets.metered`).
 """
 
 from __future__ import annotations
@@ -57,7 +68,6 @@ from repro import perf
 from repro.arraydf.embedding import (
     embed_into_summary,
     split_guard_cases,
-    split_linear_conjuncts,
 )
 from repro.arraydf.extraction import pred_subtract
 from repro.arraydf.options import AnalysisOptions
@@ -66,7 +76,6 @@ from repro.arraydf.values import (
     GuardedSummary,
     branch_join,
     guarded_value,
-    seq_compose,
     seq_compose_all,
     _dedup_guarded,
 )
@@ -105,7 +114,7 @@ from repro.predicates.simplify import is_unsat
 from repro.regions.region import ArrayRegion
 from repro.regions.reshape import CallContext, translate_summary_set
 from repro.regions.summary import SummarySet
-from repro.service.budgets import BudgetExceeded, checkpoint
+from repro.service.budgets import BudgetExceeded, checkpoint, metered
 from repro.service.cache import SummaryCache, unit_key
 from repro.symbolic.affine import AffineExpr
 from repro.symbolic.terms import GEN_PREFIX, FreshNameSource
@@ -129,17 +138,24 @@ class LoopSummary:
     loop: DoLoop
     info: LoopInfo
     body_value: AccessValue  # per-iteration, as a function of the index
-    loop_value: AccessValue  # projected across the iteration space
+    opts: AnalysisOptions
     unit_name: str = ""
     path_pred: Predicate = TRUE  # conjunction of tests reaching the loop
-    #: the iteration-space projection was skipped (tier-0 screen proved
-    #: the loop independent and nothing consumes the projected value);
-    #: ``loop_value`` is a placeholder — reproject before reading it
-    elided: bool = False
+    #: the projection once :attr:`loop_value` was read, else ``None``
+    projected: Optional[AccessValue] = field(default=None, compare=False)
 
     @property
     def label(self) -> str:
         return self.loop.label
+
+    @property
+    def loop_value(self) -> AccessValue:
+        """The body value projected across the iteration space,
+        computed on first read (a function of the body value, the loop
+        info and the options: it draws no fresh names)."""
+        if self.projected is None:
+            self.projected = _project_loop(self.body_value, self.info, self.opts)
+        return self.projected
 
 
 @dataclass
@@ -147,7 +163,9 @@ class UnitSummary:
     """Analysis results for one program unit."""
 
     unit_name: str
-    proc_value: AccessValue
+    #: what a call site splices in; ``None`` for the main program,
+    #: which no unit can call
+    proc_value: Optional[AccessValue]
     loops: Dict[DoLoop, LoopSummary] = field(default_factory=dict)
     loop_info: Dict[DoLoop, LoopInfo] = field(default_factory=dict)
     #: the memo key of each call-free top-level nest, by its outermost
@@ -186,13 +204,16 @@ class ArrayDataflow:
         #: units whose summary (or a callee's) was budget-degraded;
         #: their results are conservative and must never be cached
         self.tainted_units: Set[str] = set()
-        #: per-unit labels of loops whose iteration-space projection may
-        #: be elided (tier-0 screen proved them independent *and* the
-        #: unit is caller-free, so nothing reads the projected value);
-        #: populated by the pipeline's screen pass — empty for a plain
-        #: :meth:`run`, which always walks in full
-        self.screen_hints: Dict[str, frozenset] = {}
-        self._stats = {"feasibility_calls": 0}
+        self._trees: Dict[str, Tuple[ProcRegion, Dict[DoLoop, LoopInfo]]] = {}
+
+    def region_tree(self, name: str) -> Tuple[ProcRegion, Dict[DoLoop, LoopInfo]]:
+        """The unit's region tree and loop info, built on first request;
+        the screen, the walk and a cache rebind share them."""
+        tree = self._trees.get(name)
+        if tree is None:
+            proc = build_region_tree(self.program.units[name])
+            tree = self._trees[name] = (proc, collect_loop_info(proc))
+        return tree
 
     # ------------------------------------------------------------------
     # entry point
@@ -245,33 +266,25 @@ class ArrayDataflow:
                     rebound = self._rebind_summary(payload, unit)
                     if rebound is not None:
                         return rebound
+        tree = self.region_tree(name)
         try:
             checkpoint()
             with perf.analysis_context(name):
                 # fresh names are per-walk so a summary is a pure function
                 # of (unit source, callee summaries, options) — a cache
                 # requirement
-                summary = _UnitWalker(
-                    self, self.screen_hints.get(name, frozenset())
-                ).analyze(unit)
+                summary = _UnitWalker(self).analyze(unit, tree)
         except BudgetExceeded:
             from repro.service.degrade import conservative_unit_summary
 
             perf.bump("budget.degraded_unit")
             self.tainted_units.add(name)
             return conservative_unit_summary(
-                unit, self.symtabs[name], self.opts
+                unit, self.symtabs[name], self.opts, tree
             )
         if tainted:
             self.tainted_units.add(name)
-        elif (
-            self.cache is not None
-            and key is not None
-            # an elided walk holds placeholder loop values; storing it
-            # would leak them into runs (e.g. where the unit has a
-            # caller) that read them
-            and not any(ls.elided for ls in summary.loops.values())
-        ):
+        elif self.cache is not None and key is not None:
             self.cache.store(key, "summary", _summary_payload(summary))
         return summary
 
@@ -279,19 +292,19 @@ class ArrayDataflow:
         """Reattach a cached summary payload to the current parse.
 
         The payload carries only interned symbolic values keyed by loop
-        label; the syntactic parts (region tree, loop info) are cheap
-        and recomputed so every AST reference points into *this* parse.
-        Returns ``None`` (treated as a miss) on any shape mismatch.
+        label; the syntactic parts (region tree, loop info) come from
+        :meth:`region_tree`, so every AST reference points into *this*
+        parse.  Returns ``None`` (treated as a miss) on any shape
+        mismatch.
         """
-        proc = build_region_tree(unit)
-        info = collect_loop_info(proc)
+        _proc, info = self.region_tree(unit.name)
         by_label = {loop.label: loop for loop in info}
         try:
             proc_value, loop_rows = payload
             loops = [by_label.get(row[0]) for row in loop_rows]
         except (TypeError, ValueError, IndexError):
             return None
-        bound = _bind_loop_rows(loop_rows, loops, info, unit.name)
+        bound = _bind_loop_rows(loop_rows, loops, info, unit.name, self.opts)
         if bound is None:
             return None
         summary = UnitSummary(unit.name, proc_value, {}, info)
@@ -316,34 +329,25 @@ class _UnitWalker:
     contract has populated.
     """
 
-    __slots__ = ("opts", "symtabs", "units", "fresh", "elide")
+    __slots__ = ("opts", "symtabs", "units", "fresh")
 
-    def __init__(
-        self, dataflow: "ArrayDataflow", elide: frozenset = frozenset()
-    ) -> None:
+    def __init__(self, dataflow: "ArrayDataflow") -> None:
         self.opts = dataflow.opts
         self.symtabs = dataflow.symtabs
         self.units = dataflow.units
         self.fresh = FreshNameSource()
-        #: labels whose loop projection may be skipped (screen hints)
-        self.elide = elide
-
-    @classmethod
-    def _bare(cls, opts) -> "_UnitWalker":
-        """A walker shim for reprojecting one loop outside any walk
-        (a projection reads only the options)."""
-        w = cls.__new__(cls)
-        w.opts = opts
-        return w
 
     # ------------------------------------------------------------------
     # per-unit walk
     # ------------------------------------------------------------------
-    def analyze(self, unit) -> UnitSummary:
-        proc = build_region_tree(unit)
-        info = collect_loop_info(proc)
-        summary = UnitSummary(unit.name, AccessValue.empty(), {}, info)
+    def analyze(self, unit, tree) -> UnitSummary:
+        """Walk *unit* over its ``(region tree, loop info)`` *tree*."""
+        proc, info = tree
+        summary = UnitSummary(unit.name, None, {}, info)
         symtab = self.symtabs[unit.name]
+        if unit.is_main:
+            self._visit_loops(proc.body_seq, symtab, summary)
+            return summary
         value = self._region_value(proc.body_seq, symtab, summary)
         # local arrays are invisible to callers
         local_arrays = [
@@ -351,6 +355,38 @@ class _UnitWalker:
         ]
         summary.proc_value = _drop_arrays_from_value(value, local_arrays)
         return summary
+
+    def _branch_paths(
+        self, cond: Predicate, path_pred: Predicate
+    ) -> Tuple[Predicate, Predicate]:
+        """The path predicates of a conditional's two branches."""
+        if not self.opts.predicates:
+            return TRUE, TRUE
+        from repro.predicates.formula import p_not
+
+        return p_and(path_pred, cond), p_and(path_pred, p_not(cond))
+
+    def _visit_loops(
+        self,
+        region: Region,
+        symtab: SymbolTable,
+        out: UnitSummary,
+        path_pred: Predicate = TRUE,
+    ) -> None:
+        """The main program's top level: record each loop's summary, in
+        the walk's order, and fold nothing — no unit can call the main
+        program, so no loop value here has a reader yet."""
+        if isinstance(region, SeqRegion):
+            for c in region.items:
+                self._visit_loops(c, symtab, out, path_pred)
+        elif isinstance(region, IfRegion):
+            then_path, else_path = self._branch_paths(
+                cond_to_predicate(region.stmt.cond), path_pred
+            )
+            self._visit_loops(region.then_seq, symtab, out, then_path)
+            self._visit_loops(region.else_seq, symtab, out, else_path)
+        elif isinstance(region, LoopRegion):
+            self._loop(region, symtab, out, path_pred, read=False)
 
     def _region_value(
         self,
@@ -371,12 +407,7 @@ class _UnitWalker:
             return self._stmt_value(region.stmt, symtab)
         if isinstance(region, IfRegion):
             cond = cond_to_predicate(region.stmt.cond)
-            from repro.predicates.formula import p_not
-
-            then_path = p_and(path_pred, cond) if self.opts.predicates else TRUE
-            else_path = (
-                p_and(path_pred, p_not(cond)) if self.opts.predicates else TRUE
-            )
+            then_path, else_path = self._branch_paths(cond, path_pred)
             v_then = self._region_value(
                 region.then_seq, symtab, out, then_path
             )
@@ -385,7 +416,7 @@ class _UnitWalker:
             )
             return branch_join(cond, v_then, v_else, self.opts)
         if isinstance(region, LoopRegion):
-            return self._loop_value(region, symtab, out, path_pred)
+            return self._loop(region, symtab, out, path_pred).loop_value
         if isinstance(region, CallRegion):
             return self._call_value(region, symtab)
         raise TypeError(f"unknown region {region!r}")
@@ -515,75 +546,61 @@ class _UnitWalker:
     # ------------------------------------------------------------------
     # loops
     # ------------------------------------------------------------------
-    def _loop_value(
+    def _loop(
         self,
         region: LoopRegion,
         symtab: SymbolTable,
         out: UnitSummary,
         path_pred: Predicate = TRUE,
-    ) -> AccessValue:
-        loop = region.stmt
-        info = out.loop_info.get(loop)
-        if info is None:  # loop discovered outside collect (defensive)
-            from repro.ir.loopinfo import analyze_loop
+        read: bool = True,
+    ) -> LoopSummary:
+        """Record the summaries of the loop and of the loops inside it.
 
-            info = analyze_loop(region)
-            out.loop_info[loop] = info
+        With *read*, the loop's value is projected before a top-level
+        nest's rows are memoized, so the rows carry it; a memo hit whose
+        rows lack it is replaced by rows that carry it.
+        """
+        loop = region.stmt
+        info = out.loop_info[loop]
         top = not region.enclosing_loops()
-        # tier-0 screen elision: an outermost screened-independent loop
-        # of a caller-free unit feeds its projected value only into the
-        # unit's (unread) proc value — skip the whole iteration-space
-        # projection and record a placeholder.  The decision for the
-        # loop comes pre-made from the screen; should the cross-check
-        # ever refuse it, :func:`reproject_loop` rebuilds the real value
-        # on demand.
-        elided = top and loop.label in self.elide
         key = None
         if top and info.has_calls:
             perf.bump("nest.excluded")
         elif top:
-            key = out.nest_keys[loop] = self._nest_key(
-                loop, symtab, path_pred, elided
-            )
-            rows = _NEST_SUMMARIES.get(key)
+            key = out.nest_keys[loop] = self._nest_key(loop, symtab, path_pred)
+            rows = None if metered() else _NEST_SUMMARIES.get(key)
             if rows is not None:
                 # the key holds the nest's text, so the rows fit its loops
                 bound = _bind_loop_rows(
-                    rows, _nest_loops([loop], []), out.loop_info, out.unit_name
+                    rows, _nest_loops([loop], []), out.loop_info, out.unit_name, self.opts
                 )
                 out.loops.update((ls.loop, ls) for ls in bound)
-                return bound[-1].loop_value
-        body_value = self._region_value(
-            region.body_seq, symtab, out, path_pred
+                root = bound[-1]
+                if read and rows[-1][2] is None:
+                    # stored by a walk that did not read it: project once
+                    # and store new rows that carry it
+                    root.projected = _project_loop(root.body_value, root.info, self.opts)
+                    _NEST_SUMMARIES.data[key] = rows[:-1] + _loop_rows([root])
+                return root
+        body_value = self._region_value(region.body_seq, symtab, out, path_pred)
+        summary = out.loops[loop] = LoopSummary(
+            loop, info, body_value, self.opts, out.unit_name, path_pred
         )
-        if elided:
-            perf.bump("screen.saved_units")
-            loop_value = AccessValue.empty()
-        else:
-            loop_value = self._project_loop(body_value, loop, info)
-        out.loops[loop] = LoopSummary(
-            loop=loop,
-            info=info,
-            body_value=body_value,
-            loop_value=loop_value,
-            unit_name=out.unit_name,
-            path_pred=path_pred,
-            elided=elided,
-        )
+        if read:
+            summary.projected = _project_loop(body_value, info, self.opts)
         if key is not None:
             _NEST_SUMMARIES.data[key] = _loop_rows(
                 out.loops[l] for l in _nest_loops([loop], [])
             )
-        return loop_value
+        return summary
 
     def _nest_key(
-        self, loop: DoLoop, symtab: SymbolTable, path_pred: Predicate, elided: bool
+        self, loop: DoLoop, symtab: SymbolTable, path_pred: Predicate
     ) -> tuple:
         """What a call-free top-level nest's walk and decisions read.
 
         The walk reads the nest's statements, the options and the path
-        predicate; the elision flag decides whether the root is
-        projected; the decisions also read the declarations of the
+        predicate; the decisions also read the declarations of the
         names the nest mentions (scalar or array, or undeclared).  Each
         declaration's text carries its name, so the declared ones are
         enough: every other identifier of the text is undeclared.
@@ -594,197 +611,196 @@ class _UnitWalker:
             for d in map(symtab.decl, sorted(set(_IDENT.findall(text))))
             if d is not None
         )
-        return (text, self.opts, path_pred, elided, decls)
+        return (text, self.opts, path_pred, decls)
 
-    def _project_loop(
-        self, body: AccessValue, loop: DoLoop, info: LoopInfo
-    ) -> AccessValue:
-        index = loop.var
-        space = info.iteration_space()
-        budget = self.opts.region_budget
-        # variables a guard may not mention if it is to survive projection
-        volatile = frozenset([index]) | body.scalar_writes
 
-        r = body.r.project_may(index, space)
-        w = body.w.project_may(index, space)
+def _project_loop(
+    body: AccessValue, info: LoopInfo, opts: AnalysisOptions
+) -> AccessValue:
+    """A loop's value: its body value projected across the iteration
+    space."""
+    index = info.loop.var
+    space = info.iteration_space()
+    # variables a guard may not mention if it is to survive projection
+    volatile = frozenset([index]) | body.scalar_writes
 
-        m_alts = self._project_must_alts(body.m, index, space, volatile)
-        e_alts = self._project_exposed_alts(
-            body, m_alts, index, space, volatile, info.step
+    r = body.r.project_may(index, space)
+    w = body.w.project_may(index, space)
+
+    m_alts = _project_must_alts(body.m, index, space, volatile, opts)
+    e_alts = _project_exposed_alts(body, index, space, volatile, info.step, opts)
+
+    w_alts: List[GuardedSummary] = []
+    for g in body.w_alts:
+        split = split_guard_cases(
+            g.pred, g.summary, body.w, volatile, opts.embedding
         )
-
-        w_alts: List[GuardedSummary] = []
-        for g in body.w_alts:
-            split = split_guard_cases(
-                g.pred, g.summary, body.w, volatile, self.opts.embedding
+        if split is None:
+            continue
+        pred, cases = split
+        if pred.variables() & volatile:
+            continue
+        projected = SummarySet.empty()
+        for s, _sys in cases:
+            projected = projected.union(
+                s.project_may(index, space), opts.region_budget
             )
-            if split is None:
-                continue
-            pred, cases = split
-            if pred.variables() & volatile:
-                continue
-            projected = SummarySet.empty()
-            for s, _sys in cases:
-                projected = projected.union(
-                    s.project_may(index, space), self.opts.region_budget
-                )
-            w_alts.append(GuardedSummary(pred, projected))
-        if not any(g.is_default() for g in w_alts):
-            w_alts.append(GuardedSummary(TRUE, w))
+        w_alts.append(GuardedSummary(pred, projected))
+    if not any(g.is_default() for g in w_alts):
+        w_alts.append(GuardedSummary(TRUE, w))
 
-        return AccessValue(
-            r=r,
-            w=w,
-            m=_dedup_guarded(m_alts, self.opts.max_guarded, keep="max"),
-            e=_dedup_guarded(e_alts, self.opts.max_guarded, keep="min"),
-            w_alts=_dedup_guarded(w_alts, self.opts.max_guarded, keep="min"),
-            scalar_writes=body.scalar_writes | frozenset([index]),
+    return AccessValue(
+        r=r,
+        w=w,
+        m=_dedup_guarded(m_alts, opts.max_guarded, keep="max"),
+        e=_dedup_guarded(e_alts, opts.max_guarded, keep="min"),
+        w_alts=_dedup_guarded(w_alts, opts.max_guarded, keep="min"),
+        scalar_writes=body.scalar_writes | frozenset([index]),
+    )
+
+def _project_must_alts(
+    alts: Tuple[GuardedSummary, ...],
+    index: str,
+    space: LinearSystem,
+    volatile: frozenset,
+    opts: AnalysisOptions,
+) -> List[GuardedSummary]:
+    """Project guarded must-writes across the iteration space.
+
+    An index-dependent guard is *embedded* (its linear conjuncts are
+    conjoined into the regions, making the projection range over
+    exactly the iterations where the guard held).  A residual guard
+    must be loop-invariant or the alternative is dropped.
+    """
+    out: List[GuardedSummary] = []
+    for g in alts:
+        pred, summary = g.pred, g.summary
+        if opts.embedding and (pred.variables() & volatile):
+            pred, summary = embed_into_summary(pred, summary)
+        if pred.variables() & volatile:
+            continue  # guard not interpretable at loop entry
+        projected = summary.project_must(index, space)
+        out.append(GuardedSummary(pred, projected))
+    if not any(g.is_default() for g in out):
+        out.append(GuardedSummary(TRUE, SummarySet.empty()))
+    return out
+
+def _project_exposed_alts(
+    body: AccessValue,
+    index: str,
+    space: LinearSystem,
+    volatile: frozenset,
+    step,
+    opts: AnalysisOptions,
+) -> List[GuardedSummary]:
+    """Exposed reads of the loop.
+
+    For each usable exposed alternative ``(p_e, E(i))`` and each
+    usable must alternative ``(p_m, M(i))``::
+
+        E_loop = ⋃_i  E(i) − M_before(i)
+        M_before(i) = ⋃_{i' executed before i} M(i')
+
+    realized by renaming the must summary to a fresh iterator ``i'``,
+    must-projecting it over the execution-earlier range (``i' < i``
+    for positive steps, ``i' > i`` for negative — execution order,
+    not index order), subtracting (with predicate extraction) and
+    may-projecting the residue.  A non-constant step yields no prior
+    iterations (sound: nothing is subtracted).
+    """
+    out: List[GuardedSummary] = []
+    # created and eliminated inside this projection, so one name per
+    # index is enough and the walk draws no fresh names
+    prior = f"{GEN_PREFIX}prior_{index}"
+    if step is not None and step < 0:
+        order = Constraint.gt(
+            AffineExpr.var(prior), AffineExpr.var(index)
         )
-
-    def _project_must_alts(
-        self,
-        alts: Tuple[GuardedSummary, ...],
-        index: str,
-        space: LinearSystem,
-        volatile: frozenset,
-    ) -> List[GuardedSummary]:
-        """Project guarded must-writes across the iteration space.
-
-        An index-dependent guard is *embedded* (its linear conjuncts are
-        conjoined into the regions, making the projection range over
-        exactly the iterations where the guard held).  A residual guard
-        must be loop-invariant or the alternative is dropped.
-        """
-        out: List[GuardedSummary] = []
-        for g in alts:
-            pred, summary = g.pred, g.summary
-            if self.opts.embedding and (pred.variables() & volatile):
-                pred, summary = embed_into_summary(pred, summary)
-            if pred.variables() & volatile:
-                continue  # guard not interpretable at loop entry
-            projected = summary.project_must(index, space)
-            out.append(GuardedSummary(pred, projected))
-        if not any(g.is_default() for g in out):
-            out.append(GuardedSummary(TRUE, SummarySet.empty()))
-        return out
-
-    def _project_exposed_alts(
-        self,
-        body: AccessValue,
-        loop_must: List[GuardedSummary],
-        index: str,
-        space: LinearSystem,
-        volatile: frozenset,
-        step,
-    ) -> List[GuardedSummary]:
-        """Exposed reads of the loop.
-
-        For each usable exposed alternative ``(p_e, E(i))`` and each
-        usable must alternative ``(p_m, M(i))``::
-
-            E_loop = ⋃_i  E(i) − M_before(i)
-            M_before(i) = ⋃_{i' executed before i} M(i')
-
-        realized by renaming the must summary to a fresh iterator ``i'``,
-        must-projecting it over the execution-earlier range (``i' < i``
-        for positive steps, ``i' > i`` for negative — execution order,
-        not index order), subtracting (with predicate extraction) and
-        may-projecting the residue.  A non-constant step yields no prior
-        iterations (sound: nothing is subtracted).
-        """
-        out: List[GuardedSummary] = []
-        # created and eliminated inside this projection, so one name per
-        # index is enough and the walk draws no fresh names
-        prior = f"{GEN_PREFIX}prior_{index}"
-        if step is not None and step < 0:
-            order = Constraint.gt(
-                AffineExpr.var(prior), AffineExpr.var(index)
-            )
-        else:
-            order = Constraint.lt(
-                AffineExpr.var(prior), AffineExpr.var(index)
-            )
-        prior_space = space.rename({index: prior}) & LinearSystem([order])
-        if step is None or abs(step) != 1:
-            # a strided loop's prior iterations are a strided subset of
-            # the index range; subtracting the hull would fabricate
-            # coverage, so no prior writes are claimed
-            prior_space = LinearSystem.empty()
-        e_default = body.exposed_default()
-        for ge in body.e:
-            split = split_guard_cases(
-                ge.pred, ge.summary, e_default, volatile, self.opts.embedding
-            )
-            if split is None:
+    else:
+        order = Constraint.lt(
+            AffineExpr.var(prior), AffineExpr.var(index)
+        )
+    prior_space = space.rename({index: prior}) & LinearSystem([order])
+    if step is None or abs(step) != 1:
+        # a strided loop's prior iterations are a strided subset of
+        # the index range; subtracting the hull would fabricate
+        # coverage, so no prior writes are claimed
+        prior_space = LinearSystem.empty()
+    e_default = body.exposed_default()
+    for ge in body.e:
+        split = split_guard_cases(
+            ge.pred, ge.summary, e_default, volatile, opts.embedding
+        )
+        if split is None:
+            continue
+        e_pred, e_cases = split
+        if e_pred.variables() & volatile:
+            continue
+        for gm in body.m:
+            # must-writes may be embedded without complement cases:
+            # restricting to guard-holding iterations only shrinks them
+            m_pred, m_sum = gm.pred, gm.summary
+            if opts.embedding and (m_pred.variables() & volatile):
+                m_pred, m_sum = embed_into_summary(m_pred, m_sum)
+            if m_pred.variables() & volatile:
                 continue
-            e_pred, e_cases = split
-            if e_pred.variables() & volatile:
-                continue
-            for gm in body.m:
-                # must-writes may be embedded without complement cases:
-                # restricting to guard-holding iterations only shrinks them
-                m_pred, m_sum = gm.pred, gm.summary
-                if self.opts.embedding and (m_pred.variables() & volatile):
-                    m_pred, m_sum = embed_into_summary(m_pred, m_sum)
-                if m_pred.variables() & volatile:
-                    continue
-                combined = p_and(e_pred, m_pred)
-                if combined.is_false() or is_unsat(combined):
-                    continue  # prune before the expensive subtraction
-                    # (an unsat guard would be dedup-dropped afterwards)
-                m_before = m_sum.rename_vars({index: prior}).project_must(
-                    prior, prior_space
+            combined = p_and(e_pred, m_pred)
+            if combined.is_false() or is_unsat(combined):
+                continue  # prune before the expensive subtraction
+                # (an unsat guard would be dedup-dropped afterwards)
+            m_before = m_sum.rename_vars({index: prior}).project_must(
+                prior, prior_space
+            )
+            # combine the iteration-covering exposure cases: the loop
+            # exposure is bounded by the union of per-case residues,
+            # and is empty under the conjunction of per-case breaking
+            # conditions
+            union_residue = SummarySet.empty()
+            all_break: Predicate = TRUE
+            have_break = True
+            for e_sum, _sys in e_cases:
+                alts = pred_subtract(e_sum, m_before, opts)
+                default_diff = next(
+                    s for p, s in alts if p.is_true()
                 )
-                # combine the iteration-covering exposure cases: the loop
-                # exposure is bounded by the union of per-case residues,
-                # and is empty under the conjunction of per-case breaking
-                # conditions
-                union_residue = SummarySet.empty()
-                all_break: Predicate = TRUE
-                have_break = True
-                for e_sum, _sys in e_cases:
-                    alts = pred_subtract(e_sum, m_before, self.opts)
-                    default_diff = next(
-                        s for p, s in alts if p.is_true()
-                    )
-                    union_residue = union_residue.union(
-                        default_diff.project_may(index, space),
-                        self.opts.region_budget,
-                    )
-                    case_break = next(
-                        (
-                            p
-                            for p, s in alts
-                            if not p.is_true()
-                            and s.is_empty()
-                            and not (p.variables() & volatile)
-                        ),
-                        None,
-                    )
-                    if default_diff.is_empty():
-                        continue  # this case contributes nothing anyway
-                    if case_break is None:
-                        have_break = False
-                    else:
-                        all_break = p_and(all_break, case_break)
-                base_pred = p_and(e_pred, m_pred)
-                if base_pred.is_false():
-                    continue
-                out.append(GuardedSummary(base_pred, union_residue))
-                if (
-                    have_break
-                    and not all_break.is_true()
-                    and not union_residue.is_empty()
-                ):
-                    pred = p_and(base_pred, all_break)
-                    if not pred.is_false():
-                        out.append(GuardedSummary(pred, SummarySet.empty()))
-        if not any(g.is_default() for g in out):
-            # sound fallback: every read may be exposed
-            out.append(
-                GuardedSummary(TRUE, body.r.project_may(index, space))
-            )
-        return out
+                union_residue = union_residue.union(
+                    default_diff.project_may(index, space),
+                    opts.region_budget,
+                )
+                case_break = next(
+                    (
+                        p
+                        for p, s in alts
+                        if not p.is_true()
+                        and s.is_empty()
+                        and not (p.variables() & volatile)
+                    ),
+                    None,
+                )
+                if default_diff.is_empty():
+                    continue  # this case contributes nothing anyway
+                if case_break is None:
+                    have_break = False
+                else:
+                    all_break = p_and(all_break, case_break)
+            base_pred = p_and(e_pred, m_pred)
+            if base_pred.is_false():
+                continue
+            out.append(GuardedSummary(base_pred, union_residue))
+            if (
+                have_break
+                and not all_break.is_true()
+                and not union_residue.is_empty()
+            ):
+                pred = p_and(base_pred, all_break)
+                if not pred.is_false():
+                    out.append(GuardedSummary(pred, SummarySet.empty()))
+    if not any(g.is_default() for g in out):
+        # sound fallback: every read may be exposed
+        out.append(
+            GuardedSummary(TRUE, body.r.project_may(index, space))
+        )
+    return out
 
 
 def _summary_payload(summary: UnitSummary):
@@ -802,22 +818,22 @@ def _loop_rows(loop_summaries) -> list:
     """AST-free rows of loop summaries, in the order given.
 
     A row is ``(label, body value, loop value, path predicate)``, with
-    ``None`` for the loop value of an elided (never computed)
-    projection; the memo keeps those, the disk cache never stores them.
+    ``None`` for a loop value not yet projected.
     """
     return [
-        (ls.label, ls.body_value, None if ls.elided else ls.loop_value, ls.path_pred)
+        (ls.label, ls.body_value, ls.projected, ls.path_pred)
         for ls in loop_summaries
     ]
 
 
 def _bind_loop_rows(
-    rows, loops: List[Optional[DoLoop]], loop_info, unit_name: str
+    rows, loops: List[Optional[DoLoop]], loop_info, unit_name: str, opts
 ) -> Optional[List[LoopSummary]]:
     """Reattach :func:`_loop_rows` rows to the current parse's *loops*,
     matched by position; ``None`` on any shape mismatch.  The disk
     cache finds the loops by the rows' labels, the nest memo by the
-    nest's walk order."""
+    nest's walk order.  A value not yet projected is projected on the
+    bound summary's first read; the rows are never written."""
     if len(rows) != len(loops):
         return None
     out: List[LoopSummary] = []
@@ -827,15 +843,7 @@ def _bind_loop_rows(
                 return None
             out.append(
                 LoopSummary(
-                    loop=loop,
-                    info=loop_info[loop],
-                    body_value=body_value,
-                    loop_value=(
-                        AccessValue.empty() if loop_value is None else loop_value
-                    ),
-                    unit_name=unit_name,
-                    path_pred=path_pred,
-                    elided=loop_value is None,
+                    loop, loop_info[loop], body_value, opts, unit_name, path_pred, loop_value
                 )
             )
     except (TypeError, ValueError, KeyError):
@@ -854,19 +862,6 @@ def _nest_loops(stmts, out: List[DoLoop]) -> List[DoLoop]:
             _nest_loops(s.then_body, out)
             _nest_loops(s.else_body, out)
     return out
-
-
-def reproject_loop(loop_summary: LoopSummary, opts) -> AccessValue:
-    """Recompute an elided loop's iteration-space projection on demand.
-
-    A pure function of the (real) body value, loop info and options:
-    a projection draws no fresh names, and the walker's fresh names
-    (call sites) never reach any reported result — pinned by
-    ``tests/arraydf/test_fresh_names.py``.
-    """
-    return _UnitWalker._bare(opts)._project_loop(
-        loop_summary.body_value, loop_summary.loop, loop_summary.info
-    )
 
 
 def _drop_arrays_from_value(value: AccessValue, arrays: List[str]) -> AccessValue:

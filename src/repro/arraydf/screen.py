@@ -327,10 +327,13 @@ def _post_order_labels(proc: ProcRegion) -> List[Tuple[LoopRegion, str]]:
     return out
 
 
-def screen_unit(unit: Subroutine, symtab) -> UnitScreen:
-    """Screen every loop of one (scalar-propagated) unit."""
-    proc = build_region_tree(unit)
-    infos = collect_loop_info(proc)
+def screen_unit(unit: Subroutine, symtab, tree=None) -> UnitScreen:
+    """Screen every loop of one (scalar-propagated) unit; *tree* is its
+    ``(region tree, loop info)`` pair where the caller has one."""
+    if tree is None:
+        proc = build_region_tree(unit)
+        tree = (proc, collect_loop_info(proc))
+    proc, infos = tree
     verdicts: Dict[str, str] = {}
     rows: Dict[str, dict] = {}
     order: List[str] = []

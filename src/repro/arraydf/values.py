@@ -42,6 +42,7 @@ from repro.predicates.formula import (
 )
 from repro.predicates.simplify import equivalent, implies, is_unsat
 from repro.regions.summary import SummarySet
+from repro.service.budgets import metered
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ def _covers(a: SummarySet, b: SummarySet) -> bool:
     if a is b:
         return True
     key = (a, b)
-    hit = _COVERS.data.get(key, perf.MISS)
+    hit = perf.MISS if metered() else _COVERS.data.get(key, perf.MISS)
     if hit is not perf.MISS:
         _COVERS.hits += 1
         return hit

@@ -16,7 +16,7 @@ from functools import lru_cache
 from repro import perf
 from repro.linalg.fourier_motzkin import eliminate_all
 from repro.linalg.system import LinearSystem
-from repro.service.budgets import checkpoint
+from repro.service.budgets import checkpoint, metered
 
 
 @lru_cache(maxsize=16384)
@@ -35,6 +35,8 @@ def _feasible_cached(system: LinearSystem) -> bool:
 
 def is_rationally_feasible(system: LinearSystem) -> bool:
     """True iff the system has a rational solution."""
+    if metered():
+        return _feasible_cached.__wrapped__(system)
     return _feasible_cached(system)
 
 
@@ -44,7 +46,7 @@ def is_feasible(system: LinearSystem) -> bool:
     Sound for the analysis: an ``False`` answer guarantees the system has
     no integer points.
     """
-    return _feasible_cached(system)
+    return is_rationally_feasible(system)
 
 
 def clear_cache() -> None:

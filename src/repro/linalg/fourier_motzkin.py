@@ -36,7 +36,7 @@ from typing import Iterable, List, Tuple
 from repro import perf
 from repro.linalg.constraint import Constraint, Rel
 from repro.linalg.system import LinearSystem
-from repro.service.budgets import charge_fm
+from repro.service.budgets import charge_fm, metered
 
 # Pair-combination blowup guard: systems beyond this many constraints fall
 # back to dropping the variable's constraints entirely (a coarser but still
@@ -178,7 +178,7 @@ def eliminate(system: LinearSystem, var: str) -> LinearSystem:
     if var not in system.variables():
         return system
     key = (system, var)
-    cached = _ELIM.data.get(key)
+    cached = None if metered() else _ELIM.data.get(key)
     if cached is not None:
         _ELIM.hits += 1
         return cached
@@ -256,7 +256,7 @@ def eliminate_all(system: LinearSystem, variables: Iterable[str]) -> LinearSyste
     if not todo0:
         return system
     key = (system, todo0)
-    cached = _ELIM_ALL.data.get(key)
+    cached = None if metered() else _ELIM_ALL.data.get(key)
     if cached is not None:
         _ELIM_ALL.hits += 1
         return cached

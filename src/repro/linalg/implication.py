@@ -14,6 +14,7 @@ from repro import perf
 from repro.linalg.constraint import Constraint, Rel
 from repro.linalg.feasibility import is_feasible
 from repro.linalg.system import LinearSystem
+from repro.service.budgets import metered
 
 #: the predicate oracle's entailment cache — it lives down here because
 #: `linalg` must not import the predicates layer; `_drop_entailed_linear`
@@ -32,7 +33,7 @@ def entails(system: LinearSystem, constraint: Constraint) -> bool:
     if system.is_trivially_empty():
         return True
     key = (system, constraint)
-    hit = _ENTAILS.data.get(key, perf.MISS)
+    hit = perf.MISS if metered() else _ENTAILS.data.get(key, perf.MISS)
     if hit is not perf.MISS:
         _ENTAILS.hits += 1
         return hit

@@ -45,6 +45,7 @@ from repro.predicates.formula import (
 from repro.predicates.simplify import simplify
 from repro.regions.summary import SummarySet
 from repro.symbolic.affine import AffineExpr
+from repro.symbolic.terms import GEN_PREFIX
 
 
 @dataclass
@@ -293,7 +294,8 @@ def test_loop(
 
     # ---- array dependences ---------------------------------------------
     index = loop.var
-    i1, i2 = f"{index}__it1", f"{index}__it2"
+    # generated names: a program identifier cannot start with ``__``
+    i1, i2 = f"{GEN_PREFIX}it1_{index}", f"{GEN_PREFIX}it2_{index}"
     space = info.iteration_space()
     base = (
         space.rename({index: i1})

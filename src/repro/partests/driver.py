@@ -50,7 +50,7 @@ from repro.partests.runtime_tests import (
     test_cost,
 )
 from repro.predicates.formula import Predicate, TRUE
-from repro.service.budgets import BudgetExceeded
+from repro.service.budgets import BudgetExceeded, metered
 from repro.service.cache import SummaryCache
 
 #: the decision rows of each call-free top-level loop nest, in
@@ -205,7 +205,7 @@ def decide_unit(
     out: List[LoopResult] = []
     degraded = False
     for nest_key, nest in _nests(summary):
-        rows = _NEST_DECISIONS.get(nest_key) if nest_key is not None else None
+        rows = None if nest_key is None or metered() else _NEST_DECISIONS.get(nest_key)
         if rows is not None:
             # the key holds the nest's text, so the rows fit its loops
             out.extend(_rebind_rows(rows, [ls.loop for ls in nest], unit_name, nest))
@@ -253,13 +253,6 @@ def _decide_one(
             perf.bump("screen.agree")
             return screened, False
         perf.bump("screen.disagree")
-    if loop_summary.elided:
-        # the walk skipped this loop's projection on the screen's
-        # word; the full test needs the real projected value
-        from repro.arraydf.analysis import reproject_loop
-
-        loop_summary.loop_value = reproject_loop(loop_summary, opts)
-        loop_summary.elided = False
     try:
         with perf.analysis_context(loop_summary.label):
             return decide_loop(loop_summary, symtab, opts), False

@@ -25,11 +25,19 @@ Each stage of the compile flow sits behind the declared-I/O
         ▼
     transformed
 
+The engine builds each unit's region tree and loop info once
+(:meth:`~repro.arraydf.analysis.ArrayDataflow.region_tree`); the screen,
+the walk and a cache rebind share them.  A loop's projected value is
+computed when first read, so an outermost main-program loop is
+projected in ``decide``, and only for a privatized array's copy-in
+region.
+
 Budget boundaries: ``summarize`` checkpoints on entry and degrades a
 tripped unit to the conservative whole-array summary (tainting it out of
-the cache); ``decide`` demotes each tripped loop to ``serial``.  The
-manager never checkpoints itself, so a budget trip can only ever
-*weaken* answers, never abort a run.
+the cache); ``decide`` demotes each tripped loop to ``serial``, a trip
+in a projection it reads included.  The manager never checkpoints
+itself, so a budget trip can only ever *weaken* answers, never abort a
+run.
 """
 
 from __future__ import annotations
@@ -118,7 +126,9 @@ class ScreenPass(Pass):
                 screen = rebind_screen(payload, unit)
                 if screen is not None:
                     return screen
-        screen = screen_unit(engine.program.units[unit], engine.symtabs[unit])
+        screen = screen_unit(
+            engine.program.units[unit], engine.symtabs[unit], engine.region_tree(unit)
+        )
         if key is not None:
             engine.cache.store(key, "screen", screen_payload(screen))
         return screen
@@ -127,12 +137,7 @@ class ScreenPass(Pass):
         assert unit is not None
         engine = ctx.engine
         screen = self._compute(engine, unit)
-        caller_free = not engine.callgraph.callers(unit)
-        screen.skip_summary = screen.full_cover and caller_free
-        if caller_free:
-            # nothing reads a caller-free unit's proc value, so the walk
-            # may elide outermost screened-independent loop projections
-            engine.screen_hints[unit] = frozenset(screen.independent_labels)
+        screen.skip_summary = screen.full_cover and not engine.callgraph.callers(unit)
         ctx.put("screen", screen, unit)
 
 

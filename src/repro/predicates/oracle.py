@@ -47,6 +47,7 @@ from repro.linalg.system import LinearSystem
 from repro.predicates.atoms import LinAtom
 from repro.predicates.formula import Atom, NotPred, Predicate, p_and, p_not
 from repro.predicates.simplify import to_dnf
+from repro.service.budgets import metered
 
 Conjunct = FrozenSet[Predicate]
 
@@ -132,7 +133,7 @@ def conjunct_unsat(conj: Conjunct) -> bool:
     Always agrees with the ground conjunct test (exact feasibility of
     the conjoined linear atoms, boolean complements among the rest).
     """
-    hit = _CONJUNCT.data.get(conj, _MISS)
+    hit = _MISS if metered() else _CONJUNCT.data.get(conj, _MISS)
     if hit is not _MISS:
         _CONJUNCT.hits += 1
         return hit
@@ -153,7 +154,7 @@ def is_unsat(pred: Predicate) -> bool:
         return True
     if pred.is_true():
         return False
-    hit = _UNSAT.data.get(pred, _MISS)
+    hit = _MISS if metered() else _UNSAT.data.get(pred, _MISS)
     if hit is not _MISS:
         _UNSAT.hits += 1
         return hit
@@ -194,7 +195,7 @@ def implies(p: Predicate, q: Predicate) -> bool:
     if p.is_false() or q.is_true():
         return True
     key = (p, q)
-    hit = _IMPLIES.data.get(key, _MISS)
+    hit = _MISS if metered() else _IMPLIES.data.get(key, _MISS)
     if hit is not _MISS:
         _IMPLIES.hits += 1
         return hit

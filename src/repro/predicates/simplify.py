@@ -29,6 +29,7 @@ from repro.predicates.formula import (
     p_not,
     p_or,
 )
+from repro.service.budgets import metered
 
 # Bound on the number of DNF disjuncts explored before giving up.
 MAX_DNF = 256
@@ -128,7 +129,7 @@ def simplify(pred: Predicate) -> Predicate:
     Bounded: the global checks only run when the DNF stays small.
     Memoized (whole-result).
     """
-    hit = _SIMPLIFY.data.get(pred, perf.MISS)
+    hit = perf.MISS if metered() else _SIMPLIFY.data.get(pred, perf.MISS)
     if hit is not perf.MISS:
         _SIMPLIFY.hits += 1
         return hit

@@ -13,6 +13,7 @@ from repro import perf
 from repro.linalg.implication import entails, system_implies
 from repro.linalg.system import LinearSystem
 from repro.regions.region import ArrayRegion
+from repro.service.budgets import metered
 
 _COALESCE = perf.memo_table("region.coalesce", cap=16384)
 
@@ -60,7 +61,7 @@ def try_coalesce(a: ArrayRegion, b: ArrayRegion) -> Optional[ArrayRegion]:
     constraint systems only attempt the cheap containment merges.
     """
     key = (a, b)
-    cached = _COALESCE.data.get(key, perf.MISS)
+    cached = perf.MISS if metered() else _COALESCE.data.get(key, perf.MISS)
     if cached is not perf.MISS:
         _COALESCE.hits += 1
         return cached

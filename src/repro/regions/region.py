@@ -19,6 +19,7 @@ from repro.linalg.constraint import Constraint
 from repro.linalg.feasibility import is_feasible
 from repro.linalg.implication import system_implies
 from repro.linalg.system import LinearSystem
+from repro.service.budgets import metered
 from repro.symbolic.affine import AffineExpr
 from repro.symbolic.terms import dim_var, is_dim_var, iter_dim_vars
 
@@ -98,7 +99,7 @@ class ArrayRegion:
     def is_empty(self) -> bool:
         """Proven-empty test (conservative: False = maybe non-empty)."""
         cached = self._empty
-        if cached is None:
+        if cached is None or metered():
             cached = not is_feasible(self.system)
             object.__setattr__(self, "_empty", cached)
         return cached

@@ -43,6 +43,7 @@ from repro.predicates.atoms import DivAtom, LinAtom, OpaqueAtom
 from repro.predicates.formula import Predicate, TRUE, p_atom
 from repro.regions.region import ArrayRegion
 from repro.regions.summary import SummarySet
+from repro.service.budgets import metered
 from repro.symbolic.affine import AffineExpr
 from repro.symbolic.terms import FreshNameSource, dim_var
 
@@ -177,7 +178,7 @@ def _translate_region_linear(
     of its arguments — cacheable, and independent of call order.
     """
     key = (region, actual, tuple(callee_ext), tuple(caller_ext))
-    cached = _RESHAPE.data.get(key)
+    cached = None if metered() else _RESHAPE.data.get(key)
     if cached is not None:
         _RESHAPE.hits += 1
         return cached

@@ -20,6 +20,7 @@ from repro import perf
 from repro.linalg.constraint import Constraint, Rel
 from repro.linalg.system import LinearSystem
 from repro.regions.region import ArrayRegion
+from repro.service.budgets import metered
 
 _SUBTRACT = perf.memo_table("region.subtract", cap=16384)
 
@@ -43,7 +44,7 @@ def subtract_region(a: ArrayRegion, b: ArrayRegion) -> List[ArrayRegion]:
     is returned each call so callers may extend/consume it freely.
     """
     key = (a, b)
-    cached = _SUBTRACT.data.get(key)
+    cached = None if metered() else _SUBTRACT.data.get(key)
     if cached is not None:
         _SUBTRACT.hits += 1
         return list(cached)

@@ -25,6 +25,7 @@ from repro.regions.project import (
 from repro import perf
 from repro.regions.region import ArrayRegion
 from repro.regions.subtract import subtract_summary
+from repro.service.budgets import metered
 
 REGION_BUDGET = 12
 
@@ -126,7 +127,7 @@ class SummarySet:
         ):
             return other
         key = (self, other, budget)
-        cached = _UNION.data.get(key)
+        cached = None if metered() else _UNION.data.get(key)
         if cached is not None:
             _UNION.hits += 1
             return cached

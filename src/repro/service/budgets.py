@@ -28,6 +28,13 @@ parallel" — and both bump a ``budget.*`` counter surfaced by
 cheap), so after the first trip every remaining unit/loop degrades
 quickly rather than continuing to burn the request's time.
 
+A memo or summary-cache hit answers without work, and the tables are
+shared by every job of a process.  So work under an FM or ops limit is
+*metered* (:func:`metered`): it reads no memoized or cached answer, and
+whether it exhausts an FM limit depends on the request alone, never on
+what this process or a concurrent job computed before.  (The ops limit
+reads :func:`repro.perf.total_ops`, which counts every thread's work.)
+
 The module is intentionally light (stdlib + :mod:`repro.perf` only) so
 the linear-algebra substrate can import it without cycles.
 """
@@ -112,10 +119,11 @@ class Budget:
 class _ActiveBudget:
     """Book-keeping for the budget currently in scope."""
 
-    __slots__ = ("budget", "started", "ops_base", "fm_spent", "trips")
+    __slots__ = ("budget", "metered", "started", "ops_base", "fm_spent", "trips")
 
     def __init__(self, budget: Budget) -> None:
         self.budget = budget
+        self.metered = budget.max_ops is not None or budget.max_fm_constraints is not None
         self.started = time.perf_counter()
         self.ops_base = perf.total_ops()
         self.fm_spent = 0
@@ -163,12 +171,24 @@ class _ActiveBudget:
 #: slot would let one job's budget meter another job's work.  Pool
 #: worker *processes* activate their own scope from the shipped request
 #: payload.
-_tls = threading.local()
+class _ThreadBudget(threading.local):
+    #: class default: a thread that never set one pays no failed lookup
+    active: Optional[_ActiveBudget] = None
+
+
+_tls = _ThreadBudget()
 
 
 def active_budget() -> Optional[_ActiveBudget]:
     """The calling thread's active budget book-keeping, or ``None``."""
-    return getattr(_tls, "active", None)
+    return _tls.active
+
+
+def metered() -> bool:
+    """Whether an FM or ops limit is in force for the calling thread, so
+    no memo table or summary-cache entry may answer (module docstring)."""
+    active = _tls.active
+    return active is not None and active.metered
 
 
 def clear_thread_budget() -> None:

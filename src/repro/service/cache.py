@@ -40,9 +40,10 @@ from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 from repro import perf
+from repro.service.budgets import metered
 
 #: bump when the analysis or the payload layout changes incompatibly
-CACHE_VERSION = "1"
+CACHE_VERSION = "2"
 
 #: environment variable naming the default cache directory; worker
 #: processes (fork or spawn) inherit it, so ``--cache DIR`` set once in
@@ -141,7 +142,10 @@ class SummaryCache:
         return self.root / key[:2] / f"{key[2:]}.{kind}.pkl"
 
     def load(self, key: str, kind: str):
-        """The stored payload, or ``None`` on miss/corruption."""
+        """The stored payload, or ``None`` on miss/corruption and under
+        a budget that meters work (:func:`~repro.service.budgets.metered`)."""
+        if metered():
+            return None
         path = self._path(key, kind)
         try:
             with open(path, "rb") as f:

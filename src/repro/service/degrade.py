@@ -67,7 +67,7 @@ def _assigned_scalars(stmts) -> frozenset:
     return frozenset(names)
 
 
-def conservative_unit_summary(unit, symtab: SymbolTable, opts):
+def conservative_unit_summary(unit, symtab: SymbolTable, opts, tree):
     """A whole-unit fallback :class:`UnitSummary`.
 
     Every loop gets a conservative body/loop value (so the driver's
@@ -75,18 +75,16 @@ def conservative_unit_summary(unit, symtab: SymbolTable, opts):
     can only fail to prove parallelism), and the procedure summary
     exposes whole-array accesses of the formals to callers.  Loops are
     recorded in the same post-order the precise walker uses so report
-    ordering stays stable.
+    ordering stays stable.  *tree* is the unit's ``(region tree, loop
+    info)`` pair (:meth:`~repro.arraydf.analysis.ArrayDataflow.region_tree`).
     """
     # local import: analysis imports this module lazily, and importing
     # analysis at module load would be circular
     from repro.arraydf.analysis import LoopSummary, UnitSummary
-    from repro.ir.loopinfo import collect_loop_info
-    from repro.ir.regiongraph import build_region_tree
 
-    proc = build_region_tree(unit)
-    info = collect_loop_info(proc)
+    proc, info = tree
     arrays = symtab.declared_arrays()
-    summary = UnitSummary(unit.name, AccessValue.empty(), {}, info)
+    summary = UnitSummary(unit.name, None, {}, info)
 
     def visit(region: Region) -> None:
         for child in region.children():
@@ -103,15 +101,17 @@ def conservative_unit_summary(unit, symtab: SymbolTable, opts):
                 loop=loop,
                 info=loop_info,
                 body_value=value,
-                loop_value=value,
+                opts=opts,
                 unit_name=unit.name,
                 path_pred=TRUE,
+                projected=value,
             )
 
     visit(proc)
 
-    visible = [a for a in arrays if symtab.is_formal(a)]
-    summary.proc_value = conservative_value(
-        symtab, visible, _assigned_scalars(unit.body)
-    )
+    if not unit.is_main:
+        visible = [a for a in arrays if symtab.is_formal(a)]
+        summary.proc_value = conservative_value(
+            symtab, visible, _assigned_scalars(unit.body)
+        )
     return summary

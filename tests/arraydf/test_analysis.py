@@ -202,9 +202,20 @@ end
         exposed = drv.proc_value.exposed_default()
         assert pts(exposed, "a", {"n": 8}) != set()
 
-    def test_main_proc_value_hides_locals(self):
+    def test_main_program_has_no_proc_value(self):
+        # no unit can call the main program, so its top level is not
+        # folded; its loops are still summarized
         df = analyze(self.SRC)
-        assert "a" not in df.units["t"].proc_value.w.arrays()
+        assert df.units["t"].proc_value is None
+        assert df.units["driver"].proc_value is not None
+        src = self.SRC.replace(
+            "  call driver(a, n)\n",
+            "  call driver(a, n)\n  do i = 1, n\n    a(i) = 2.0\n  enddo\n",
+        )
+        df = analyze(src)
+        assert df.units["t"].proc_value is None
+        (ls,) = df.units["t"].loops.values()
+        assert pts(ls.loop_value.w, "a", {"n": 3}) == {1, 2, 3}
 
     def test_local_arrays_hidden(self):
         src = """

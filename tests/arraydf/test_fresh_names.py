@@ -3,14 +3,15 @@
 The walker draws ``__t<n>_…`` names from a per-unit
 :class:`~repro.symbolic.terms.FreshNameSource` when it translates a
 callee's summary at a call site.  Where the counter starts must not
-matter: :func:`repro.arraydf.analysis.reproject_loop` and the nest memo
-both rely on it (a memo hit or a reprojection consumes no names, so the
-walk that follows draws different ones than a cold walk would).  This
-test starts every walker's source at an offset and compares decision
+matter: the nest memo relies on it (a memo hit consumes no names, so
+the walk that follows draws different ones than a cold walk would).
+This test starts every walker's source at an offset and compares decision
 rows, rendered run-time tests, reports and two-version programs on the
 30 suite programs under both option sets.  No suite call site needs a
 fresh name, so :data:`CALLS` adds one program whose call sites do: a
-non-affine actual and a callee-local bound.
+non-affine actual and a callee-local bound, inside a loop (the main
+program's top level is not folded, so a call site there is not
+translated).
 """
 
 import itertools
@@ -36,8 +37,10 @@ program calls
   integer n
   real a(100), b(100)
   read n
-  call fill(a, n * n)
-  call grab(b)
+  do t = 1, 2
+    call fill(a, n * n)
+    call grab(b)
+  enddo
   do i = 1, 10
     a(i + 1) = a(i) + b(i)
   enddo

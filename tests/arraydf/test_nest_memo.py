@@ -2,9 +2,10 @@
 
 A warm process remembers the walk rows and the decision rows of every
 call-free top-level loop nest under the nest's key (canonical text,
-options, path predicate, elision flag, declarations).  A hit must
-answer exactly as a cold walk would, bound to the current program's own
-loops.
+options, path predicate, declarations).  A hit must answer exactly as a
+cold walk would, bound to the current program's own loops.  A row holds
+``None`` for a loop value nothing had read yet; a binding projects it
+on its own first read.
 """
 
 import re
@@ -244,8 +245,10 @@ end
 UNGUARDED = GUARDED.replace("  if (k >= 60) then\n", "").replace("  endif\n", "")
 
 
-ELIDED = """\
-program elided
+#: the second loop keeps the screen from covering the unit, so the main
+#: program is walked
+MAIN_NEST = """\
+program mainnest
   real x(10), y(10)
   do i = 1, 10
     x(i) = 0.0
@@ -257,13 +260,18 @@ program elided
 end
 """
 
-CALLED = """\
-program called
-  real a(10), c(10, 10)
+#: the same nest at the main program's top level and in a subroutine
+#: whose proc value the main program's ``j`` loop reads
+BOTH = """\
+program both
+  real x(10), c(10, 10)
+  do i = 1, 10
+    x(i) = 0.0
+  enddo
   do j = 1, 10
-    call f(a)
+    call f(x)
     do k = 1, 10
-      c(k, j) = a(k)
+      c(k, j) = x(k)
     enddo
   enddo
   print c(1, 1)
@@ -309,37 +317,118 @@ class TestKey:
         run_pipeline(parse_program(UNGUARDED), AnalysisOptions.base())
         assert analysis._NEST_SUMMARIES.misses == misses + 1
 
-    def test_elision_is_part_of_the_key(self):
-        # the main program's copy of the nest skips its projection (the
-        # screen settles it and nothing reads it); the subroutine's copy
-        # feeds the caller, whose decision needs the real value
+    def test_main_and_subroutine_copies_share_one_entry(self):
+        # the main program's copy is stored unprojected (nothing reads
+        # it); the subroutine's copy binds the same entry, projects the
+        # value its caller reads through the proc value and stores new
+        # rows that carry it, which the caller's own copy then binds
         opts = AnalysisOptions.predicated()
-        cold = _facts(CALLED, opts)
-        statuses = {row[0]: row[2] for row in cold[0]}
-        assert statuses["called:L1"] == "parallel_private"  # privatizes a
+        goals = ("result", "summary")
+        cold_facts = _facts(BOTH, opts)
+        assert {r[0]: r[2] for r in cold_facts[0]}["both:L2"] == "parallel_private"
         perf.reset_all_caches()
-        before = perf.counter("screen.saved_units")
-        _facts(ELIDED, opts)
-        assert perf.counter("screen.saved_units") > before
-        assert _facts(CALLED, opts) == cold
+        cold = run_pipeline(parse_program(BOTH), opts, goals=goals)
+        perf.reset_all_caches()
+
+        run_pipeline(parse_program(MAIN_NEST), opts)
+        stored = dict(analysis._NEST_SUMMARIES.data)
+        (key,) = [k for k in stored if "x(i) = 0.0" in k[0]]
+        rows = stored[key]
+        assert rows[-1][2] is None
+        hits = analysis._NEST_SUMMARIES.hits
+        warm = run_pipeline(parse_program(BOTH), opts, goals=goals)
+        # both copies bound the one entry; its rows were replaced, not
+        # written in place
+        assert analysis._NEST_SUMMARIES.hits == hits + 2
+        assert analysis._NEST_SUMMARIES.data.keys() == stored.keys()
+        entry = analysis._NEST_SUMMARIES.data[key]
+        assert rows[-1][2] is None
+        # (a nest memo row's label is not read: rows bind by position)
+        assert entry[:-1] == rows[:-1]
+        assert (entry[-1][1], entry[-1][3]) == (rows[-1][1], rows[-1][3])
+        (f_loop,) = cold.get("summary", "f").loops.values()
+        assert entry[-1][2] == f_loop.loop_value
+
+        def values(ctx, unit):
+            summary = ctx.get("summary", unit)
+            return summary.proc_value, [
+                (ls.label, ls.body_value, ls.loop_value)
+                for ls in summary.loops.values()
+            ]
+
+        assert values(warm, "f") == values(cold, "f")
+        assert values(warm, "both") == values(cold, "both")
+        assert _facts(BOTH, opts) == cold_facts
+
+
+PRIVATE = """\
+program private
+  integer n
+  real a(100), t(10)
+  read n
+  do i = 1, n
+    t(1) = a(i)
+    a(i) = t(1) * 2.0
+  enddo
+  print a(1)
+end
+"""
 
 
 class TestBudgets:
     def test_tripped_work_is_never_stored(self):
-        # the first FM combination trips the budget: the walk and every
-        # decision degrade, and the memo keeps none of it, so the
-        # unbudgeted run that follows answers as a cold one
+        # the first FM combination trips the budget inside the walk (the
+        # inner loop's projection): the unit and every decision degrade,
+        # and the memo keeps none of it, so the unbudgeted run that
+        # follows answers as a cold one
         from repro.service import Budget, budget_scope
 
         opts = AnalysisOptions.predicated()
-        cold = _facts(UNGUARDED, opts)
+        cold = _facts(SECOND, opts)
         perf.reset_all_caches()
+        before = perf.counter("budget.degraded_unit")
         with budget_scope(Budget(max_fm_constraints=1)):
-            ctx = run_pipeline(parse_program(UNGUARDED), opts)
+            ctx = run_pipeline(parse_program(SECOND), opts)
         assert ctx.degraded
+        assert perf.counter("budget.degraded_unit") == before + 1
         assert analysis._NEST_SUMMARIES.data == {}
         assert driver._NEST_DECISIONS.data == {}
-        assert _facts(UNGUARDED, opts) == cold
+        assert _facts(SECOND, opts) == cold
+
+    def test_trip_in_a_lazy_projection_demotes_the_loop(self, monkeypatch, tmp_path):
+        # the walk leaves the main program's loop unprojected; deciding
+        # it reads the projection for t's copy-in region, and a trip
+        # there demotes that loop alone and stores no decisions
+        from repro.service.budgets import BudgetExceeded
+        from repro.service.cache import SummaryCache
+
+        opts = AnalysisOptions.predicated()
+        cold = _facts(PRIVATE, opts)
+        assert [(r[2], r[7]) for r in cold[0]] == [("parallel_private", ["t"])]
+        perf.reset_all_caches()
+
+        def tripped(*_args, **_kwargs):
+            raise BudgetExceeded("fm")
+
+        monkeypatch.setattr(analysis, "_project_loop", tripped)
+        units = perf.counter("budget.degraded_unit")
+        loops = perf.counter("budget.degraded_loop")
+        cache = SummaryCache(tmp_path / "c")
+        ctx = run_pipeline(parse_program(PRIVATE), opts, cache=cache)
+        (row,) = ctx.get("result").loops
+        assert row.status == "serial"
+        assert row.reason == "budget exhausted: not proven parallel"
+        assert ctx.degraded
+        assert perf.counter("budget.degraded_unit") == units
+        assert perf.counter("budget.degraded_loop") == loops + 1
+        # the walk's rows are kept, no decision is
+        assert len(analysis._NEST_SUMMARIES.data) == 1
+        assert driver._NEST_DECISIONS.data == {}
+        kinds = {p.name.split(".")[-2] for p in cache.root.glob("*/*.pkl")}
+        assert "summary" in kinds
+        assert not kinds & {"decisions", "program"}
+        monkeypatch.undo()
+        assert _facts(PRIVATE, opts) == cold
 
     def test_degraded_decisions_are_never_stored(self, monkeypatch):
         # a trip while deciding (the walk finished and is kept) leaves

@@ -57,5 +57,6 @@ def test_screen_counters_fire_during_experiments():
     finally:
         perf.reset_all_caches()
     assert counters.get("screen.independent", 0) > 0
-    assert counters.get("screen.saved_units", 0) > 0
+    # screened loops take their pre-made rows after the cross-check
+    assert counters.get("screen.agree", 0) > 0
     assert counters.get("screen.disagree", 0) == 0

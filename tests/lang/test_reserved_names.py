@@ -5,7 +5,9 @@ Region dimension variables are ``__d<k>`` and generated names
 own dimension variable: the loop below was reported ``PARALLEL``
 although ELPD finds a flow dependence at ``__d0 = 3``.  The front end
 now rejects every such identifier; the same program with the scalar
-renamed gets its run-time test.
+renamed gets its run-time test.  The dependence test's iteration copies
+of the loop index are generated names too, so a legal program name such
+as ``i__it1`` can no longer stand for one.
 """
 
 import pytest
@@ -49,5 +51,19 @@ def test_renamed_copy_keeps_its_runtime_test():
     assert loop.status == "runtime"
     assert loop.runtime_test == "(-kk + 8 <= 0) or (kk + 1 <= 0)"
     # the test fails where the loop really carries a flow dependence
+    report = run_oracle(program, [3])
+    assert report.observations["p:L1"].classification == "dependent"
+
+
+def test_iteration_copies_cannot_collide_with_a_program_name():
+    # the dependence test renames the loop index to two iteration
+    # copies; a program scalar spelled like a copy used to read as the
+    # copy itself, and this loop was reported PARALLEL (privatized)
+    program = parse_program(
+        SOURCE.replace("__d0", "i__it1").replace("real a(10)", "real a(100)")
+    )
+    (loop,) = analyze_program(program).loops
+    assert loop.status == "runtime"
+    assert loop.runtime_test == "(-i__it1 + 8 <= 0) or (i__it1 + 1 <= 0)"
     report = run_oracle(program, [3])
     assert report.observations["p:L1"].classification == "dependent"

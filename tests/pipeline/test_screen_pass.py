@@ -6,10 +6,11 @@ tests:
 * a caller-free, fully-covered unit skips summarization outright — its
   "summary" is the :class:`~repro.arraydf.screen.ScreenedUnit` sentinel
   and its decisions come straight from the screen's pre-made rows;
-* an outermost screened-independent loop of a caller-free unit skips
-  its loop projection (``elided=True``); :func:`reproject_loop` can
-  recompute the projected value on demand and gets exactly what the
-  unscreened walk produces;
+* an outermost loop of the main program is projected only when its
+  value is read — for a privatized array's copy-in region — so the
+  projection of a screened-independent one is elided; a read gets
+  exactly what the unscreened walk's eager projection produces, also
+  from the nest memo and from the summary cache;
 * both paths are invisible in the results — screened and unscreened
   (``tests/pipeline/reference.py``), cold and warm cache, serial runs
   and pooled batches all agree.
@@ -18,15 +19,15 @@ tests:
 from contextlib import nullcontext
 
 from repro import perf
-from repro.arraydf.analysis import reproject_loop
+from repro.arraydf.analysis import ArrayDataflow
 from repro.arraydf.options import AnalysisOptions
 from repro.arraydf.screen import ScreenedUnit
 from repro.lang.parser import parse_program
 from repro.pipeline import run_pipeline, run_pipeline_batch
 from repro.service.cache import SummaryCache
-from repro.suites import get_program
+from repro.suites import all_programs, get_program
 
-from tests.pipeline.reference import unscreened
+from tests.pipeline.reference import eager_loop_values, unscreened
 
 #: main is caller-free and every loop screens (independent): the
 #: whole-unit skip fires for it, while the subroutines keep the full walk
@@ -112,51 +113,70 @@ class TestElision:
         ctx = _run(
             get_program("hydro2d").fresh_program(),
             True,
-            goals=("result", "summary"),
+            goals=("result", "summary", "screen"),
         )
         summary = ctx.get("summary", "hydro2d")
-        elided = {l.label for l, s in summary.loops.items() if s.elided}
-        assert elided, "no loop was elided — the fast path is dead"
-        from repro.arraydf.values import AccessValue
-
-        for l, s in summary.loops.items():
-            if s.elided:
-                assert s.loop_value == AccessValue.empty()
+        verdicts = ctx.get("screen", "hydro2d").verdicts
+        rows = ctx.get("result").by_label()
+        unread = [ls for ls in summary.loops.values() if ls.projected is None]
+        assert any(
+            verdicts[ls.label] == "independent" and not rows[ls.label].private_arrays
+            for ls in unread
+        ), "every loop was projected — the lazy path is dead"
+        for ls in summary.loops.values():
+            # an inner loop's value feeds its outer loop's body, and a
+            # privatized array's copy-in reads the loop's own value
+            if ls.info.region.loop_depth() > 0 or rows[ls.label].private_arrays:
+                assert ls.projected is not None, ls.label
 
     def test_reprojection_recovers_the_screen_off_value(self):
-        on = _run(
-            get_program("hydro2d").fresh_program(),
-            True,
-            goals=("summary",),
-        ).get("summary", "hydro2d")
-        off = _run(
-            get_program("hydro2d").fresh_program(),
-            False,
-            goals=("summary",),
-        ).get("summary", "hydro2d")
-        off_by_label = {l.label: s for l, s in off.loops.items()}
+        # the suite in one warm process, so later programs bind nest
+        # memo rows that earlier ones stored
+        sources = [b.source for b in all_programs()]
         checked = 0
-        for l, s in on.loops.items():
-            if not s.elided:
-                continue
-            recovered = reproject_loop(s, OPTS)
-            assert recovered == off_by_label[l.label].loop_value, l.label
-            checked += 1
+        for opts in (OPTS, AnalysisOptions.base()):
+            reference = [eager_loop_values(parse_program(s), opts) for s in sources]
+            perf.reset_all_caches()
+            try:
+                for source, ref in zip(sources, reference):
+                    ctx = run_pipeline(
+                        parse_program(source), opts, goals=("result", "summary")
+                    )
+                    values = {
+                        ls.label: (ls.body_value, ls.loop_value)
+                        for name in ctx.unit_names()
+                        if not isinstance(ctx.get("summary", name), ScreenedUnit)
+                        for ls in ctx.get("summary", name).loops.values()
+                    }
+                    assert values == {label: ref[label] for label in values}
+                    checked += len(values)
+            finally:
+                perf.reset_all_caches()
         assert checked > 0
 
-    def test_elided_summaries_stay_out_of_the_cache(self, tmp_path):
+    def test_elided_summaries_rebind_from_the_cache(self, tmp_path):
+        # the stored main-program summary holds no proc value and an
+        # unprojected row per unread outermost loop; the rebound rows
+        # project to the cold walk's values when read
         cache = SummaryCache(tmp_path / "c")
-        _run(
-            get_program("hydro2d").fresh_program(),
-            True,
-            cache=cache,
-            goals=("result",),
-        )
-        # screen rows are cached; the unit summary (whose loop rows
-        # would hold placeholder values) must not be
-        kinds = {p.name.split(".")[-2] for p in cache.root.glob("*/*.pkl")}
-        assert "screen" in kinds
-        assert "summary" not in kinds
+
+        def walk(cache=None):
+            program = get_program("hydro2d").fresh_program()
+            return ArrayDataflow(program, OPTS, cache=cache).run()
+
+        cold = {ls.label: ls.loop_value for ls in walk().units["hydro2d"].loops.values()}
+        stored = walk(cache)
+        proc_value, rows = cache.load(stored.unit_keys["hydro2d"], "summary")
+        assert proc_value is None
+        unprojected = {row[0] for row in rows if row[2] is None}
+        assert unprojected
+        hits = perf.counter("cache.summary_hit")
+        warm = walk(cache).units["hydro2d"]
+        assert perf.counter("cache.summary_hit") == hits + 1
+        loops = {ls.label: ls for ls in warm.loops.values()}
+        assert loops.keys() == cold.keys()
+        assert {l for l, ls in loops.items() if ls.projected is None} == unprojected
+        assert {l: ls.loop_value for l, ls in loops.items()} == cold
 
 
 class TestWarmAndExecutors:

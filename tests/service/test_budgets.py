@@ -12,6 +12,7 @@ from repro.service.budgets import (
     budget_scope,
     charge_fm,
     checkpoint,
+    metered,
     suspended,
 )
 
@@ -78,6 +79,61 @@ class TestScope:
                 charge_fm(100)  # enforcement off
             with pytest.raises(BudgetExceeded):
                 charge_fm(100)
+
+
+SRC = (
+    "program cli\n"
+    "  integer n, k\n"
+    "  real a(100)\n"
+    "  read n, k\n"
+    "  do i = 1, n\n"
+    "    a(i + k) = a(i) + 1.0\n"
+    "  enddo\n"
+    "  print a(n)\n"
+    "end\n"
+)
+
+
+class TestMetering:
+    """Work under an FM or ops limit reads no memoized or cached answer."""
+
+    def test_only_work_limits_meter(self):
+        assert not metered()
+        with budget_scope(Budget(max_wall_s=60.0)):
+            assert not metered()
+        for limit in ({"max_fm_constraints": 10}, {"max_ops": 10}):
+            with budget_scope(Budget(**limit)):
+                assert metered()
+                with suspended():
+                    assert not metered()
+        assert not metered()
+
+    def test_warm_tables_do_not_change_a_budgeted_verdict(self, tmp_path):
+        # an unbudgeted run leaves every memo table and the summary
+        # cache warm with the same analysis; the budgeted run that
+        # follows still pays for its own and degrades as a cold one
+        import warnings
+
+        from repro.lang.parser import parse_program
+        from repro.pipeline import run_pipeline
+        from repro.service.cache import SummaryCache
+
+        def run(budget=None):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                with budget_scope(budget):
+                    ctx = run_pipeline(parse_program(SRC), cache=cache)
+            return ctx.degraded, [
+                (r.label, r.status, r.reason) for r in ctx.get("result").loops
+            ]
+
+        cache = SummaryCache(tmp_path / "c")
+        tiny = Budget(max_fm_constraints=1)
+        perf.reset_all_caches()
+        cold = run(tiny)
+        assert cold == (True, [("cli:L1", "serial", "budget exhausted: not proven parallel")])
+        assert run() == (False, [("cli:L1", "runtime", "")])
+        assert run(tiny) == cold
 
 
 class TestTrips:

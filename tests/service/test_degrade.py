@@ -124,6 +124,8 @@ class TestWallAndOps:
 class TestConservativeSummary:
     def test_fallback_shape(self):
         from repro.arraydf.options import AnalysisOptions
+        from repro.ir.loopinfo import collect_loop_info
+        from repro.ir.regiongraph import build_region_tree
         from repro.ir.symboltable import SymbolTable
         from repro.service.degrade import conservative_unit_summary
 
@@ -138,8 +140,12 @@ class TestConservativeSummary:
             "end\n"
         )
         unit = program.units["p"]
+        proc = build_region_tree(unit)
         summary = conservative_unit_summary(
-            unit, SymbolTable(unit), AnalysisOptions.predicated()
+            unit,
+            SymbolTable(unit),
+            AnalysisOptions.predicated(),
+            (proc, collect_loop_info(proc)),
         )
         assert len(summary.loops) == 1
         (loop_summary,) = summary.loops.values()

@@ -1,10 +1,13 @@
 """Oracle memoization under per-request budgets.
 
-Contract (mirrors the PR 2 summary-cache contract): a budget trip aborts
-the query *before* any memo store, so a degraded (budget-interrupted)
-answer can never be served from cache later — while genuine memo hits
-stay free even under an exhausted budget.
+Contract (mirrors the summary cache's): a budget trip aborts the query
+*before* any memo store, so a degraded (budget-interrupted) answer can
+never be served from cache later.  Under a wall-clock budget genuine
+memo hits stay free even once it is exhausted; an FM or ops limit
+meters work, so under one the memo is not read at all.
 """
+
+import time
 
 import pytest
 
@@ -12,7 +15,7 @@ from repro import perf
 from repro.predicates import oracle
 from repro.predicates.atoms import LinAtom
 from repro.predicates.formula import p_and, p_atom
-from repro.service.budgets import Budget, BudgetExceeded, budget_scope
+from repro.service.budgets import Budget, BudgetExceeded, budget_scope, checkpoint
 from repro.symbolic.affine import AffineExpr
 
 from tests.predicates.reference import ground_is_unsat
@@ -66,8 +69,20 @@ def test_unbudgeted_query_computes_and_caches():
 def test_memo_hit_is_free_under_exhausted_budget():
     p = _fm_pred()
     assert oracle.is_unsat(p)  # warm the memo, unbudgeted
-    with budget_scope(Budget(max_ops=0)):
+    with budget_scope(Budget(max_wall_s=0.0)):
+        time.sleep(0.001)
+        with pytest.raises(BudgetExceeded):
+            checkpoint()  # exhausted
         assert oracle.is_unsat(p)  # pure hit: no kernel work, no trip
+
+
+def test_metered_budget_reads_no_memo():
+    p = _fm_pred()
+    assert oracle.is_unsat(p)  # warm the memo, unbudgeted
+    with pytest.raises(BudgetExceeded):
+        with budget_scope(Budget(max_ops=0)):
+            oracle.is_unsat(p)  # recomputed, so the kernel work trips
+    assert oracle._UNSAT.data[p] is True
 
 
 def test_recompute_after_trip_yields_correct_answer():

@@ -185,6 +185,33 @@ class TestFleet:
             q.receipt(i)["degradation"]["degraded"] for i in frees
         )
 
+    def test_budget_meters_work_a_neighbour_did_first(self, tmp_path):
+        """The tiny-budget job runs after its neighbours analyzed the
+        same source and left every memo table warm: a budget meters the
+        job's own work, so it degrades all the same."""
+        from repro import perf
+
+        perf.reset_all_caches()
+        q = JobQueue(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with WorkerFleet(q, workers=2):
+                frees = [
+                    q.submit("analyze", {"id": i, "source": SRC})
+                    for i in range(1, 4)
+                ]
+                free_resps = [q.wait(i, timeout=60.0) for i in frees]
+                tiny = q.submit(
+                    "analyze",
+                    {"id": 0, "source": SRC, "budget": {"max_fm_constraints": 1}},
+                )
+                tiny_resp = q.wait(tiny, timeout=60.0)
+        for resp in free_resps:
+            assert resp["ok"] and not resp["degraded"]
+            assert resp["loops"][0]["status"] == "runtime"
+        assert tiny_resp["ok"] and tiny_resp["degraded"]
+        assert tiny_resp["loops"][0]["status"] == "serial"
+
     def test_graceful_drain_finishes_running_jobs(self, tmp_path):
         q = JobQueue(tmp_path)
         running = q.submit("analyze", {"id": 0, "source": SRC})

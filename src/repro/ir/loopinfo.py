@@ -10,7 +10,7 @@ already-parallelized loop are excluded later by the driver, mirroring
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.ir.exprtools import to_affine
 from repro.ir.regiongraph import LoopRegion, ProcRegion
@@ -277,6 +277,35 @@ def scalar_flow(loop: DoLoop) -> Tuple[Set[str], Set[str], Set[str]]:
     # remove array names: expr_variables reports arrays too
     # (callers filter against the symbol table; we keep names verbatim)
     return writes, exposed, reductions
+
+
+def classify_scalars(
+    info: LoopInfo, written: Iterable[str], symtab
+) -> Tuple[Set[str], Set[str], Set[str]]:
+    """The dependence test's scalar classification: each scalar in
+    *written* as an obstacle (upward-exposed read), a reduction or a
+    private, as ``(obstacles, reductions, privates)``.
+
+    The loop's own index and its inner-loop indices are exempt, and
+    names the symbol table does not hold as scalars are skipped.
+    """
+    loop = info.loop
+    exempt = {loop.var} | {
+        s.var for s in walk_stmts(loop.body) if isinstance(s, DoLoop)
+    }
+    obstacles: Set[str] = set()
+    reductions: Set[str] = set()
+    privates: Set[str] = set()
+    for name in written:
+        if name in exempt or not symtab.is_scalar(name):
+            continue
+        if name in info.reductions:
+            reductions.add(name)
+        elif name in info.scalar_exposed_reads:
+            obstacles.add(name)
+        else:
+            privates.add(name)
+    return obstacles, reductions, privates
 
 
 def collect_loop_info(proc: ProcRegion) -> Dict[DoLoop, LoopInfo]:

@@ -31,6 +31,7 @@ from repro.arraydf.analysis import LoopSummary
 from repro.arraydf.embedding import split_linear_conjuncts
 from repro.arraydf.options import AnalysisOptions
 from repro.arraydf.values import GuardedSummary
+from repro.ir.loopinfo import classify_scalars
 from repro.ir.symboltable import SymbolTable
 from repro.linalg.constraint import Constraint
 from repro.linalg.feasibility import is_feasible
@@ -270,24 +271,9 @@ def test_loop(
     verdict = LoopVerdict(summary=summary)
 
     # ---- scalar dependences -------------------------------------------
-    inner_indices = {
-        s.var
-        for s in _inner_loops(loop)
-    }
-    obstacles = set()
-    reductions = set()
-    privates = set()
-    for name in sorted(body.scalar_writes | info.scalar_writes):
-        if name == loop.var or name in inner_indices:
-            continue
-        if not symtab.is_scalar(name):
-            continue
-        if name in info.reductions:
-            reductions.add(name)
-        elif name in info.scalar_exposed_reads:
-            obstacles.add(name)
-        else:
-            privates.add(name)
+    obstacles, reductions, privates = classify_scalars(
+        info, body.scalar_writes | info.scalar_writes, symtab
+    )
     verdict.scalar_obstacles = frozenset(obstacles)
     verdict.reduction_scalars = frozenset(reductions)
     verdict.private_scalars = frozenset(privates)
@@ -501,9 +487,3 @@ def _deterministic_writes_condition(
         if not opts.predicates:
             break  # base analysis: defaults only
     return cond
-
-
-def _inner_loops(loop):
-    from repro.lang.astnodes import DoLoop, walk_stmts
-
-    return [s for s in walk_stmts(loop.body) if isinstance(s, DoLoop)]

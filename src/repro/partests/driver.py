@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Tuple
 from repro import perf
 from repro.arraydf.analysis import ArrayDataflow, LoopSummary
 from repro.arraydf.options import AnalysisOptions
+from repro.ir.loopinfo import classify_scalars
 from repro.lang.astnodes import DoLoop, Program, walk_stmts
 from repro.partests.dependence import LoopVerdict, test_loop
 from repro.partests.runtime_tests import (
@@ -165,7 +166,7 @@ def decide_unit(
     symtab,
     opts: AnalysisOptions,
     cache: Optional[SummaryCache] = None,
-    screen=None,
+    screen: Optional[Dict[str, dict]] = None,
 ) -> Tuple[List[LoopResult], bool]:
     """Decide every loop of one unit, via the decisions cache.
 
@@ -175,13 +176,13 @@ def decide_unit(
     summary was degraded — stay out of the cache.  Returns the loop
     results plus whether any loop was budget-degraded.
 
-    With a :class:`~repro.arraydf.screen.UnitScreen` attached, loops the
-    tier-0 screen proved independent take their pre-made ``parallel``
-    row after a cheap cross-check against the real summary (write set
-    and scalar classes must match the prediction — ``screen.agree``),
-    skipping the full dependence test; any mismatch falls back to
-    :func:`decide_loop` (``screen.disagree``), keeping results identical
-    by construction.
+    *screen* holds the ready-made ``parallel`` rows of the loops the
+    tier-0 screen proved independent (:func:`repro.arraydf.screen.screen_unit`).
+    Such a loop takes its row after a cheap cross-check against the real
+    summary (write set and scalar classes must match the prediction —
+    ``screen.agree``), skipping the full dependence test; any mismatch
+    falls back to :func:`decide_loop` (``screen.disagree``), keeping
+    results identical by construction.
 
     A nest the walker keyed (``summary.nest_keys``) is first looked up
     in the ``nest.decisions`` memo: its rows are a function of the key,
@@ -201,7 +202,7 @@ def decide_unit(
             rebound = _rebind_decisions(rows, summary, unit_name)
             if rebound is not None:
                 return rebound, False
-    screen_rows = screen.rows if screen is not None else {}
+    screen_rows = screen or {}
     out: List[LoopResult] = []
     degraded = False
     for nest_key, nest in _nests(summary):
@@ -247,7 +248,7 @@ def _decide_one(
     """One loop's decision, and whether a budget trip degraded it."""
     loop = loop_summary.loop
     row = screen_rows.get(loop.label)
-    if row is not None and row["status"] == "parallel":
+    if row is not None:
         screened = _screened_result(row, loop_summary, symtab, unit_name)
         if screened is not None:
             perf.bump("screen.agree")
@@ -362,8 +363,6 @@ def _screened_result(
     difference, so a screened decision can never diverge from what
     :func:`decide_loop` would compute.
     """
-    from repro.partests.dependence import _inner_loops
-
     info = loop_summary.info
     body = loop_summary.body_value
     if not info.is_candidate:
@@ -371,42 +370,12 @@ def _screened_result(
     verdicts, _obstacles, _reductions, privates = row["verdict"]
     if sorted(body.w.arrays()) != sorted(verdicts):
         return None
-    inner_indices = {s.var for s in _inner_loops(loop_summary.loop)}
-    obstacles, reductions, private_scalars = set(), set(), set()
-    for name in sorted(body.scalar_writes | info.scalar_writes):
-        if name == loop_summary.loop.var or name in inner_indices:
-            continue
-        if not symtab.is_scalar(name):
-            continue
-        if name in info.reductions:
-            reductions.add(name)
-        elif name in info.scalar_exposed_reads:
-            obstacles.add(name)
-        else:
-            private_scalars.add(name)
+    obstacles, reductions, private_scalars = classify_scalars(
+        info, body.scalar_writes | info.scalar_writes, symtab
+    )
     if obstacles or reductions or private_scalars != set(privates):
         return None
-    return LoopResult(
-        label=row["label"],
-        unit=unit_name,
-        loop=loop_summary.loop,
-        status=row["status"],
-        condition=row["condition"],
-        runtime_test=row["runtime_test"],
-        runtime_cost=row["runtime_cost"],
-        private_arrays=list(row["private_arrays"]),
-        private_scalars=list(row["private_scalars"]),
-        reduction_scalars=list(row["reduction_scalars"]),
-        reason=row["reason"],
-        depth=row["depth"],
-        verdict=LoopVerdict(
-            summary=loop_summary,
-            array_verdicts=dict(verdicts),
-            scalar_obstacles=frozenset(),
-            reduction_scalars=frozenset(),
-            private_scalars=frozenset(privates),
-        ),
-    )
+    return _rebind_rows([row], [loop_summary.loop], unit_name, [loop_summary])[0]
 
 
 def mark_enclosed(result: ProgramResult) -> None:
@@ -511,7 +480,7 @@ def _rebind_rows_by_label(
     rows, loops_by_label: Dict[str, DoLoop], unit_name: str, summaries_by_label=None
 ) -> Optional[List[LoopResult]]:
     """:func:`_rebind_rows` for rows found by their labels (the disk
-    cache, batch results and screen rows)."""
+    cache and batch results)."""
     if not isinstance(rows, list) or len(rows) != len(loops_by_label):
         return None
     try:

@@ -11,10 +11,10 @@ Each stage of the compile flow sits behind the declared-I/O
         ▼
     program ──── frontend       (program: parse-side tables)
         ▼
-    engine ───── screen         (unit, tier-0 dependence screen, cacheable)
+    engine ──┬── screen         (unit, tier-0 dependence screen)
+             └── summarize      (unit, bottom-up over callees, cacheable)
         ▼
-    screen ───── summarize      (unit, bottom-up over callees, cacheable)
-        ▼
+    screen,
     summary ──── decide         (unit, cacheable)
         ▼
     decisions ── enclose        (program: deterministic merge)
@@ -88,57 +88,25 @@ class ScreenPass(Pass):
     """Tier-0 graph-based dependence screen of one unit.
 
     Pure syntax over the scalar-propagated unit (no callee inputs, no
-    budgets): classifies each loop ``independent`` / ``unknown`` /
-    ``not_candidate`` and synthesizes the exact decision rows for the
-    loops it settles (:mod:`repro.arraydf.screen`).  A unit whose every
-    loop is settled *and* that no other unit calls is marked
-    ``skip_summary`` — its data-flow walk is skipped entirely (callers
-    would need the summary, so called units always summarize).
-
-    Cacheable under the unit's own content key (empty callee-key list —
-    the screen never looks across calls).
+    budgets): the ready-made ``parallel`` rows of the loops it proves
+    independent, by label (:mod:`repro.arraydf.screen`).  Cheap enough
+    to recompute, so it is never cached.
     """
 
     name = "screen"
     scope = UNIT_SCOPE
     inputs = ("engine",)
     outputs = ("screen",)
-    cacheable = True
-
-    @staticmethod
-    def _key(engine, unit: str) -> Optional[str]:
-        if engine.cache is None:
-            return None
-        from repro.lang.prettyprint import unit_str
-        from repro.service.cache import unit_key
-
-        return unit_key(unit_str(engine.program.units[unit]), [], engine.opts)
-
-    @staticmethod
-    def _compute(engine, unit: str):
-        """Screen one unit via the engine's cache."""
-        from repro.arraydf.screen import rebind_screen, screen_payload, screen_unit
-
-        key = ScreenPass._key(engine, unit)
-        if key is not None:
-            payload = engine.cache.load(key, "screen")
-            if payload is not None:
-                screen = rebind_screen(payload, unit)
-                if screen is not None:
-                    return screen
-        screen = screen_unit(
-            engine.program.units[unit], engine.symtabs[unit], engine.region_tree(unit)
-        )
-        if key is not None:
-            engine.cache.store(key, "screen", screen_payload(screen))
-        return screen
 
     def run(self, ctx: ProgramContext, unit: Optional[str] = None) -> None:
         assert unit is not None
+        from repro.arraydf import screen
+
         engine = ctx.engine
-        screen = self._compute(engine, unit)
-        screen.skip_summary = screen.full_cover and not engine.callgraph.callers(unit)
-        ctx.put("screen", screen, unit)
+        rows = screen.screen_unit(
+            engine.program.units[unit], engine.symtabs[unit], engine.region_tree(unit)
+        )
+        ctx.put("screen", rows, unit)
 
 
 class SummarizePass(Pass):
@@ -150,30 +118,16 @@ class SummarizePass(Pass):
     such input exists.  With a cache attached the engine
     loads/stores the summary under its content key; a budget trip
     degrades the unit soundly (and taints it out of the cache).
-
-    A unit the screen marked ``skip_summary`` never walks at all: its
-    summary slot takes the :class:`~repro.arraydf.screen.ScreenedUnit`
-    sentinel (counted in ``screen.saved_units``) and the decide pass
-    reads the screen's pre-made rows instead.  Skipped units are by
-    construction caller-free, so no other unit's walk ever asks for the
-    missing summary.
     """
 
     name = "summarize"
     scope = UNIT_SCOPE
-    inputs = ("engine", "screen", "summary@callees")
+    inputs = ("engine", "summary@callees")
     outputs = ("summary",)
     cacheable = True
 
     def run(self, ctx: ProgramContext, unit: Optional[str] = None) -> None:
         assert unit is not None
-        if ctx.get("screen", unit).skip_summary:
-            from repro import perf
-            from repro.arraydf.screen import ScreenedUnit
-
-            perf.bump("screen.saved_units")
-            ctx.put("summary", ScreenedUnit(unit), unit)
-            return
         ctx.put("summary", ctx.engine.run_unit(unit), unit)
 
 
@@ -182,16 +136,10 @@ class DecidePass(Pass):
 
     Pure in the unit's summary key, so decisions share it in the cache.
     Budget-tripped loops demote to ``serial`` and mark the unit
-    degraded; degraded decisions are never stored.
-
-    With the screen attached, decisions consult it two ways: a
-    ``skip_summary`` unit takes the screen's pre-made rows directly
-    (there is no summary to decide from — screened decisions never
-    consult budgets, which is sound because they can only *add*
-    ``parallel`` answers the full analysis would also prove); every
-    other unit hands the screen to
-    :func:`~repro.partests.driver.decide_unit`, which fast-paths the
-    screen-independent loops after a per-loop cross-check.
+    degraded; degraded decisions are never stored.  The unit's screen
+    rows go to :func:`~repro.partests.driver.decide_unit`, which
+    fast-paths the screen-independent loops after a per-loop
+    cross-check.
     """
 
     name = "decide"
@@ -200,38 +148,11 @@ class DecidePass(Pass):
     outputs = ("decisions", "decisions_degraded")
     cacheable = True
 
-    @staticmethod
-    def _screened_rows(engine, unit: str, screen):
-        """The pre-made decision rows of a summary-skipped unit."""
-        from repro.lang.astnodes import DoLoop, walk_stmts
-        from repro.partests.driver import _rebind_rows_by_label
-
-        loops_by_label = {
-            s.label: s
-            for s in walk_stmts(engine.program.units[unit].body)
-            if isinstance(s, DoLoop)
-        }
-        rows = _rebind_rows_by_label(
-            [screen.rows[label] for label in screen.order],
-            loops_by_label,
-            unit,
-        )
-        if rows is None:  # pragma: no cover - full_cover guarantees shape
-            raise RuntimeError(
-                f"screen rows for unit {unit!r} failed to rebind"
-            )
-        return rows
-
     def run(self, ctx: ProgramContext, unit: Optional[str] = None) -> None:
         assert unit is not None
         from repro.partests.driver import decide_unit
 
         engine = ctx.engine
-        screen = ctx.get("screen", unit)
-        if screen.skip_summary:
-            ctx.put("decisions", self._screened_rows(engine, unit, screen), unit)
-            ctx.put("decisions_degraded", False, unit)
-            return
         rows, degraded = decide_unit(
             engine,
             unit,
@@ -239,7 +160,7 @@ class DecidePass(Pass):
             engine.symtabs[unit],
             ctx.opts,
             ctx.cache,
-            screen=screen,
+            screen=ctx.get("screen", unit),
         )
         ctx.put("decisions", rows, unit)
         ctx.put("decisions_degraded", degraded, unit)

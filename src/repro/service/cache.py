@@ -122,15 +122,12 @@ class SummaryCache:
     Three kinds of artifact are stored: ``"summary"`` (the
     :class:`~repro.arraydf.analysis.UnitSummary`) and ``"decisions"``
     (the driver's per-loop :class:`~repro.partests.driver.LoopResult`
-    list) share one key; ``"screen"`` (the tier-0 dependence screen's
-    :class:`~repro.arraydf.screen.UnitScreen` rows) uses the unit's own
-    content key with no callee components — the screen never looks
-    across calls, and being pure syntax it is stored even on
-    budget-degraded runs.  Writes are atomic (temp file + ``os.replace``), so
-    concurrent analyzers — the ``--jobs`` pool, several ``serve``
-    workers, or independent processes — may share a directory safely:
-    at worst two processes compute the same entry and the last write
-    wins with identical content.
+    list) share one unit key; ``"program"`` (every unit's decision rows)
+    sits under the whole-program key.  Writes are atomic (temp file +
+    ``os.replace``), so concurrent analyzers — the ``--jobs`` pool,
+    several ``serve`` workers, or independent processes — may share a
+    directory safely: at worst two processes compute the same entry and
+    the last write wins with identical content.
     """
 
     def __init__(self, root) -> None:

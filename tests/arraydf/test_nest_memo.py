@@ -245,8 +245,7 @@ end
 UNGUARDED = GUARDED.replace("  if (k >= 60) then\n", "").replace("  endif\n", "")
 
 
-#: the second loop keeps the screen from covering the unit, so the main
-#: program is walked
+#: a screened nest and an unscreened one at the main program's top level
 MAIN_NEST = """\
 program mainnest
   real x(10), y(10)

@@ -6,8 +6,8 @@ independent must get exactly the decision the full predicated analysis
 would have produced, so the formatted experiment outputs — the paper's
 tables and figure — must match byte for byte against the unscreened
 reference (``tests/pipeline/reference.py``), from cold caches *and* on
-a warm re-run (the warm path differs: screen rows are cache entries of
-their own kind and screened units skip summarization outright).
+a warm re-run (the warm path differs: nests rebind memoized decision
+rows).
 """
 
 from repro import perf

@@ -35,8 +35,7 @@ def _screen_labels(program):
     """Labels every unit's screen marks independent, program-wide."""
     labels = set()
     for name, unit in program.units.items():
-        screen = screen_unit(unit, SymbolTable(unit))
-        labels.update(screen.independent_labels)
+        labels.update(screen_unit(unit, SymbolTable(unit)))
     return labels
 
 

@@ -234,3 +234,102 @@ class TestResultCounters:
         assert res.parallelized == 1
         assert res.count("serial") == 1
         assert res.count("not_candidate") == 1
+
+
+class TestScreenCrossCheck:
+    """A screen row that mispredicts the real summary is refused: the
+    loop gets :func:`decide_loop`'s row and ``screen.disagree`` counts
+    it."""
+
+    SRC = (
+        "program p\ninteger n, m\nreal a(100), b(100)\nread n\n"
+        "do i = 1, n\n m = i * 2\n a(i) = m * 1.0\nenddo\n"
+        "do i = 1, n\n b(i) = a(i)\nenddo\nend\n"
+    )
+
+    @staticmethod
+    def _facts(results):
+        return [
+            (
+                r.label,
+                r.status,
+                str(r.condition),
+                r.reason,
+                r.private_scalars,
+                r.reduction_scalars,
+                r.private_arrays,
+                sorted(r.verdict.array_verdicts),
+                sorted(r.verdict.private_scalars),
+            )
+            for r in results
+        ]
+
+    def _decide(self, corrupt):
+        """(decide_unit's facts with each screen row passed through
+        *corrupt*, decide_loop's facts, screen.agree and
+        screen.disagree deltas)."""
+        from repro import perf
+        from repro.partests.driver import decide_loop, decide_unit
+        from repro.pipeline import run_pipeline
+
+        ctx = run_pipeline(
+            parse_program(self.SRC), OPTS, goals=("summary", "screen")
+        )
+        engine, summary = ctx.engine, ctx.get("summary", "p")
+        symtab = engine.symtabs["p"]
+        rows = ctx.get("screen", "p")
+        assert sorted(rows) == ["p:L1", "p:L2"]
+        # an empty nest memo: every loop reaches the cross-check
+        perf.reset_all_caches()
+        agree = perf.counter("screen.agree")
+        disagree = perf.counter("screen.disagree")
+        try:
+            got, _degraded = decide_unit(
+                engine,
+                "p",
+                summary,
+                symtab,
+                OPTS,
+                screen={label: corrupt(dict(row)) for label, row in rows.items()},
+            )
+        finally:
+            perf.reset_all_caches()
+        want = [decide_loop(ls, symtab, OPTS) for ls in summary.loops.values()]
+        return (
+            self._facts(got),
+            self._facts(want),
+            perf.counter("screen.agree") - agree,
+            perf.counter("screen.disagree") - disagree,
+        )
+
+    def test_faithful_rows_are_adopted(self):
+        got, want, agree, disagree = self._decide(lambda row: row)
+        assert got == want
+        assert (agree, disagree) == (2, 0)
+
+    def test_wrong_written_array_set_is_refused(self):
+        from repro.partests.dependence import ArrayVerdict
+        from repro.predicates.formula import FALSE, TRUE
+
+        def corrupt(row):
+            verdicts, obstacles, reductions, privates = row["verdict"]
+            verdicts = dict(verdicts, zz=ArrayVerdict("zz", TRUE, FALSE))
+            row["verdict"] = (verdicts, obstacles, reductions, privates)
+            return row
+
+        got, want, agree, disagree = self._decide(corrupt)
+        assert got == want
+        assert (agree, disagree) == (0, 2)
+
+    def test_wrong_private_scalars_are_refused(self):
+        def corrupt(row):
+            # L1 privatizes m and L2 nothing: swap the predictions
+            verdicts, obstacles, reductions, privates = row["verdict"]
+            privates = frozenset() if privates else frozenset({"m"})
+            row["verdict"] = (verdicts, obstacles, reductions, privates)
+            row["private_scalars"] = sorted(privates)
+            return row
+
+        got, want, agree, disagree = self._decide(corrupt)
+        assert got == want
+        assert (agree, disagree) == (0, 2)

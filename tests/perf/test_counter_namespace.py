@@ -105,7 +105,6 @@ def test_screen_namespace_is_documented(registry):
         "screen.unknown",
         "screen.agree",
         "screen.disagree",
-        "screen.saved_units",
     ):
         assert registry.get(name) == "counter", name
 

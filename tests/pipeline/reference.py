@@ -1,11 +1,11 @@
 """The unscreened analysis: the reference the tier-0 screen must match.
 
-:class:`repro.pipeline.passes.ScreenPass` settles the loops it can prove
-independent from syntax alone, and the pipeline skips their region
-summarization.  :func:`unscreened` makes the pass emit an empty screen
-for every unit instead, so every loop takes the full predicated
-analysis — the configuration the screen's soundness and identity tests
-compare against.  :func:`eager_loop_values` projects every loop of that
+:class:`repro.pipeline.passes.ScreenPass` hands ``decide`` a ready-made
+row for each loop it can prove independent from syntax alone.
+:func:`unscreened` makes the screen return no rows for every unit
+instead, so every loop takes the full predicated analysis — the
+configuration the screen's soundness and identity tests compare
+against.  :func:`eager_loop_values` projects every loop of that
 analysis at once, the reference for the lazily projected loop values.
 """
 
@@ -15,32 +15,24 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, Tuple
 
 from repro import perf
-from repro.arraydf.screen import UnitScreen
-from repro.pipeline.passes import ScreenPass
-
-
-def empty_screen(unit_name: str) -> UnitScreen:
-    """The screen result that settles nothing: no loop screened, no skip."""
-    return UnitScreen(
-        unit_name=unit_name, verdicts={}, rows={}, order=[], full_cover=False
-    )
+from repro.arraydf import screen
 
 
 @contextmanager
 def unscreened() -> Iterator[None]:
     """Run the analysis without the screen inside the block.
 
-    Caches are reset on entry and exit: screen rows cached on one side
-    never serve the other, and the process pool is torn down, so pool
-    workers fork with the empty screen in place.
+    Caches are reset on entry and exit, so memo rows computed on one
+    side never serve the other, and the process pool is torn down, so
+    pool workers fork with the empty screen in place.
     """
-    saved = ScreenPass.__dict__["_compute"]
+    saved = screen.screen_unit
     perf.reset_all_caches()
-    ScreenPass._compute = staticmethod(lambda engine, unit: empty_screen(unit))
+    screen.screen_unit = lambda unit, symtab, tree=None: {}
     try:
         yield
     finally:
-        ScreenPass._compute = saved
+        screen.screen_unit = saved
         perf.reset_all_caches()
 
 

@@ -147,7 +147,9 @@ class TestRegionSchedule:
         assert [p for p, _u in order[:4]] == ["screen"] * 4
 
     def test_summarize_waits_for_screen_and_callees_only(self):
-        assert SummarizePass.inputs == ("engine", "screen", "summary@callees")
+        # summarize reads no screen; pass-major order still runs every
+        # unit's screen first
+        assert SummarizePass.inputs == ("engine", "summary@callees")
         order = self._order()
         for unit in ("main", "left", "leaf", "right"):
             at = order.index(("summarize", unit))

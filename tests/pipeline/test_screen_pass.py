@@ -1,17 +1,13 @@
-"""The screen pass in the pipeline: skip, elision, cache, executors.
+"""The screen pass in the pipeline: elision, cache, executors.
 
-Three integration properties beyond the unit-level classification
-tests:
+Two integration properties beyond the unit-level classification tests:
 
-* a caller-free, fully-covered unit skips summarization outright — its
-  "summary" is the :class:`~repro.arraydf.screen.ScreenedUnit` sentinel
-  and its decisions come straight from the screen's pre-made rows;
 * an outermost loop of the main program is projected only when its
   value is read — for a privatized array's copy-in region — so the
   projection of a screened-independent one is elided; a read gets
   exactly what the unscreened walk's eager projection produces, also
   from the nest memo and from the summary cache;
-* both paths are invisible in the results — screened and unscreened
+* the screen is invisible in the results — screened and unscreened
   (``tests/pipeline/reference.py``), cold and warm cache, serial runs
   and pooled batches all agree.
 """
@@ -21,7 +17,6 @@ from contextlib import nullcontext
 from repro import perf
 from repro.arraydf.analysis import ArrayDataflow
 from repro.arraydf.options import AnalysisOptions
-from repro.arraydf.screen import ScreenedUnit
 from repro.lang.parser import parse_program
 from repro.pipeline import run_pipeline, run_pipeline_batch
 from repro.service.cache import SummaryCache
@@ -29,8 +24,7 @@ from repro.suites import all_programs, get_program
 
 from tests.pipeline.reference import eager_loop_values, unscreened
 
-#: main is caller-free and every loop screens (independent): the
-#: whole-unit skip fires for it, while the subroutines keep the full walk
+#: every loop screens independent, main's included
 SKIP_SRC = """program main
   integer n
   real a(100), b(100)
@@ -82,30 +76,13 @@ def _run(program, screen_on, **kw):
 
 
 class TestWholeUnitSkip:
-    def test_screened_unit_sentinel_replaces_the_summary(self):
-        ctx = _run(
-            parse_program(SKIP_SRC), True, goals=("result", "summary")
-        )
-        assert isinstance(ctx.get("summary", "main"), ScreenedUnit)
-        # called units keep their real summaries (their proc values feed
-        # the callers)
-        assert not isinstance(ctx.get("summary", "initone"), ScreenedUnit)
-
-    def test_skip_counts_saved_units(self):
-        perf.reset_counters()
-        _run(parse_program(SKIP_SRC), True, goals=("result",))
-        assert perf.counter("screen.saved_units") > 0
+    """A caller-free unit whose every loop screens independent decides
+    exactly as the unscreened analysis does."""
 
     def test_skipped_unit_decisions_match_screen_off(self):
         on = _rows(_run(parse_program(SKIP_SRC), True, goals=("result",)))
         off = _rows(_run(parse_program(SKIP_SRC), False, goals=("result",)))
         assert on == off
-
-    def test_screen_off_runs_the_full_walk(self):
-        ctx = _run(
-            parse_program(SKIP_SRC), False, goals=("result", "summary")
-        )
-        assert not isinstance(ctx.get("summary", "main"), ScreenedUnit)
 
 
 class TestElision:
@@ -116,11 +93,11 @@ class TestElision:
             goals=("result", "summary", "screen"),
         )
         summary = ctx.get("summary", "hydro2d")
-        verdicts = ctx.get("screen", "hydro2d").verdicts
+        screened = ctx.get("screen", "hydro2d")
         rows = ctx.get("result").by_label()
         unread = [ls for ls in summary.loops.values() if ls.projected is None]
         assert any(
-            verdicts[ls.label] == "independent" and not rows[ls.label].private_arrays
+            ls.label in screened and not rows[ls.label].private_arrays
             for ls in unread
         ), "every loop was projected — the lazy path is dead"
         for ls in summary.loops.values():
@@ -145,7 +122,6 @@ class TestElision:
                     values = {
                         ls.label: (ls.body_value, ls.loop_value)
                         for name in ctx.unit_names()
-                        if not isinstance(ctx.get("summary", name), ScreenedUnit)
                         for ls in ctx.get("summary", name).loops.values()
                     }
                     assert values == {label: ref[label] for label in values}
@@ -182,22 +158,23 @@ class TestElision:
 class TestWarmAndExecutors:
     def test_warm_screen_cache_is_identical(self, tmp_path):
         # a whole-program warm run short-circuits at the program-level
-        # cache, so edit one unit: the program key misses, while the
-        # screen entries of the *untouched* units (keyed on their own
-        # content only) serve from disk
+        # cache, so edit one unit: the program key misses, the
+        # *untouched* initone serves its summary from disk, and the
+        # screen recomputes its rows (it has no cache entry)
         cache = SummaryCache(tmp_path / "c")
         edited = SKIP_SRC.replace("y(i) = 1.0", "y(i) = 2.0")
         _run(parse_program(SKIP_SRC), True, cache=cache, goals=("result",))
-        hits = perf.counter("cache.screen_hit")
+        hits = perf.counter("cache.summary_hit")
         warm = _rows(
             _run(parse_program(edited), True, cache=cache, goals=("result",))
         )
-        assert perf.counter("cache.screen_hit") > hits
+        assert perf.counter("cache.summary_hit") == hits + 1
+        assert not list(cache.root.glob("*/*.screen.pkl"))
         cold = _rows(_run(parse_program(edited), True, goals=("result",)))
         assert warm == cold
 
     def test_pool_agrees_with_serial(self):
-        """Pool workers screen (and skip) exactly as the parent does."""
+        """Pool workers screen exactly as the parent does."""
         serial = _rows(_run(parse_program(SKIP_SRC), True, goals=("result",)))
         for jobs in (2, 4):
             perf.reset_all_caches()

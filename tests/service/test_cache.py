@@ -183,6 +183,75 @@ def _run_analyze(tmp_path, source_name, cache_dir):
     }
 
 
+def _report_rows(result):
+    """Decision rows and the ``format_report`` text, timing stripped."""
+    from repro.codegen.report import format_report
+
+    rows = [
+        (
+            l.label,
+            l.status,
+            str(l.condition),
+            l.reason,
+            l.enclosed,
+            l.runtime_test,
+            l.private_arrays,
+            l.private_scalars,
+            l.reduction_scalars,
+        )
+        for l in result.loops
+    ]
+    return rows, re.sub(r"analysis: \S+ ms", "", format_report(result))
+
+
+class TestSuiteUnitRebind:
+    """Per-unit summary and decision hits rebind to the right result on
+    every multi-unit suite program."""
+
+    HITS = ("cache.program_hit", "cache.summary_hit", "cache.decisions_hit")
+
+    @pytest.mark.parametrize(
+        "opts",
+        [AnalysisOptions.predicated(), AnalysisOptions.base()],
+        ids=["predicated", "base"],
+    )
+    def test_edited_main_rebinds_every_subroutine(self, tmp_path, opts):
+        from repro import perf
+        from repro.suites import all_programs
+
+        checked = 0
+        for bench in all_programs():
+            if len(bench.fresh_program().units) == 1:
+                continue
+            # one more print in main: no loop moves, the program key
+            # misses, and every subroutine's unit key is unchanged
+            head, end, tail = bench.source.partition("\nend\n")
+            assert end, bench.name
+            edited = head + "\n  print 0" + end + tail
+            cache = SummaryCache(tmp_path / bench.name)
+            perf.reset_all_caches()
+            try:
+                analyze_program(parse_program(bench.source), opts, cache=cache)
+                perf.reset_all_caches()
+                before = {k: perf.counter(k) for k in self.HITS}
+                warm = analyze_program(parse_program(edited), opts, cache=cache)
+                hits = {k: perf.counter(k) - before[k] for k in self.HITS}
+                perf.reset_all_caches()
+                cold = analyze_program(parse_program(edited), opts)
+            finally:
+                perf.reset_all_caches()
+            subroutines = len(warm.program.units) - 1
+            assert hits == {
+                "cache.program_hit": 0,
+                "cache.summary_hit": subroutines,
+                "cache.decisions_hit": subroutines,
+            }, bench.name
+            assert _report_rows(warm) == _report_rows(cold), bench.name
+            assert not list(cache.root.glob("*/*.screen.pkl")), bench.name
+            checked += 1
+        assert checked == 8
+
+
 @pytest.mark.slow
 class TestCrossProcess:
     def test_dirty_subtree_only(self, tmp_path):
@@ -200,14 +269,12 @@ class TestCrossProcess:
         assert warm_report == cold_report
 
         # edit inittwo only: initone's summary + decisions are reused and
-        # inittwo (the dirty subtree) recomputes.  main is caller-free
-        # and fully covered by the tier-0 screen, so its summarization
-        # is skipped outright — no summary lookup happens for it at all.
+        # the dirty subtree recomputes: inittwo and main, which calls it
         (tmp_path / "v.f").write_text(SRC_EDITED)
         edited_report, edited = _run_analyze(tmp_path, "v.f", cache_dir)
         assert edited["cache.program_hit"] == 0
         assert edited["cache.summary_hit"] == 1  # initone
-        assert edited["cache.summary_miss"] == 1  # inittwo
+        assert edited["cache.summary_miss"] == 2  # inittwo, main
         assert edited["cache.decisions_hit"] == 1
 
         # and the second run of the edited program is fully warm again,

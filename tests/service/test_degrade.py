@@ -81,14 +81,9 @@ class TestFmExhaustion:
         _degraded_analysis(
             bench.fresh_program(), Budget(max_fm_constraints=1), cache=cache
         )
-        # the budget-independent screen rows may be stored; the degraded
-        # analysis artifacts (summaries, decisions) must not be
+        # the degraded analysis stores nothing
         def degradable():
-            return [
-                p
-                for p in cache.root.glob("*/*.pkl")
-                if not p.name.endswith(".screen.pkl")
-            ]
+            return list(cache.root.glob("*/*.pkl"))
 
         assert degradable() == []
 

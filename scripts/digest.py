@@ -16,7 +16,10 @@ seed.  Each output line is ``<program name> <hash>``.  The hash covers:
   and arrays (floats as IEEE-754 bit patterns) and the loop events;
 * the ``run_oracle`` report: each loop's classification, instances,
   iterations and conflict and flow arrays, the report's steps, and the
-  run's ``elpd.shadow.elements`` delta.
+  run's ``elpd.shadow.elements`` delta;
+* for each of those two runs, its ``rt.vec_loop``, ``rt.vec_nest`` and
+  ``rt.vec_fallback`` deltas, so equal hashes also mean that the same
+  loops took the vector path.
 
 A step that raises hashes the exception's type and message instead.
 Run it from the repository root at two commits and diff the output: a
@@ -44,6 +47,19 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 #: the report's one run-dependent field
 _TIMING = re.compile(r"analysis: [0-9.]+ ms")
+
+
+#: the runtime's vector-path counters
+_VEC = ("rt.vec_loop", "rt.vec_nest", "rt.vec_fallback")
+
+
+def _counted(names, run):
+    """``run()``, and the deltas of the counters *names* over it."""
+    from repro import perf
+
+    before = [perf.counter(name) for name in names]
+    out = run()
+    return out, [perf.counter(name) - b for name, b in zip(names, before)]
 
 
 def _bits(value):
@@ -88,8 +104,9 @@ def analysis_facts(program, _inputs):
 def run_facts(program, inputs):
     from repro.runtime.interp import run_program
 
-    result = run_program(program, inputs)
+    result, vec = _counted(_VEC, lambda: run_program(program, inputs))
     return (
+        vec,
         result.outputs,
         result.steps,
         sorted((n, _bits(v)) for n, v in result.main_scalars.items()),
@@ -105,12 +122,13 @@ def run_facts(program, inputs):
 
 
 def oracle_facts(program, inputs):
-    from repro import perf
     from repro.runtime.elpd import run_oracle
 
-    before = perf.counter("elpd.shadow.elements")
-    report = run_oracle(program, inputs)
+    report, (shadow, *vec) = _counted(
+        ("elpd.shadow.elements", *_VEC), lambda: run_oracle(program, inputs)
+    )
     return (
+        vec,
         sorted(
             (
                 label,
@@ -123,7 +141,7 @@ def oracle_facts(program, inputs):
             for label, obs in report.observations.items()
         ),
         report.steps,
-        perf.counter("elpd.shadow.elements") - before,
+        shadow,
     )
 
 

@@ -24,14 +24,18 @@ condition ``TRUE``, per-array verdicts ``ArrayVerdict(a, TRUE,
 FALSE)``), which ``decide_unit`` adopts after a cross-check against
 the loop's real summary instead of running the dependence test.
 
-The screen never consults budgets — it is pure syntax.  The unscreened
-analysis (no unit gets a row) is a test reference in
-``tests/pipeline/reference.py``.
+The screen never consults budgets — it is pure syntax.  The pipeline
+screens lazily (:func:`unit_lookup`): ``decide_unit`` looks a loop up
+only when it misses both the decisions cache and the nest memo, so the
+``screen.independent``/``screen.unknown`` counters count loops screened,
+not loops seen.  :func:`screen_unit` screens every loop of a unit at
+once.  The unscreened analysis (no loop gets a row) is a test reference
+in ``tests/pipeline/reference.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro import perf
 from repro.ir.exprtools import to_affine
@@ -182,10 +186,35 @@ def screen_loop(info: LoopInfo, symtab) -> Optional[dict]:
     }
 
 
+def _counted(info: LoopInfo, symtab) -> Optional[dict]:
+    """:func:`screen_loop`, counted in ``screen.independent`` or
+    ``screen.unknown``."""
+    row = screen_loop(info, symtab)
+    perf.bump("screen.unknown" if row is None else "screen.independent")
+    return row
+
+
+def unit_lookup(symtab, tree) -> Callable[[str], Optional[dict]]:
+    """The lazy screen of one (scalar-propagated) unit: ``label ->``
+    the loop's ready-made row, or ``None``.  A loop is screened only
+    when looked up, so the loops ``decide_unit`` binds from its caches
+    are never screened.  *tree* is the unit's ``(region tree, loop
+    info)`` pair."""
+    _proc, infos = tree
+    by_label = {info.loop.label: info for info in infos.values()}
+
+    def lookup(label: str) -> Optional[dict]:
+        info = by_label.get(label)
+        return None if info is None else _counted(info, symtab)
+
+    return lookup
+
+
 def screen_unit(unit: Subroutine, symtab, tree=None) -> Dict[str, dict]:
     """``label -> ready-made row`` for every loop of one
-    (scalar-propagated) unit the screen proves independent; *tree* is
-    the unit's ``(region tree, loop info)`` pair where the caller has
+    (scalar-propagated) unit the screen proves independent, screening
+    every loop at once (the reference the soundness sweep reads); *tree*
+    is the unit's ``(region tree, loop info)`` pair where the caller has
     one."""
     if tree is None:
         proc = build_region_tree(unit)
@@ -193,10 +222,7 @@ def screen_unit(unit: Subroutine, symtab, tree=None) -> Dict[str, dict]:
     _proc, infos = tree
     rows: Dict[str, dict] = {}
     for info in infos.values():
-        row = screen_loop(info, symtab)
-        if row is None:
-            perf.bump("screen.unknown")
-        else:
-            perf.bump("screen.independent")
+        row = _counted(info, symtab)
+        if row is not None:
             rows[row["label"]] = row
     return rows

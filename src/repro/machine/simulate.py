@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.codegen.plan import ParallelPlan
 from repro.lang.astnodes import Program
 from repro.machine.costmodel import MachineModel
+from repro.runtime.bytecode import execute
 from repro.runtime.interp import Interpreter
 
 Number = Union[int, float]
@@ -187,7 +188,7 @@ def simulate(
         program, inputs, plan=plan, loop_hook=hook, max_steps=max_steps
     )
     interp_ref[0] = interp
-    result = interp.run()
+    result = execute(interp, snapshot=False)
     return MachineResult(
         serial_steps=float(result.steps),
         instances=hook.instances,

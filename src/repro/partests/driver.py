@@ -37,7 +37,7 @@ The driver carries the serving-substrate hooks through the pipeline:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import perf
 from repro.arraydf.analysis import ArrayDataflow, LoopSummary
@@ -166,7 +166,7 @@ def decide_unit(
     symtab,
     opts: AnalysisOptions,
     cache: Optional[SummaryCache] = None,
-    screen: Optional[Dict[str, dict]] = None,
+    screen: Optional[Callable[[str], Optional[dict]]] = None,
 ) -> Tuple[List[LoopResult], bool]:
     """Decide every loop of one unit, via the decisions cache.
 
@@ -176,13 +176,15 @@ def decide_unit(
     summary was degraded — stay out of the cache.  Returns the loop
     results plus whether any loop was budget-degraded.
 
-    *screen* holds the ready-made ``parallel`` rows of the loops the
-    tier-0 screen proved independent (:func:`repro.arraydf.screen.screen_unit`).
-    Such a loop takes its row after a cheap cross-check against the real
-    summary (write set and scalar classes must match the prediction —
-    ``screen.agree``), skipping the full dependence test; any mismatch
-    falls back to :func:`decide_loop` (``screen.disagree``), keeping
-    results identical by construction.
+    *screen* looks a loop's label up in the tier-0 screen
+    (:func:`repro.arraydf.screen.unit_lookup`): the ready-made
+    ``parallel`` row of a loop it proves independent, else ``None``.  It
+    is called only for a loop that misses both caches, so no other loop
+    is screened.  A loop with a row takes it after a cheap cross-check
+    against the real summary (write set and scalar classes must match
+    the prediction — ``screen.agree``), skipping the full dependence
+    test; any mismatch falls back to :func:`decide_loop`
+    (``screen.disagree``), keeping results identical by construction.
 
     A nest the walker keyed (``summary.nest_keys``) is first looked up
     in the ``nest.decisions`` memo: its rows are a function of the key,
@@ -202,7 +204,6 @@ def decide_unit(
             rebound = _rebind_decisions(rows, summary, unit_name)
             if rebound is not None:
                 return rebound, False
-    screen_rows = screen or {}
     out: List[LoopResult] = []
     degraded = False
     for nest_key, nest in _nests(summary):
@@ -215,7 +216,7 @@ def decide_unit(
         nest_degraded = False
         for loop_summary in nest:
             result, loop_degraded = _decide_one(
-                loop_summary, screen_rows, symtab, opts, unit_name
+                loop_summary, screen, symtab, opts, unit_name
             )
             nest_degraded = nest_degraded or loop_degraded
             out.append(result)
@@ -243,11 +244,11 @@ def _nests(summary) -> List[Tuple[Optional[tuple], List[LoopSummary]]]:
 
 
 def _decide_one(
-    loop_summary: LoopSummary, screen_rows, symtab, opts, unit_name: str
+    loop_summary: LoopSummary, screen, symtab, opts, unit_name: str
 ) -> Tuple[LoopResult, bool]:
     """One loop's decision, and whether a budget trip degraded it."""
     loop = loop_summary.loop
-    row = screen_rows.get(loop.label)
+    row = None if screen is None else screen(loop.label)
     if row is not None:
         screened = _screened_result(row, loop_summary, symtab, unit_name)
         if screened is not None:

@@ -88,8 +88,11 @@ class ScreenPass(Pass):
     """Tier-0 graph-based dependence screen of one unit.
 
     Pure syntax over the scalar-propagated unit (no callee inputs, no
-    budgets): the ready-made ``parallel`` rows of the loops it proves
-    independent, by label (:mod:`repro.arraydf.screen`).  Cheap enough
+    budgets): a lookup from a loop's label to its ready-made
+    ``parallel`` row, or ``None`` when the screen does not prove it
+    independent (:func:`repro.arraydf.screen.unit_lookup`).  The lookup
+    screens a loop only when ``decide`` asks for it, so the loops that
+    ``decide`` binds from its caches are never screened.  Cheap enough
     to recompute, so it is never cached.
     """
 
@@ -103,10 +106,8 @@ class ScreenPass(Pass):
         from repro.arraydf import screen
 
         engine = ctx.engine
-        rows = screen.screen_unit(
-            engine.program.units[unit], engine.symtabs[unit], engine.region_tree(unit)
-        )
-        ctx.put("screen", rows, unit)
+        lookup = screen.unit_lookup(engine.symtabs[unit], engine.region_tree(unit))
+        ctx.put("screen", lookup, unit)
 
 
 class SummarizePass(Pass):
@@ -137,7 +138,7 @@ class DecidePass(Pass):
     Pure in the unit's summary key, so decisions share it in the cache.
     Budget-tripped loops demote to ``serial`` and mark the unit
     degraded; degraded decisions are never stored.  The unit's screen
-    rows go to :func:`~repro.partests.driver.decide_unit`, which
+    lookup goes to :func:`~repro.partests.driver.decide_unit`, which
     fast-paths the screen-independent loops after a per-loop
     cross-check.
     """

@@ -20,19 +20,29 @@ several call sites compiles once).  Nothing is cached across runs:
 every caller runs a freshly parsed program, and a cross-run table would
 only keep finished programs alive.
 
+Arrays are dense (:mod:`repro.runtime.values`): a float64 buffer and a
+written-element mask, shared by every view.  A scalar read indexes the
+buffer (0.0 past its end); a scalar write sets the element and its mask
+byte, growing both when it lands past the end of a shorter actual.
+
 Where a ``DoLoop`` body is straight-line (array assignments only, no
 scalar carry) with affine subscripts, the loop additionally compiles a
 NumPy-vectorized program that executes the whole iteration space as
-array operations (:class:`_VecLoop`).  A rectangular perfect nest — a
+array operations (:class:`_VecLoop`).  Each of its array references
+indexes a NumPy view of the buffer: a 1-D reference with a nonzero
+step by one slice, any other by an int64 offset array.  A read gathers
+with one such index; a write scatters with one assignment to the
+buffer and one to the mask.  A rectangular perfect nest — a
 loop whose whole body is such a loop, with bounds that read neither
 loop variable nor any array — compiles into one program over its 2-D
 iteration space (:class:`_Nest`).  The vectorized path is attempted
 only when every safety precondition verifies at loop entry — integer
-affine subscripts, in-bounds at the corners of the space, injective
-write offsets, no cross-name buffer aliasing, step budget not exceeded
-— and otherwise falls back to the scalar instruction loop, which
-reproduces the reference semantics (including the exact error at the
-exact iteration).
+affine subscripts, in-bounds at the corners of the space and inside
+the buffer, injective write offsets, no cross-name buffer aliasing,
+step budget not exceeded — and otherwise falls back to the scalar
+instruction loop, which reproduces the reference semantics (including
+the exact error at the exact iteration, a read of 0.0 or a growing
+write past the buffer).
 
 Contract: every :class:`~repro.runtime.interp.ExecutionResult` —
 outputs, step count, final scalars and array snapshots, loop events
@@ -63,7 +73,6 @@ Known vectorization fallback conditions are documented in
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro import perf
@@ -470,12 +479,18 @@ def _compile_expr(expr: Expr, ctx: _Ctx):
             def readh(st, sc, ar, off=off):
                 arr, o = off(st, sc, ar)
                 st.access_hook("r", arr, o)
-                return arr.data.get(o, 0.0)
+                try:
+                    return arr.buf[o]
+                except IndexError:  # past a shorter actual's end
+                    return 0.0
             return readh, _NOCONST
 
         def read(st, sc, ar, off=off):
             arr, o = off(st, sc, ar)
-            return arr.data.get(o, 0.0)
+            try:
+                return arr.buf[o]
+            except IndexError:  # past a shorter actual's end
+                return 0.0
         return read, _NOCONST
     if isinstance(expr, UnOp):
         f, c = _compile_expr(expr.operand, ctx)
@@ -550,7 +565,12 @@ def _compile_assign(stmt: Assign, ctx: _Ctx) -> Callable:
             _tick(st)
             v = rhs(st, sc, ar)
             arr, o = off(st, sc, ar)
-            arr.data[o] = float(v)
+            v = float(v)
+            try:
+                arr.buf[o] = v
+                arr.mask[o] = 1
+            except IndexError:  # past a shorter actual's end: grow it
+                arr.put(o, v)
             st.access_hook("w", arr, o)
         return assign_ah
 
@@ -558,7 +578,12 @@ def _compile_assign(stmt: Assign, ctx: _Ctx) -> Callable:
         _tick(st)
         v = rhs(st, sc, ar)
         arr, o = off(st, sc, ar)
-        arr.data[o] = float(v)
+        v = float(v)
+        try:
+            arr.buf[o] = v
+            arr.mask[o] = 1
+        except IndexError:  # past a shorter actual's end: grow it
+            arr.put(o, v)
     return assign_a
 
 
@@ -928,34 +953,31 @@ class _Nest:
 class _VecSite:
     """One distinct (array, subscript tuple) reference in a vector loop."""
 
-    __slots__ = ("name", "slot", "dims", "offs", "offv", "data", "arr")
+    __slots__ = ("name", "slot", "dims", "arr", "idx", "offv", "vals")
 
     def __init__(self, name: str, slot: int, dims: list) -> None:
         self.name = name
         self.slot = slot
         #: per dimension: (coefficient fn per loop level, base fn)
         self.dims = dims
-        # resolved per execution: flat offsets in scalar order as a list
-        # (gather and scatter) and as the int64 array handed to a loop
-        # hook, shaped like the iteration space
-        self.offs: Optional[list] = None
-        self.offv = None
-        self.data: Optional[dict] = None
+        # resolved per execution: the storage; its elements in scalar
+        # order as an index into the buffer (a slice, or int64 offsets);
+        # the int64 offsets handed to a loop hook, shaped like the
+        # iteration space; and the buffer as a NumPy array
         self.arr: Optional[ArrayStorage] = None
+        self.idx = None
+        self.offv = None
+        self.vals = None
 
 
 class _VecRt:
     """Per-execution runtime environment for vector value programs."""
 
-    __slots__ = ("ivs", "inv", "sites", "n")
+    __slots__ = ("ivs", "inv", "sites")
 
     def gather(self, idx: int):
         site = self.sites[idx]
-        return _np.fromiter(
-            map(site.data.get, site.offs, repeat(0.0)),
-            _np.float64,
-            count=self.n,
-        )
+        return site.vals[site.idx]
 
 
 def grid_injective(ds: list, shape: tuple) -> bool:
@@ -975,8 +997,9 @@ def grid_injective(ds: list, shape: tuple) -> bool:
 def _place(site: _VecSite, st, sc, ar, space, hooked: bool, written: bool) -> bool:
     """Resolve *site*'s flat offsets over the iteration *space*.  False
     when a subscript is not integral or leaves the bounds at a corner
-    of the space (affine subscripts take their extremes there), or a
-    written site would repeat an element."""
+    of the space (affine subscripts take their extremes there), a
+    written site would repeat an element, or the site reaches past the
+    buffer (the scalar loop reads 0.0 there, or grows the buffer)."""
     extents = site.arr.extents
     if len(extents) != len(site.dims):
         return False
@@ -1006,26 +1029,26 @@ def _place(site: _VecSite, st, sc, ar, space, hooked: bool, written: bool) -> bo
         top += (s + up - 1) * stride
         if ext is not None:
             stride *= ext
+    if top >= len(site.arr.buf):
+        return False
     ds = [c * step for c, (_lo, step, _t) in zip(slopes, space)]
     shape = tuple(t for _lo, _step, t in space)
     if written and not grid_injective(ds, shape):
         return False
     if len(space) == 1:
         d, trips = ds[0], shape[0]
-        site.offs = list(range(base, base + d * trips, d)) if d else [base] * trips
+        if not d:
+            site.idx = site.offv = _np.full(trips, base, _np.int64)
+            return True
+        stop = base + d * trips  # below 0 for a step down to element 0
+        site.idx = slice(base, stop if stop >= 0 else None, d)
         if hooked:
-            site.offv = (
-                _np.arange(base, base + d * trips, d, dtype=_np.int64)
-                if d
-                else _np.full(trips, base, _np.int64)
-            )
+            site.offv = _np.arange(base, stop, d, dtype=_np.int64)
         return True
-    if top >> 62:
-        return False  # keep the int64 grid arithmetic exact
     grid = _np.arange(shape[0], dtype=_np.int64) * ds[0] + base
     for d, trips in zip(ds[1:], shape[1:]):
         grid = _np.add.outer(grid, _np.arange(trips, dtype=_np.int64) * d)
-    site.offs = grid.ravel().tolist()
+    site.idx = grid.reshape(-1)
     if hooked:
         site.offv = grid
     return True
@@ -1078,7 +1101,6 @@ class _VecLoop:
                     perf.bump("rt.vec_fallback")
                     return False
                 site.arr = arr
-                site.data = arr.data
             inv_vals = [f(st, sc, ar) for f in self.invariants]
             for k in self.mod_checks:
                 if inv_vals[k] == 0:
@@ -1091,9 +1113,9 @@ class _VecLoop:
                     return False
 
             # cross-name buffer aliasing (formals viewing one actual)
-            written_bufs = {id(site.data): site.name for site in written}
+            written_bufs = {site.arr.serial: site.name for site in written}
             for site in self.sites:
-                wname = written_bufs.get(id(site.data))
+                wname = written_bufs.get(site.arr.serial)
                 if wname is not None and wname != site.name:
                     perf.bump("rt.vec_fallback")
                     return False
@@ -1105,7 +1127,6 @@ class _VecLoop:
             return False
 
         shape = tuple(t for _lo, _step, t in space)
-        n = math.prod(shape)
         rt = _VecRt()
         rt.ivs = [None] * len(space)
         for k in self.uses_iv:
@@ -1116,15 +1137,16 @@ class _VecLoop:
                 axis[k] = trips
                 iv = _np.broadcast_to(iv.reshape(axis), shape).reshape(-1)
             rt.ivs[k] = iv
-        rt.inv, rt.sites, rt.n = inv_vals, self.sites, n
+        rt.inv, rt.sites = inv_vals, self.sites
+        for site in self.sites:
+            site.vals = _np.frombuffer(site.arr.buf, _np.float64)
         for tgt_idx, value_fn in self.stmts:
             res = value_fn(rt)
-            if isinstance(res, _np.ndarray):
-                out = res.astype(_np.float64, copy=False)
-            else:
-                out = _np.full(n, float(res))
             site = self.sites[tgt_idx]
-            site.data.update(zip(site.offs, out.tolist()))
+            # one assignment each to the elements (cast to float64) and
+            # to their mask bytes
+            site.vals[site.idx] = res if isinstance(res, _np.ndarray) else float(res)
+            _np.frombuffer(site.arr.mask, _np.uint8)[site.idx] = 1
         st.steps += nsteps
         if hooked:
             sites = self.sites
@@ -1134,8 +1156,10 @@ class _VecLoop:
                 [(k, sites[i].arr, sites[i].offv) for k, i in self.accesses],
                 inner,
             )
-        for site in self.sites:  # drop per-execution references
-            site.offs = site.offv = site.data = site.arr = None
+        # drop per-execution references: a NumPy view of a buffer would
+        # keep a later scalar write from growing it
+        for site in self.sites:
+            site.arr = site.idx = site.offv = site.vals = None
         return True
 
 
@@ -1476,11 +1500,13 @@ def _unit_code(st: _State, unit: Subroutine) -> _CompiledUnit:
     return code
 
 
-def execute(interp) -> ExecutionResult:
+def execute(interp, snapshot: bool = True) -> ExecutionResult:
     """Run *interp*'s program on the bytecode engine.
 
     Reuses the Interpreter's configuration and result fields, so callers
     and hooks read ``interp.steps`` and ``interp.outputs`` as they run.
+    A caller that reads only the steps and its hooks passes *snapshot*
+    False: the result's ``main_arrays`` is then empty.
     """
     program = interp.program
     st = _State()
@@ -1518,7 +1544,7 @@ def execute(interp) -> ExecutionResult:
         main_arrays={
             name: ar[slot].snapshot()
             for slot, name, _typ, _dims in code.array_specs
-        },
+        } if snapshot else {},
         main_scalars=dict(sc),
         loop_events=st.loop_events,
     )

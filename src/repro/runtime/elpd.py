@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro import perf
 from repro.lang.astnodes import Program
-from repro.runtime.bytecode import grid_injective
+from repro.runtime.bytecode import execute, grid_injective
 from repro.runtime.interp import Interpreter
 from repro.runtime.values import ArrayStorage, RuntimeError_
 
@@ -663,8 +663,7 @@ def run_elpd(
         loop_hook=hook,
         max_steps=max_steps,
     )
-    result = interp.run()
-    hook.report.steps = result.steps
+    hook.report.steps = execute(interp, snapshot=False).steps
     # loops named as targets but never executed
     if targets is not None:
         for label in targets:

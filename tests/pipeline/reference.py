@@ -2,7 +2,7 @@
 
 :class:`repro.pipeline.passes.ScreenPass` hands ``decide`` a ready-made
 row for each loop it can prove independent from syntax alone.
-:func:`unscreened` makes the screen return no rows for every unit
+:func:`unscreened` makes the screen return no row for every loop
 instead, so every loop takes the full predicated analysis — the
 configuration the screen's soundness and identity tests compare
 against.  :func:`eager_loop_values` projects every loop of that
@@ -26,13 +26,13 @@ def unscreened() -> Iterator[None]:
     side never serve the other, and the process pool is torn down, so
     pool workers fork with the empty screen in place.
     """
-    saved = screen.screen_unit
+    saved = screen.screen_loop
     perf.reset_all_caches()
-    screen.screen_unit = lambda unit, symtab, tree=None: {}
+    screen.screen_loop = lambda info, symtab: None
     try:
         yield
     finally:
-        screen.screen_unit = saved
+        screen.screen_loop = saved
         perf.reset_all_caches()
 
 

@@ -278,7 +278,7 @@ class TreeInterpreter(Interpreter):
             off = arr.offset(subs)
             if self.access_hook is not None:
                 self.access_hook("r", arr, off)
-            return arr.data.get(off, 0.0)
+            return arr.get(off)
         if isinstance(expr, UnOp):
             v = self._eval(expr.operand, frame)
             if expr.op == "-":

@@ -385,6 +385,18 @@ class TestHookSequenceParity:
             "  a(i, j) = b(i, j) + b(i + 1, j - 1)\n"
             " enddo\nenddo\nend\n"
         ),
+        "nest: a written array read back": (
+            "program t\ninteger n\nreal a(40, 6), b(40, 6)\nread n\n"
+            "do j = 1, 6\n do i = 1, n\n  a(i, j) = i * 1.0 + j\n enddo\n"
+            "enddo\n"
+            "do j = 1, 6\n do i = 1, n\n  a(i, j) = a(i, j) * 2.0 + b(i, j)\n"
+            "  b(i, j) = a(i, j) - 1.0\n enddo\nenddo\nend\n"
+        ),
+        "descending step down to element 1": (
+            "program t\ninteger n\nreal a(40), b(40)\nread n\n"
+            "do i = n, 1, -1\n a(i) = b(i) * 0.5 + i\nenddo\n"
+            "do i = 39, 1, -2\n b(i) = a(i) + 1.0\nenddo\nend\n"
+        ),
         "nest: min, max and mod bodies": (
             "program t\ninteger n\nreal a(40, 3), b(40, 3), c(40, 3)\nread n\n"
             "do j = 1, 3\n do i = 1, n\n  b(i, j) = i * 0.5 - j\n enddo\n"
@@ -710,6 +722,86 @@ class TestVectorizedPath:
         assert self._vec_count(src, [100]) == 1
         result = both(src, [100])
         assert result.main_arrays["a"][0] == 2  # mod(7, 5)
+
+
+class TestStorageModel:
+    """The dense buffer and written-element mask (``runtime/values.py``)
+    against the tree walker: a write past an actual's end grows the
+    shared buffer, a vector site past the buffer runs the scalar loop,
+    and a snapshot lists the written offsets only."""
+
+    @staticmethod
+    def _run(src, inputs=()):
+        """The result on both engines (asserted equal) and the bytecode
+        run's vector-path counters."""
+        perf.reset_counters()
+        result = both(src, inputs)
+        return result, {
+            name: perf.counter(f"rt.{name}")
+            for name in ("vec_loop", "vec_nest", "vec_fallback")
+        }
+
+    def test_write_past_an_assumed_size_actual(self):
+        src = (
+            "program t\nreal a(10)\ncall f(a)\ncall g(a)\nend\n"
+            "subroutine f(v)\nreal v(*)\nv(15) = 2.5\nv(3) = v(15) + v(20)\nend\n"
+            "subroutine g(w)\nreal w(*)\nprint w(15), w(3), w(12)\nend\n"
+        )
+        result, _vec = self._run(src)
+        # the main snapshot lists the element past a's end, a later
+        # call reads it, and an element past it never written reads 0
+        assert result.main_arrays["a"] == {14: 2.5, 2: 2.5}
+        assert result.outputs == ["2.5 2.5 0"]
+
+    def test_write_through_a_formal_larger_than_its_actual(self):
+        src = (
+            "program t\ninteger n\nreal a(10)\nread n\n"
+            "call f(a, n)\ncall f(a, n)\nend\n"
+            "subroutine f(v, n)\ninteger n\nreal v(30)\n"
+            "do i = 1, n\n v(i) = v(i) + i\nenddo\nprint v(25)\nend\n"
+        )
+        result, vec = self._run(src, [30])
+        # the first call's site reaches past a's buffer and runs
+        # scalar, which grows it; the second call's fits and vectorizes
+        assert vec == {"vec_loop": 1, "vec_nest": 0, "vec_fallback": 1}
+        assert result.main_arrays["a"] == {k: 2.0 * (k + 1) for k in range(30)}
+        assert result.outputs == ["25", "50"]
+
+    def test_read_site_past_the_buffer_runs_scalar(self):
+        src = (
+            "program t\ninteger n\nreal a(10), b(40)\nread n\n"
+            "do i = 1, 10\n a(i) = i * 1.0\nenddo\n"
+            "call f(a, b, n)\nend\n"
+            "subroutine f(v, b, n)\ninteger n\nreal v(*), b(40)\n"
+            "do i = 1, n\n b(i) = v(i) * 2.0\nenddo\nend\n"
+        )
+        result, vec = self._run(src, [20])
+        assert vec == {"vec_loop": 1, "vec_nest": 0, "vec_fallback": 1}
+        # elements past a's end read 0.0, and written zeros are listed
+        assert result.main_arrays["b"] == {
+            k: 2.0 * (k + 1) if k < 10 else 0.0 for k in range(20)
+        }
+
+    def test_partly_written_main_array(self):
+        src = (
+            "program t\ninteger n\nreal a(100)\nread n\n"
+            "do i = 1, n\n a(2 * i) = i * 1.0 - 3.0\nenddo\n"
+            "a(99) = 0.0\nend\n"
+        )
+        result, vec = self._run(src, [20])
+        assert vec["vec_loop"] == 1
+        assert result.main_arrays["a"] == {
+            **{2 * i - 1: i - 3.0 for i in range(1, 21)}, 98: 0.0
+        }
+
+    @pytest.mark.parametrize(
+        "name", ["descending step down to element 1", "nest: a written array read back"]
+    )
+    def test_vector_shapes_without_hooks(self, name):
+        result, vec = self._run(TestHookSequenceParity.BLOCK_SHAPES[name], [20])
+        assert vec["vec_fallback"] == 0
+        assert vec["vec_nest" if name.startswith("nest:") else "vec_loop"] == 2
+        assert len(result.main_arrays["b"]) == (120 if vec["vec_nest"] else 20)
 
 
 class TestCompileCache:

@@ -47,6 +47,21 @@ class TestArrayStorage:
         a = ArrayStorage("a", (5,))
         assert a.load((3,)) == 0.0
 
+    def test_write_past_the_end_grows_every_view(self):
+        a = ArrayStorage("a", (4,))
+        v = a.view("x", (None,))
+        assert v.load((9,)) == 0.0  # a read past the end grows nothing
+        assert len(a.buf) == len(a.mask) == 4
+        v.store((9,), 1.5)
+        assert len(a.buf) == len(a.mask) == 9
+        assert a.snapshot() == v.snapshot() == {8: 1.5}
+
+    def test_snapshot_lists_written_offsets_only(self):
+        a = ArrayStorage("a", (3, 4))
+        a.store((3, 4), 0.0)
+        a.store((1, 2), -2.0)
+        assert a.snapshot() == {3: -2.0, 11: 0.0}
+
 
 class TestBasicExecution:
     def test_arithmetic_and_print(self):

@@ -24,40 +24,10 @@ lint:
 test:
 	$(PYTHON) -m pytest tests/
 
+# every gate runs the current code: the micro-benchmarks against
+# BENCH_baseline.json, then the multicore, serve and throughput gates
 perfgate:
 	$(PYTHON) benchmarks/check_regression.py
-	$(PYTHON) benchmarks/check_regression.py \
-		--baseline BENCH_pr1.json --current BENCH_pr3.json \
-		--threshold 2.0 --require-faster test_whole_program_analysis
-	$(PYTHON) benchmarks/check_regression.py \
-		--baseline BENCH_pr4.json --current BENCH_pr4.json \
-		--threshold 2.0 \
-		--max-ratio test_pipeline_parallel:test_pipeline_serial:1.5 \
-		--max-ratio test_pipeline_serial:test_pipeline_legacy_driver:1.25
-	$(PYTHON) benchmarks/check_regression.py \
-		--baseline BENCH_pr4.json --current BENCH_pr5.json \
-		--threshold 2.0 --require-faster test_whole_program_analysis \
-		--max-ratio test_linalg_eliminate_packed:test_linalg_eliminate_legacy:0.9 \
-		--max-ratio test_linalg_feasibility_packed:test_linalg_feasibility_legacy:0.9
-	$(PYTHON) benchmarks/check_regression.py \
-		--baseline BENCH_pr5.json --current BENCH_pr6.json \
-		--threshold 2.0 --require-faster test_interpreter_throughput \
-		--max-ratio test_runtime_exec_bytecode:test_runtime_exec_tree:0.5 \
-		--max-ratio test_runtime_elpd_bytecode:test_runtime_elpd_tree:0.85
-	$(PYTHON) benchmarks/check_regression.py \
-		--baseline BENCH_pr6.json --current BENCH_pr7.json \
-		--threshold 2.0
-	$(PYTHON) benchmarks/check_regression.py \
-		--baseline BENCH_pr7.json --current BENCH_pr8.json \
-		--threshold 2.0 --require-faster test_whole_program_analysis \
-		--max-ratio test_whole_suite_screened:test_whole_suite_unscreened:1.1
-	$(PYTHON) benchmarks/check_regression.py \
-		--baseline BENCH_pr8.json --current BENCH_pr9.json \
-		--threshold 2.0 \
-		--max-ratio test_serve_job_fleet:test_serve_job_direct:1.3
-	$(PYTHON) benchmarks/check_regression.py \
-		--baseline BENCH_pr9.json --current BENCH_pr10.json \
-		--threshold 2.0
 	$(PYTHON) benchmarks/check_regression.py --multicore
 	$(PYTHON) benchmarks/check_regression.py --serve
 	$(PYTHON) benchmarks/check_regression.py --throughput

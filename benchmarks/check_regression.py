@@ -165,36 +165,6 @@ def check_oracle_pairs(info: dict, require: bool = False):
     return failures
 
 
-def check_max_ratios(current: dict, specs):
-    """Enforce ``NUM:DEN:R`` pairs on the *current* means.
-
-    Fails when ``mean(NUM) > mean(DEN) * R``.  Used for benchmarks whose
-    relationship — not absolute time — is the invariant: e.g. the
-    parallel pipeline schedule may not cost more than a constant factor
-    over the serial one, even on a single-core runner where it cannot
-    be faster.
-    """
-    failures = []
-    rows = []
-    for spec in specs:
-        try:
-            num, den, ratio_s = spec.split(":")
-            limit = float(ratio_s)
-        except ValueError:
-            failures.append((spec, "malformed; expected NUM:DEN:RATIO"))
-            continue
-        if num not in current or den not in current:
-            failures.append((spec, "benchmark missing from current file"))
-            continue
-        ratio = current[num] / current[den] if current[den] else float("inf")
-        rows.append((num, den, ratio, limit))
-        if ratio > limit:
-            failures.append(
-                (spec, f"ratio {ratio:.2f}x exceeds limit {limit:.2f}x")
-            )
-    return failures, rows
-
-
 def check_multicore() -> int:
     """Live multicore gate: the process pool must beat the serial loop.
 
@@ -414,24 +384,6 @@ def main(argv=None) -> int:
         help="allowed fractional slowdown before failing (default 0.25)",
     )
     parser.add_argument(
-        "--require-faster",
-        action="append",
-        default=[],
-        metavar="NAME",
-        help="fail unless this benchmark's current mean is strictly "
-        "below the baseline's (repeatable); used to enforce that a PR "
-        "actually improves its headline benchmark",
-    )
-    parser.add_argument(
-        "--max-ratio",
-        action="append",
-        default=[],
-        metavar="NUM:DEN:RATIO",
-        help="fail unless current mean(NUM) <= mean(DEN) * RATIO "
-        "(repeatable); gates relative cost between two benchmarks of "
-        "the same run",
-    )
-    parser.add_argument(
         "--multicore",
         action="store_true",
         help="run only the live multicore gate (whole suite serial vs "
@@ -520,34 +472,6 @@ def main(argv=None) -> int:
         current_info, require=args.current is None
     ):
         print(f"\nFAIL: {message}")
-        failures += 1
-
-    for name in args.require_faster:
-        if name not in baseline or name not in current:
-            print(f"\nFAIL: --require-faster {name}: not in both files")
-            failures += 1
-        elif current[name] >= baseline[name]:
-            print(
-                f"\nFAIL: --require-faster {name}: "
-                f"{current[name] * 1e3:.3f}ms !< "
-                f"{baseline[name] * 1e3:.3f}ms baseline"
-            )
-            failures += 1
-        else:
-            print(
-                f"\nrequired-faster {name}: "
-                f"{current[name] * 1e3:.3f}ms < "
-                f"{baseline[name] * 1e3:.3f}ms baseline"
-            )
-
-    ratio_failures, ratio_rows = check_max_ratios(current, args.max_ratio)
-    for num, den, ratio, limit in ratio_rows:
-        print(
-            f"\nmax-ratio {num} / {den}: {ratio:.2f}x "
-            f"(limit {limit:.2f}x)"
-        )
-    for spec, reason in ratio_failures:
-        print(f"\nFAIL: --max-ratio {spec}: {reason}")
         failures += 1
 
     if failures:

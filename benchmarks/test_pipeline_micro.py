@@ -2,8 +2,8 @@
 
 Times the full pass pipeline (cold caches each round) on the largest
 multi-procedure program in the suite.  One program always runs
-serially, pass-major with units bottom-up, so this is the cost of the
-analysis plus the pass manager's bookkeeping.
+serially, in one fixed order (pass-major, units bottom-up), so this is
+the cost of the analysis plus the flow's per-task bookkeeping.
 """
 
 from repro import perf

@@ -18,12 +18,11 @@ calling the pipeline directly.
 Both tests record the p50 of their per-request latencies across all
 rounds in ``extra_info["p50_ms"]`` (``_ms`` keys are informational —
 the extra-info parity gate skips them).  The perf gate enforces
-``fleet <= 1.3 * direct`` two ways: statically on the recorded batch
-means in ``BENCH_pr9.json`` (``--max-ratio``) and live on every
-``make check`` (``check_regression.py --serve``, which runs ``main()``
-below: direct and fleet requests timed in interleaved cold pairs, so
-runner drift cancels out of the p50 ratio instead of landing on
-whichever side ran during the bad stretch).
+``fleet <= 1.3 * direct`` live on every ``make check``
+(``check_regression.py --serve``, which runs ``main()`` below: direct
+and fleet requests timed in interleaved cold pairs, so runner drift
+cancels out of the p50 ratio instead of landing on whichever side ran
+during the bad stretch).
 """
 
 import json

@@ -30,8 +30,8 @@ door over the persistent job queue and a worker fleet (see
 (exhaustion degrades the answer soundly instead of failing).
 
 ``analyze`` runs the pass pipeline serially, in process;
-``--explain-pipeline`` dumps the pass graph, the per-unit schedule and
-per-pass timings as JSON.  ``experiments --jobs N`` fans per-program
+``--explain-pipeline`` dumps the passes that ran, the per-unit schedule
+and per-pass timings as JSON.  ``experiments --jobs N`` fans per-program
 work over N worker processes, with output byte-identical for every job
 count; the execution model is documented in ``docs/EXECUTION.md``.
 
@@ -149,8 +149,8 @@ def _configure_analyze(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--explain-pipeline",
         action="store_true",
-        help="append a JSON dump of the pass graph, the per-unit schedule "
-        "and per-pass timings",
+        help="append a JSON dump of the passes that ran, the per-unit "
+        "schedule and per-pass timings",
     )
 
 

@@ -198,8 +198,8 @@ class ArrayDataflow:
         }
         self.units: Dict[str, UnitSummary] = {}
         self.cache = cache
-        #: content key per analyzed unit (filled even without a cache
-        #: only when one is attached; callers use it for decision caching)
+        #: content key per analyzed unit, filled only when a cache is
+        #: attached; ``decide`` reuses it as the decisions cache key
         self.unit_keys: Dict[str, str] = {}
         #: units whose summary (or a callee's) was budget-degraded;
         #: their results are conservative and must never be cached

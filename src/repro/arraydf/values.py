@@ -278,12 +278,6 @@ class AccessValue:
         # e must always carry a default; fall back to r for safety
         return self.r
 
-    def guard_variables(self) -> FrozenSet[str]:
-        vs: set = set()
-        for g in self.m + self.e:
-            vs |= g.pred.variables()
-        return frozenset(vs)
-
     def clobbered_names(self) -> FrozenSet[str]:
         """Names whose value this region may change (scalars + arrays)."""
         return self.scalar_writes | frozenset(self.w.arrays())

@@ -175,9 +175,6 @@ class Subroutine:
     body: List[Stmt]
     is_main: bool = False
 
-    def decl_of(self, name: str) -> Optional[Decl]:
-        return self.decls.get(name)
-
 
 @dataclass
 class Program:

@@ -54,12 +54,6 @@ def clear_cache() -> None:
     _feasible_cached.cache_clear()
 
 
-def cache_stats():
-    """(hits, misses, currsize) of the feasibility memo table."""
-    info = _feasible_cached.cache_info()
-    return info.hits, info.misses, info.currsize
-
-
 def _registry_stats():
     info = _feasible_cached.cache_info()
     total = info.hits + info.misses

@@ -62,12 +62,6 @@ class ArrayVerdict:
     def parallel_under(self) -> Predicate:
         return simplify(p_or(self.independent_under, self.privatizable_under))
 
-    @property
-    def needs_privatization(self) -> bool:
-        return not self.independent_under.is_true() and not (
-            self.privatizable_under.is_false()
-        )
-
 
 @dataclass
 class LoopVerdict:

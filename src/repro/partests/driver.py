@@ -127,6 +127,17 @@ class ProgramResult:
         return [l.label for l in self.loops if l.is_parallelized]
 
 
+def program_rows(result: ProgramResult) -> list:
+    """The whole-program payload of *result*: ``(unit, decision rows)``
+    per unit in program (parse) order — what the program-level cache
+    stores and a batch worker ships back, and what
+    :func:`rebind_program` reads."""
+    return [
+        (name, _decision_rows([l for l in result.loops if l.unit == name]))
+        for name in result.program.units
+    ]
+
+
 def rebind_program(
     program: Program, opts: AnalysisOptions, payload
 ) -> Optional[ProgramResult]:
@@ -344,9 +355,6 @@ def decide_loop(summary: LoopSummary, symtab, opts: AnalysisOptions) -> LoopResu
         base.status = "runtime"
         base.runtime_test = render_predicate(cond)
         base.runtime_cost = test_cost(cond)
-        if base.private_arrays or base.reduction_scalars:
-            # the guarded parallel version also privatizes
-            pass
         return base
     base.status = "serial"
     base.reason = "unprovable predicate: " + str(cond)

@@ -2,65 +2,68 @@
 
 One explicit compile flow: :func:`run_pipeline` builds a
 :class:`~repro.pipeline.context.ProgramContext`, runs the passes of
-:func:`~repro.pipeline.passes.analysis_passes` under a
-:class:`~repro.pipeline.manager.PassManager`, and returns the context.
-One program runs serially; :func:`run_pipeline_batch` fans many
-programs over the process pool, byte-identical to a serial loop.
+:mod:`repro.pipeline.passes` over it in one fixed order and returns the
+context.  One program runs serially; :func:`run_pipeline_batch` fans
+many programs over the process pool, byte-identical to a serial loop.
 """
 
 from __future__ import annotations
 
 import pickle
 import time
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import perf
 from repro.arraydf.options import AnalysisOptions
 from repro.pipeline import executor as _executor_mod
-from repro.pipeline.base import (
-    CALLEES_SUFFIX,
-    PROGRAM_SCOPE,
-    ROOT_ARTIFACT,
-    UNIT_SCOPE,
-    Pass,
-)
 from repro.pipeline.context import MissingArtifact, ProgramContext
 from repro.pipeline.executor import resolve_jobs
-from repro.pipeline.manager import PassManager, PipelineWiringError
 from repro.pipeline.passes import (
+    PROGRAM_SCOPE,
+    UNIT_SCOPE,
     DecidePass,
     EnclosePass,
     FrontendPass,
+    Pass,
     PlanPass,
     ScalarPropPass,
+    ScreenPass,
     SummarizePass,
     TwoVersionPass,
-    analysis_passes,
 )
 
 __all__ = [
-    "CALLEES_SUFFIX",
     "PROGRAM_SCOPE",
-    "ROOT_ARTIFACT",
     "UNIT_SCOPE",
     "DecidePass",
     "EnclosePass",
     "FrontendPass",
     "MissingArtifact",
     "Pass",
-    "PassManager",
-    "PipelineWiringError",
     "PlanPass",
     "ProgramContext",
     "ScalarPropPass",
+    "ScreenPass",
     "SummarizePass",
     "TwoVersionPass",
-    "analysis_passes",
     "resolve_batch_chunk",
     "resolve_jobs",
     "run_pipeline",
     "run_pipeline_batch",
 ]
+
+#: the analysis, in order, through the merged result
+ANALYSIS: Tuple[Pass, ...] = (
+    ScalarPropPass(),
+    FrontendPass(),
+    ScreenPass(),
+    SummarizePass(),
+    DecidePass(),
+    EnclosePass(),
+)
+#: code generation, run only for a goal that names ``plan`` or ``transformed``
+CODEGEN: Tuple[Pass, ...] = (PlanPass(), TwoVersionPass())
+
 
 # ----------------------------------------------------------------------
 # entry point
@@ -72,16 +75,20 @@ def run_pipeline(
     goals: Sequence[str] = ("result",),
     explain: bool = False,
 ) -> ProgramContext:
-    """Run the compile flow for *program* up to *goals*.
+    """Run the compile flow for *program*.
 
     Returns the :class:`ProgramContext`; read artifacts off it
-    (``ctx.get("result")``, ``ctx.get("transformed")``, …).  With a
-    cache attached the program-level fast path is honored first: an
-    unchanged program loads its whole result in one rebind, scheduling
-    nothing upstream; a fresh, undegraded run stores the program payload
-    back.  The passes run serially in the calling thread.
+    (``ctx.get("result")``, ``ctx.get("transformed")``, …).  The
+    analysis always runs through ``enclose``, so every analysis artifact
+    is there whatever *goals* name; ``plan`` and ``twoversion`` run only
+    when a goal names ``plan`` or ``transformed``.  With a cache
+    attached and ``result`` among the goals, the program-level fast
+    path is honored first: an unchanged program loads its whole result
+    in one rebind and runs no analysis pass; a fresh, undegraded run
+    stores the program payload back.  The passes run serially in the
+    calling thread.
     """
-    from repro.partests.driver import _decision_rows, rebind_program
+    from repro.partests.driver import program_rows, rebind_program
     from repro.service.cache import program_key
 
     start = time.perf_counter()
@@ -100,29 +107,67 @@ def run_pipeline(
                 ctx.put("result", rebound)
                 ctx.put("degraded", False)
 
-    manager = PassManager(analysis_passes())
-    fresh_result = not ctx.has("result")
-    manager.run(ctx, goals=goals, explain=explain)
+    fresh = not ctx.has("result")
+    passes: Tuple[Pass, ...] = ANALYSIS if fresh else ()
+    if "plan" in goals or "transformed" in goals:
+        passes += CODEGEN
+    records = _run_passes(ctx, passes)
+    if explain:
+        ctx.explain = _explain(ctx, passes, records)
 
-    if ctx.has("result"):
-        result = ctx.get("result")
-        result.analysis_seconds = time.perf_counter() - start
-        if (
-            fresh_result
-            and cache is not None
-            and pkey is not None
-            and ctx.has("engine")
-            and not ctx.degraded
-        ):
-            cache.store(
-                pkey,
-                "program",
-                [
-                    (name, _decision_rows(ctx.get("decisions", name)))
-                    for name in ctx.unit_names()
-                ],
-            )
+    result = ctx.get("result")
+    result.analysis_seconds = time.perf_counter() - start
+    if fresh and pkey is not None and not ctx.degraded:
+        cache.store(pkey, "program", program_rows(result))
     return ctx
+
+
+def _run_passes(ctx: ProgramContext, passes: Sequence[Pass]) -> List[dict]:
+    """Run *passes* in order: a program-scope pass once, a unit-scope
+    pass over every unit bottom-up (callees first, which is what a
+    unit's walk needs), so consecutive unit passes run pass-major.
+    Returns one schedule record per task."""
+    records: List[dict] = []
+    t0 = time.perf_counter()
+    order: Optional[List[str]] = None
+    for p in passes:
+        units: Sequence[Optional[str]] = (None,)
+        if p.scope == UNIT_SCOPE:
+            if order is None:
+                order = ctx.engine.callgraph.bottom_up_order()
+            units = order
+        for unit in units:
+            begin = time.perf_counter()
+            with perf.phase(f"pass.{p.name}"):
+                p.run(ctx, unit=unit)
+            records.append(
+                {
+                    "pass": p.name,
+                    "unit": unit,
+                    "start": round(begin - t0, 6),
+                    "seconds": round(time.perf_counter() - begin, 6),
+                }
+            )
+    return records
+
+
+def _explain(
+    ctx: ProgramContext, passes: Sequence[Pass], records: List[dict]
+) -> dict:
+    """The ``--explain-pipeline`` record of one run."""
+    per_pass: Dict[str, float] = {}
+    for r in records:
+        per_pass[r["pass"]] = round(per_pass.get(r["pass"], 0.0) + r["seconds"], 6)
+    callgraph: List[List[str]] = []
+    if ctx.has("engine"):
+        callgraph = [list(e) for e in ctx.engine.callgraph.edge_list()]
+    return {
+        "units": list(ctx.unit_names()),
+        "callgraph": callgraph,
+        "passes": [{"name": p.name, "scope": p.scope} for p in passes],
+        "schedule": records,
+        "pass_seconds": per_pass,
+    }
 
 
 # ----------------------------------------------------------------------

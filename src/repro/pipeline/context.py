@@ -2,11 +2,9 @@
 
 A :class:`ProgramContext` owns every artifact one compile flow produces:
 program-scoped artifacts under ``(name, None)`` and unit-scoped ones
-under ``(name, unit)``.  Passes communicate *only* through the store,
-which is what lets the :class:`~repro.pipeline.manager.PassManager`
-order them from their declared artifacts alone.  Each key is written
-once per run, so the final store contents are a pure function of the
-inputs.
+under ``(name, unit)``.  Passes communicate *only* through the store.
+Each key is written once per run, so the final store contents are a
+pure function of the inputs.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ class ProgramContext:
         self._store: Dict[Tuple[str, Optional[str]], Any] = {
             ("source_program", None): source_program
         }
-        #: filled by ``PassManager.run(..., explain=True)``
+        #: filled by ``run_pipeline(..., explain=True)``
         self.explain: Optional[dict] = None
 
     # ------------------------------------------------------------------
@@ -52,9 +50,8 @@ class ProgramContext:
     def put(self, artifact: str, value: Any, unit: Optional[str] = None) -> None:
         """Store *value* under ``(artifact, unit)``.
 
-        Re-writing a key is allowed only with the same value semantics
-        (e.g. a shim preloading a cached result before the manager
-        runs); passes themselves write each key once.
+        Re-writing a key is allowed only with the same value semantics;
+        passes themselves write each key once.
         """
         self._store[(artifact, unit)] = value
 
@@ -66,11 +63,6 @@ class ProgramContext:
 
     def has(self, artifact: str, unit: Optional[str] = None) -> bool:
         return (artifact, unit) in self._store
-
-    def available_artifacts(self) -> Tuple[str, ...]:
-        """The distinct artifact names currently present (for wiring
-        validation against preloaded contexts)."""
-        return tuple(sorted({name for name, _unit in self._store}))
 
     # ------------------------------------------------------------------
     # common views

@@ -1,7 +1,7 @@
 """The shared process pool behind ``jobs > 1``.
 
 One program always runs serially, in process
-(:class:`~repro.pipeline.manager.PassManager`).  The job count picks
+(:func:`repro.pipeline.run_pipeline`).  The job count picks
 where *many* independent pieces of work run: ``jobs=1`` runs them
 in-process, one by one; ``jobs > 1`` ships the chunks of
 :func:`repro.pipeline.run_pipeline_batch` and the calls of
@@ -317,7 +317,7 @@ def run_remote_chunk(
     the parent counts against its own scope.
     """
     from repro.linalg.fourier_motzkin import capture_fallback_warnings
-    from repro.partests.driver import _decision_rows
+    from repro.partests.driver import program_rows
     from repro.pipeline import run_pipeline
     from repro.service.budgets import budget_scope
     from repro.service.cache import SummaryCache
@@ -331,18 +331,9 @@ def run_remote_chunk(
             start = time.perf_counter()
             with budget_scope(budget) as scope:
                 ctx = run_pipeline(program, opts, cache=cache)
-            result = ctx.get("result")
             outs.append(
                 {
-                    "payload": [
-                        (
-                            name,
-                            _decision_rows(
-                                [l for l in result.loops if l.unit == name]
-                            ),
-                        )
-                        for name in ctx.unit_names()
-                    ],
+                    "payload": program_rows(ctx.get("result")),
                     "trips": dict(scope.trips) if scope is not None else {},
                     "seconds": time.perf_counter() - start,
                 }

@@ -1,8 +1,10 @@
 """The concrete passes of the parallelization compile flow.
 
-Each stage of the compile flow sits behind the declared-I/O
-:class:`~repro.pipeline.base.Pass` contract so the
-:class:`~repro.pipeline.manager.PassManager` can schedule it.  The flow:
+:func:`repro.pipeline.run_pipeline` runs them in this one fixed order:
+each program-scope pass once, each unit-scope pass over every unit
+bottom-up (``engine.callgraph.bottom_up_order()``, callees first), so
+consecutive unit passes run pass-major.  ``plan`` and ``twoversion``
+run only for a goal that names ``plan`` or ``transformed``.
 
 .. code-block:: text
 
@@ -12,10 +14,10 @@ Each stage of the compile flow sits behind the declared-I/O
     program ──── frontend       (program: parse-side tables)
         ▼
     engine ──┬── screen         (unit, tier-0 dependence screen)
-             └── summarize      (unit, bottom-up over callees, cacheable)
+             └── summarize      (unit, bottom-up over callees, cached)
         ▼
     screen,
-    summary ──── decide         (unit, cacheable)
+    summary ──── decide         (unit, cached)
         ▼
     decisions ── enclose        (program: deterministic merge)
         ▼
@@ -24,6 +26,13 @@ Each stage of the compile flow sits behind the declared-I/O
     plan ─────── twoversion     (program)
         ▼
     transformed
+
+Passes talk only through the
+:class:`~repro.pipeline.context.ProgramContext` store, and each writes
+its artifacts once per run.  A unit-scope pass's artifact is a pure
+function of the unit's content key (its source, its callees' keys and
+the options), so the content-addressed summary cache cannot change a
+result.
 
 The engine builds each unit's region tree and loop info once
 (:meth:`~repro.arraydf.analysis.ArrayDataflow.region_tree`); the screen,
@@ -35,18 +44,33 @@ region.
 Budget boundaries: ``summarize`` checkpoints on entry and degrades a
 tripped unit to the conservative whole-array summary (tainting it out of
 the cache); ``decide`` demotes each tripped loop to ``serial``, a trip
-in a projection it reads included.  The manager never checkpoints
-itself, so a budget trip can only ever *weaken* answers, never abort a
+in a projection it reads included, and flags the unit degraded so
+nothing downstream is cached.  The flow never checkpoints between
+passes, so a budget trip can only ever *weaken* answers, never abort a
 run.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.arraydf.analysis import ArrayDataflow
-from repro.pipeline.base import PROGRAM_SCOPE, UNIT_SCOPE, Pass
 from repro.pipeline.context import ProgramContext
+
+PROGRAM_SCOPE = "program"
+UNIT_SCOPE = "unit"
+
+
+class Pass:
+    """One stage of the compile flow (see the module docstring)."""
+
+    #: unique pass name; also the perf phase key (``pass.<name>``)
+    name: str = "?"
+    #: "program" (run once) or "unit" (run once per compilation unit)
+    scope: str = PROGRAM_SCOPE
+
+    def run(self, ctx: ProgramContext, unit: Optional[str] = None) -> None:
+        raise NotImplementedError
 
 
 class ScalarPropPass(Pass):
@@ -54,8 +78,6 @@ class ScalarPropPass(Pass):
 
     name = "scalarprop"
     scope = PROGRAM_SCOPE
-    inputs = ("source_program",)
-    outputs = ("program",)
 
     def run(self, ctx: ProgramContext, unit: Optional[str] = None) -> None:
         program = ctx.source_program
@@ -71,8 +93,6 @@ class FrontendPass(Pass):
 
     name = "frontend"
     scope = PROGRAM_SCOPE
-    inputs = ("program",)
-    outputs = ("engine",)
 
     def run(self, ctx: ProgramContext, unit: Optional[str] = None) -> None:
         engine = ArrayDataflow(
@@ -87,8 +107,8 @@ class FrontendPass(Pass):
 class ScreenPass(Pass):
     """Tier-0 graph-based dependence screen of one unit.
 
-    Pure syntax over the scalar-propagated unit (no callee inputs, no
-    budgets): a lookup from a loop's label to its ready-made
+    Pure syntax over the scalar-propagated unit (reads no callee and
+    checks no budget): a lookup from a loop's label to its ready-made
     ``parallel`` row, or ``None`` when the screen does not prove it
     independent (:func:`repro.arraydf.screen.unit_lookup`).  The lookup
     screens a loop only when ``decide`` asks for it, so the loops that
@@ -98,8 +118,6 @@ class ScreenPass(Pass):
 
     name = "screen"
     scope = UNIT_SCOPE
-    inputs = ("engine",)
-    outputs = ("screen",)
 
     def run(self, ctx: ProgramContext, unit: Optional[str] = None) -> None:
         assert unit is not None
@@ -113,19 +131,15 @@ class ScreenPass(Pass):
 class SummarizePass(Pass):
     """The array data-flow walk of one unit.
 
-    Bottom-up: a unit's walk splices in its callees' summaries, declared
-    by the ``summary@callees`` input; the manager runs the pass over
-    ``engine.callgraph.bottom_up_order()``, callees first, so every
-    such input exists.  With a cache attached the engine
-    loads/stores the summary under its content key; a budget trip
-    degrades the unit soundly (and taints it out of the cache).
+    Bottom-up: a unit's walk splices in its callees' summaries, and the
+    flow runs the pass over ``engine.callgraph.bottom_up_order()``,
+    callees first, so every one of them exists.  With a cache attached
+    the engine loads/stores the summary under its content key; a budget
+    trip degrades the unit soundly (and taints it out of the cache).
     """
 
     name = "summarize"
     scope = UNIT_SCOPE
-    inputs = ("engine", "summary@callees")
-    outputs = ("summary",)
-    cacheable = True
 
     def run(self, ctx: ProgramContext, unit: Optional[str] = None) -> None:
         assert unit is not None
@@ -145,9 +159,6 @@ class DecidePass(Pass):
 
     name = "decide"
     scope = UNIT_SCOPE
-    inputs = ("engine", "screen", "summary")
-    outputs = ("decisions", "decisions_degraded")
-    cacheable = True
 
     def run(self, ctx: ProgramContext, unit: Optional[str] = None) -> None:
         assert unit is not None
@@ -179,8 +190,6 @@ class EnclosePass(Pass):
 
     name = "enclose"
     scope = PROGRAM_SCOPE
-    inputs = ("source_program", "decisions", "decisions_degraded")
-    outputs = ("result", "degraded")
 
     def run(self, ctx: ProgramContext, unit: Optional[str] = None) -> None:
         from repro.partests.driver import ProgramResult, mark_enclosed
@@ -200,8 +209,6 @@ class PlanPass(Pass):
 
     name = "plan"
     scope = PROGRAM_SCOPE
-    inputs = ("result",)
-    outputs = ("plan",)
 
     def run(self, ctx: ProgramContext, unit: Optional[str] = None) -> None:
         from repro.codegen.plan import build_plan
@@ -214,8 +221,6 @@ class TwoVersionPass(Pass):
 
     name = "twoversion"
     scope = PROGRAM_SCOPE
-    inputs = ("plan", "source_program")
-    outputs = ("transformed",)
 
     def run(self, ctx: ProgramContext, unit: Optional[str] = None) -> None:
         from repro.codegen.twoversion import transform_program
@@ -225,16 +230,3 @@ class TwoVersionPass(Pass):
             transform_program(ctx.source_program, ctx.get("plan")),
         )
 
-
-def analysis_passes() -> Tuple[Pass, ...]:
-    """The full compile flow, in pipeline order."""
-    return (
-        ScalarPropPass(),
-        FrontendPass(),
-        ScreenPass(),
-        SummarizePass(),
-        DecidePass(),
-        EnclosePass(),
-        PlanPass(),
-        TwoVersionPass(),
-    )

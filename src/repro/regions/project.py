@@ -14,7 +14,7 @@ condition where it matters.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable
 
 from repro.linalg.fourier_motzkin import eliminate_all
 from repro.linalg.system import LinearSystem
@@ -42,19 +42,6 @@ def project_over_loop(
         region.rank,
         eliminate_all(conjoined, [index]),
     )
-
-
-def project_summary_over_loop(
-    regions: Iterable[ArrayRegion],
-    index: str,
-    iteration_space: LinearSystem,
-) -> List[ArrayRegion]:
-    out: List[ArrayRegion] = []
-    for r in regions:
-        projected = project_over_loop(r, index, iteration_space)
-        if not projected.is_empty():
-            out.append(projected)
-    return out
 
 
 # ----------------------------------------------------------------------

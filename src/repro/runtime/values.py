@@ -136,14 +136,6 @@ class ArrayStorage:
             )
         )
 
-    def total_declared(self) -> Optional[int]:
-        total = 1
-        for e in self.extents:
-            if e is None:
-                return None
-            total *= e
-        return total
-
     def __repr__(self) -> str:
         written = len(self.mask) - self.mask.count(0)
         return (

@@ -67,16 +67,6 @@ def handle_request(req: Dict) -> Dict:
     return resp
 
 
-def _handle_line(line: str) -> Dict:
-    try:
-        req = json.loads(line)
-    except ValueError as exc:
-        return {"id": None, "ok": False, "error": f"bad JSON: {exc}"}
-    if not isinstance(req, dict):
-        return {"id": None, "ok": False, "error": "request must be an object"}
-    return handle_request(req)
-
-
 def _emit(out: TextIO, resp: Dict) -> None:
     out.write(json.dumps(resp, sort_keys=True) + "\n")
     out.flush()

@@ -1,20 +1,13 @@
-"""PassManager scheduling: wiring, pruning, dependence order."""
+"""The fixed compile flow: goals, cache fast path, pass-major bottom-up order."""
 
 import pytest
 
 from repro import perf
 from repro.arraydf.options import AnalysisOptions
 from repro.lang.parser import parse_program
-from repro.pipeline import (
-    PassManager,
-    PipelineWiringError,
-    ProgramContext,
-    analysis_passes,
-    run_pipeline,
-    run_pipeline_batch,
-)
-from repro.pipeline.base import PROGRAM_SCOPE, UNIT_SCOPE, Pass
-from repro.pipeline.passes import DecidePass, ScreenPass, SummarizePass
+from repro.pipeline import run_pipeline, run_pipeline_batch
+from repro.pipeline.passes import ScreenPass
+from repro.service.cache import SummaryCache
 
 # main calls left and right; left calls leaf — two independent subtrees
 # below main ({left, leaf} and {right})
@@ -48,66 +41,7 @@ end
 """
 
 
-class _Record(Pass):
-    """A test pass that logs its (name, unit) executions."""
-
-    def __init__(self, name, scope, inputs, outputs, log):
-        self.name = name
-        self.scope = scope
-        self.inputs = inputs
-        self.outputs = outputs
-        self.log = log
-
-    def run(self, ctx, unit=None):
-        self.log.append((self.name, unit))
-        for out in self.outputs:
-            ctx.put(out, f"{out}:{unit}", unit)
-
-
-class _Boom(Pass):
-    """A unit pass that fails on leaf and on right; leaf comes first in
-    the bottom-up order."""
-
-    name = "boom"
-    scope = UNIT_SCOPE
-    inputs = ("engine",)
-    outputs = ("junk",)
-
-    def __init__(self):
-        self.ran = []
-
-    def run(self, ctx, unit=None):
-        self.ran.append(unit)
-        if unit in ("leaf", "right"):
-            raise RuntimeError(f"boom:{unit}")
-        ctx.put("junk", unit, unit)
-
-
-def _ctx(src=SRC, **kw):
-    return ProgramContext(
-        parse_program(src), AnalysisOptions.predicated(), **kw
-    )
-
-
 class TestWiring:
-    def test_missing_input_raises(self):
-        log = []
-        bad = _Record("bad", PROGRAM_SCOPE, ("nonexistent",), ("out",), log)
-        with pytest.raises(PipelineWiringError):
-            PassManager([bad]).run(_ctx())
-
-    def test_missing_goal_raises(self):
-        with pytest.raises(PipelineWiringError):
-            PassManager(list(analysis_passes())).run(
-                _ctx(), goals=("no_such_artifact",)
-            )
-
-    def test_callee_input_on_program_scope_raises(self):
-        log = []
-        bad = _Record("bad", PROGRAM_SCOPE, ("x@callees",), ("x",), log)
-        with pytest.raises(PipelineWiringError):
-            PassManager([bad]).run(_ctx())
-
     def test_goal_pruning_skips_downstream_passes(self):
         ctx = run_pipeline(
             parse_program(SRC), AnalysisOptions.predicated(), goals=("result",)
@@ -116,12 +50,29 @@ class TestWiring:
         assert not ctx.has("plan")
         assert not ctx.has("transformed")
 
-    def test_preloaded_goal_schedules_nothing(self):
-        ctx = _ctx()
-        ctx.put("result", "sentinel")
-        PassManager(list(analysis_passes())).run(ctx, goals=("result",))
-        assert ctx.get("result") == "sentinel"
-        assert not ctx.has("engine")  # nothing upstream ran
+    def test_preloaded_goal_schedules_nothing(self, tmp_path):
+        cache = SummaryCache(tmp_path / "c")
+        opts = AnalysisOptions.predicated()
+        cold = run_pipeline(parse_program(SRC), opts, cache=cache, explain=True)
+        assert cold.explain["schedule"]
+        ctx = run_pipeline(parse_program(SRC), opts, cache=cache, explain=True)
+        # the program-level cache answered: no pass ran, no engine built
+        assert ctx.explain["schedule"] == []
+        assert ctx.explain["passes"] == []
+        assert not ctx.has("engine")
+        assert [(l.label, l.status) for l in ctx.get("result").loops] == [
+            (l.label, l.status) for l in cold.get("result").loops
+        ]
+        # with the transformed goal, a hit runs code generation only
+        ctx = run_pipeline(
+            parse_program(SRC),
+            opts,
+            cache=cache,
+            goals=("result", "transformed"),
+            explain=True,
+        )
+        assert [r["pass"] for r in ctx.explain["schedule"]] == ["plan", "twoversion"]
+        assert ctx.has("transformed") and not ctx.has("engine")
 
 
 class TestRegionSchedule:
@@ -140,16 +91,14 @@ class TestRegionSchedule:
         ]
 
     def test_screen_tasks_are_dependence_free(self):
-        # per-unit syntax: no input from another unit-scope pass, no
-        # callee input, so every unit's screen runs first
-        assert ScreenPass.inputs == ("engine",)
+        # per-unit syntax: reads no other unit-scope artifact and no
+        # callee, so every unit's screen runs first
         order = self._order()
         assert [p for p, _u in order[:4]] == ["screen"] * 4
 
     def test_summarize_waits_for_screen_and_callees_only(self):
         # summarize reads no screen; pass-major order still runs every
         # unit's screen first
-        assert SummarizePass.inputs == ("engine", "summary@callees")
         order = self._order()
         for unit in ("main", "left", "leaf", "right"):
             at = order.index(("summarize", unit))
@@ -158,7 +107,6 @@ class TestRegionSchedule:
                 assert order.index(("summarize", callee)) < at
 
     def test_decide_depends_on_own_screen_and_summary_only(self):
-        assert DecidePass.inputs == ("engine", "screen", "summary")
         order = self._order()
         for unit in ("main", "left", "leaf", "right"):
             at = order.index(("decide", unit))
@@ -173,16 +121,24 @@ class TestRegionSchedule:
 
 
 class TestParallelExecution:
-    def test_pass_failure_propagates_deterministically(self):
+    def test_pass_failure_propagates_deterministically(self, monkeypatch):
         """The failure first in schedule order is raised: within one
         program, the first unit in bottom-up order, after which nothing
         runs; across a batch, the first failing program in input order,
         serially and on the pool."""
-        boom = _Boom()
-        passes = list(analysis_passes())[:2] + [boom]
-        with pytest.raises(RuntimeError, match="boom:leaf"):
-            PassManager(passes).run(_ctx())
-        assert boom.ran == ["leaf"]
+        ran = []
+
+        def boom(self, ctx, unit=None):
+            # fails on leaf and on right; leaf comes first bottom-up
+            ran.append(unit)
+            if unit in ("leaf", "right"):
+                raise RuntimeError(f"boom:{unit}")
+
+        with monkeypatch.context() as m:
+            m.setattr(ScreenPass, "run", boom)
+            with pytest.raises(RuntimeError, match="boom:leaf"):
+                run_pipeline(parse_program(SRC), AnalysisOptions.predicated())
+        assert ran == ["leaf"]
 
         def batch():
             programs = [parse_program(SRC) for _ in range(4)]

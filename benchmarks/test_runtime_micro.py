@@ -12,8 +12,12 @@ vectorizer must reject (``b(i) = ... b(i-1)``), so both the NumPy fast
 path and the scalar instruction loop are on the clock.  The ELPD
 workload runs with both hooks: its vectorizable loop runs the vector
 program and hands ELPD one access block, its recurrence runs scalar
-through the compiled-in access hooks, and the access log, the blocks
-and each loop instance's classification are what is being measured.
+through the compiled-in access hooks, and the shadow updates, the
+blocks and each loop instance's classification and fold are what is
+being measured.  Three more ELPD workloads cover the shadows' regimes:
+a time loop around two large vector loops (NumPy block updates), a
+3-deep scalar nest (per-access updates and a fold at every inner
+exit) and a nest of small vector loops (the plain-Python block path).
 """
 
 from repro import perf
@@ -58,6 +62,60 @@ ELPD_SRC = (
 )
 ELPD_INPUTS = [600]
 
+TIME_SRC = (
+    "program t\n"
+    "integer n\n"
+    "real a(3000)\n"
+    "real b(3000)\n"
+    "real c(3000)\n"
+    "read n\n"
+    "do r = 1, 30\n"
+    " do i = 1, n\n"
+    "  a(i) = b(i) * 0.5 + c(i)\n"
+    " enddo\n"
+    " do i = 1, n\n"
+    "  c(i) = a(i) + 1.0\n"
+    " enddo\n"
+    "enddo\n"
+    "end\n"
+)
+TIME_INPUTS = [3000]
+
+SCALAR_SRC = (
+    "program t\n"
+    "integer n\n"
+    "real a(30, 30)\n"
+    "real b(30)\n"
+    "read n\n"
+    "do k = 1, n\n"
+    " do j = 1, n\n"
+    "  do i = 2, n\n"
+    "   a(i, j) = a(i - 1, j) + b(k)\n"
+    "  enddo\n"
+    " enddo\n"
+    "enddo\n"
+    "end\n"
+)
+SCALAR_INPUTS = [30]
+
+SMALL_SRC = (
+    "program t\n"
+    "integer n\n"
+    "real a(12, 12)\n"
+    "real w(12)\n"
+    "read n\n"
+    "do j = 1, n\n"
+    " do i = 1, n\n"
+    "  w(i) = a(i, j) * 2.0\n"
+    " enddo\n"
+    " do i = 1, n\n"
+    "  a(i, j) = w(i) + 1.0\n"
+    " enddo\n"
+    "enddo\n"
+    "end\n"
+)
+SMALL_INPUTS = [12]
+
 
 def _exec_facts():
     """Deterministic facts of one exec run."""
@@ -70,9 +128,9 @@ def _exec_facts():
     }
 
 
-def _elpd_facts():
+def _elpd_facts(src=ELPD_SRC, inputs=ELPD_INPUTS):
     """Deterministic facts of one ELPD run."""
-    report = run_elpd(parse_program(ELPD_SRC), ELPD_INPUTS)
+    report = run_elpd(parse_program(src), inputs)
     classes = [o.classification for o in report.observations.values()]
     return {
         "elpd.steps": report.steps,
@@ -102,3 +160,18 @@ def test_runtime_exec_bytecode(benchmark):
 def test_runtime_elpd_bytecode(benchmark):
     facts = _bench(benchmark, _elpd_facts)
     assert facts["elpd.dependent"] >= 1
+
+
+def test_runtime_elpd_time_loop(benchmark):
+    facts = _bench(benchmark, lambda: _elpd_facts(TIME_SRC, TIME_INPUTS))
+    assert facts["elpd.dependent"] == 1
+
+
+def test_runtime_elpd_scalar_nest(benchmark):
+    facts = _bench(benchmark, lambda: _elpd_facts(SCALAR_SRC, SCALAR_INPUTS))
+    assert facts["elpd.dependent"] == 1
+
+
+def test_runtime_elpd_small_blocks(benchmark):
+    facts = _bench(benchmark, lambda: _elpd_facts(SMALL_SRC, SMALL_INPUTS))
+    assert facts["elpd.dependent"] == 0

@@ -15,17 +15,22 @@ Loops reported independent or privatizable are the "remaining inherently
 parallel" loops of the paper's tables — parallelization guaranteed only
 for the tested input, which is exactly ELPD's contract.
 
-The implementation logs every array access of the run once, keyed by
-the underlying buffer's serial and the flat offset (so reshaped views
-alias correctly).  Each dynamic loop instance keeps only its iteration
-boundaries into the log and classifies its slice once, at loop exit;
-vectorized loops and nests hand their accesses over as one block.  See
-``docs/ALGORITHMS.md`` §6 and ``docs/PERF.md`` §4.
+The implementation keeps dense shadow arrays, laid out like the
+runtime's buffers: one ``array('q')`` per (nesting depth, buffer
+serial), indexed by flat offset (so reshaped views alias correctly).
+An entry is ``iteration stamp << 4 | flags``.  The stamp counts the
+run's instrumented iterations, so a shadow is never cleared: an entry
+older than an instance's first iteration is untouched for it.  Each
+access updates only the nearest instrumented loop instance; at loop
+exit an instance classifies the elements it touched and folds their
+summary (first touch a read? written?) into the next instrumented
+instance out.  Vectorized loops and nests hand their accesses over as
+one block.  See ``docs/ALGORITHMS.md`` §6 and ``docs/PERF.md`` §4.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -33,7 +38,7 @@ from repro import perf
 from repro.lang.astnodes import Program
 from repro.runtime.bytecode import execute, grid_injective
 from repro.runtime.interp import Interpreter
-from repro.runtime.values import ArrayStorage, RuntimeError_
+from repro.runtime.values import ArrayStorage
 
 try:  # pragma: no cover - exercised implicitly everywhere
     import numpy as _np
@@ -46,190 +51,206 @@ _RANKING = {"not_executed": 0, "independent": 1, "privatizable": 2, "dependent":
 
 
 # ----------------------------------------------------------------------
-# the access log
+# the shadows
 # ----------------------------------------------------------------------
-#: a log entry is ``view << 41 | flat offset << 1 | is_write``; a view
-#: numbers one (buffer serial, array name) pair of the run
-_OFF_BITS = 40
-_OFF_MASK = (1 << _OFF_BITS) - 1
-_VIEW_SHIFT = _OFF_BITS + 1
-#: views numbered past this no longer fit an int64 entry; the run then
-#: classifies in plain Python
-_NP_VIEWS = 1 << (63 - _VIEW_SHIFT)
+# A shadow entry is ``stamp << 4 | flags``: the stamp of the owning
+# instance's last iteration that touched the element, and the flags
+# 1 = written, 2 = touched by two or more iterations, 4 = an iteration's
+# first touch read a value an earlier iteration wrote (flow), 8 = the
+# instance's first touch was a read.  Flags 8 and 1 summarize the
+# element for the next instance out.  Stamps are kept shifted (``cur``
+# and ``first`` below are multiples of 16).
 
-#: below this many entries a slice classifies in plain Python (NumPy's
-#: fixed cost per call outweighs its per-entry gain)
+#: below this many elements a block site or a fold runs in plain Python
+#: (NumPy's fixed cost per call outweighs its per-element gain)
 _BULK_MIN = 256
-#: past this many entries the active instances fold the log into their
-#: per-element state and the log starts again empty
-_LOG_MAX = 1 << 16
+#: an instance's storage -> part cache starts again empty at this size
+#: (a loop that calls a subroutine makes a new view on every call)
+_VIEWS_MAX = 1024
+#: the storage -> part cache while no instance is active
+_NO_VIEWS: Dict[ArrayStorage, "_Part"] = {}
 
 perf.declare("elpd.shadow.elements")
 
 
-class _Instance:
-    """One dynamic execution of an instrumented loop.
+class _Part:
+    """One instance's share of one buffer's shadow at its depth.
 
-    Its accesses are the log entries from ``start`` on; their iteration
-    ordinal is ``o0`` before ``bounds[0]`` and one more at each later
-    bound.  ``state`` holds the folded per-element state: a dict
-    ``key -> last ordinal << 3 | flags`` (plain ints, so the garbage
-    collector never tracks it) or, from NumPy, the columns ``(keys,
-    last ordinals, flags)`` sorted by key.  Flags: 1 = written,
-    2 = touched by more than one iteration, 4 = an iteration's first
-    touch read a value an earlier iteration wrote.  ``latest`` maps a
-    buffer seen under several names to the view its latest fresh
-    element was first touched through.  A vector block's own instance
-    keeps only ``count``, its distinct elements (see ``_ElpdHook.block``).
-    """
+    ``dense`` covers the buffer's offsets (it grows with the buffer) and
+    ``far`` maps offsets read past the buffer's end (an assumed-size
+    formal over a shorter actual may reach any offset); both belong to
+    the shadow, which every instance at that depth reuses.  The
+    instance's first touches, each element once and in order, are the
+    closed ``segs`` (``(offsets, name)``, the offsets a list or an int64
+    array) and then the open list ``fresh``, first touched under
+    ``name``: the name of the latest first touch, which is the buffer's
+    name in a verdict."""
 
-    __slots__ = ("label", "iters", "start", "o0", "bounds", "state", "latest", "count")
+    __slots__ = ("dense", "far", "segs", "fresh", "name")
 
-    def __init__(self, label: str) -> None:
-        self.label = label
-        self.iters = 0
-        self.start = -1  # no iteration yet
-        self.o0 = -1
-        self.bounds: List[int] = []
-        self.state = None
-        self.latest: Dict[int, int] = {}
-        self.count: Optional[int] = None
+    def __init__(self, shadow: Tuple[array, dict], name: str) -> None:
+        self.dense, self.far = shadow
+        self.segs: list = []
+        self.fresh: List[int] = []
+        self.name = name
 
-    def ordinals(self, a: int, b: int):
-        edges = _np.array([a, *self.bounds, b], _np.int64)
-        return _np.repeat(
-            _np.arange(self.o0, self.o0 + len(edges) - 1), _np.diff(edges)
-        )
+    def grow(self, size: int) -> None:
+        """Extend the dense part to *size* offsets, moving the far
+        entries below *size* into it."""
+        dense, far = self.dense, self.far
+        dense.frombytes(bytes(8 * (size - len(dense))))
+        for off in [o for o in far if o < size]:
+            dense[off] = far.pop(off)
 
+    def rename(self, name: str) -> None:
+        """Close the open list: later first touches are under *name*."""
+        if self.fresh:
+            self.segs.append((self.fresh, self.name))
+            self.fresh = []
+        self.name = name
 
-def _scan_py(hook, inst: _Instance, entries: list, a: int) -> dict:
-    """Fold *entries* (log positions ``a..``) into the dict state."""
-    state = inst.state
-    if state is None:
-        state = {}
-    elif not isinstance(state, dict):
-        keys, last, flags = (c.tolist() for c in state)
-        state = {k: o << 3 | f for k, o, f in zip(keys, last, flags)}
-    get = state.get
-    aliased = hook.aliased
-    view_buf = hook.view_buf
-    latest = inst.latest
-    edges = iter(inst.bounds)
-    edge = next(edges, -1)
-    ord_ = inst.o0
-    ord3 = ord_ << 3
-    for p, e in enumerate(entries, a):
-        if p == edge:
-            ord_ += 1
-            ord3 = ord_ << 3
-            edge = next(edges, -1)
-        if aliased:
-            buf = view_buf[e >> _VIEW_SHIFT]
-            key = buf << _OFF_BITS | (e >> 1) & _OFF_MASK
+    def add(self, offs, name: str) -> None:
+        """Append the first touches *offs* (a list or an int64 array),
+        all under *name*."""
+        if isinstance(offs, list) and name == self.name:
+            self.fresh += offs
         else:
-            key = e >> 1
-        s = get(key)
-        if s is None:
-            state[key] = ord3 | e & 1
-            if aliased:
-                latest[buf] = e >> _VIEW_SHIFT
-        elif s >> 3 != ord_:
-            # the element's first touch in this iteration
-            if e & 1:
-                state[key] = ord3 | s & 7 | 3
-            elif s & 1:
-                state[key] = ord3 | s & 7 | 6
+            self.rename(name)
+            self.segs.append((offs, name))
+
+    def runs(self) -> list:
+        """The first touches as ``(pieces, name)``, one per stretch
+        under one name (a buffer seen under one name has one)."""
+        if self.fresh:
+            self.segs.append((self.fresh, self.name))
+        out: list = []
+        for offs, name in self.segs:
+            if out and out[-1][1] == name:
+                out[-1][0].append(offs)
             else:
-                state[key] = ord3 | s & 7 | 2
-        elif e & 1:
-            state[key] = s | 1
-    return state
+                out.append(([offs], name))
+        return out
 
 
-def _scan_np(hook, inst: _Instance, entries, a: int) -> tuple:
-    """:func:`_scan_py` as a sort-and-reduce over NumPy columns."""
-    n = len(entries)
-    view = entries >> _VIEW_SHIFT
-    if hook.aliased:
-        bufs = _np.array(hook.view_buf, _np.int64)[view]
-        key = (bufs << _OFF_BITS) | ((entries >> 1) & _OFF_MASK)
-    else:
-        key = entries >> 1
-    order = _np.argsort(key, kind="stable")  # log order within an element
-    k = key[order]
-    o = inst.ordinals(a, a + n)[order]
-    w = (entries & 1)[order]
-    head = _np.empty(n, bool)
-    head[0] = True
-    _np.not_equal(k[1:], k[:-1], out=head[1:])
-    starts = _np.flatnonzero(head)
-    counts = _np.diff(starts, append=n)
-    gk = k[starts]
-    # an entry is its element's first touch in its iteration ...
-    first_touch = head.copy()
-    _np.not_equal(o[1:], o[:-1], out=first_touch[1:], where=~head[1:])
-    # ... after this many earlier writes to the element
-    before = _np.cumsum(w) - w
-    before -= _np.repeat(before[starts], counts)
-    g_last = o[starts + counts - 1]
-    state = inst.state
-    hit = None
-    if state is not None:
-        sk, slast, sflags = state
-        idx = _np.searchsorted(sk, gk)
-        hit = idx < len(sk)
-        hit[hit] = sk[idx[hit]] == gk[hit]
-        hidx = idx[hit]
-        hstart = starts[hit]
-        first_touch[hstart] = o[hstart] != slast[hidx]
-        sw = _np.zeros(len(gk), _np.int64)
-        sw[hit] = sflags[hidx] & 1
-        before += _np.repeat(sw, counts)
-    flow = first_touch & (w == 0) & (before > 0)
-    g_flags = (
-        (_np.add.reduceat(w, starts) > 0)
-        | ((g_last != o[starts]) << 1)
-        | (_np.logical_or.reduceat(flow, starts) << 2)
-    ).astype(_np.int64)
-    fresh = starts if hit is None else starts[~hit]
-    if hook.aliased and len(fresh):
-        # each buffer's latest fresh element, and its view
-        pos = order[fresh]
-        by_buf = _np.lexsort((pos, key[pos] >> _OFF_BITS))
-        b_sorted = key[pos][by_buf] >> _OFF_BITS
-        last_of_buf = _np.flatnonzero(_np.append(b_sorted[1:] != b_sorted[:-1], True))
-        for b, v in zip(
-            b_sorted[last_of_buf].tolist(), view[pos[by_buf[last_of_buf]]].tolist()
-        ):
-            inst.latest[b] = v
-    if state is None:
-        return gk, g_last, g_flags
-    g_flags[hit] |= sflags[hidx] | ((g_last[hit] != slast[hidx]) << 1)
-    keep = _np.ones(len(sk), bool)
-    keep[hidx] = False
-    merged = [
-        _np.concatenate((s_col[keep], g_col))
-        for s_col, g_col in zip(state, (gk, g_last, g_flags))
-    ]
-    order = _np.argsort(merged[0], kind="stable")
-    return tuple(col[order] for col in merged)
+#: the flags of an element an earlier iteration of its owner touched,
+#: after a touch with summary *e*: ``_AFTER[e << 4 | flags before]``
+_AFTER = [
+    f | 2 | (f & 1) << 2 | e & 1 if e & 8 else f | 3
+    for e in range(10)
+    for f in range(16)
+]
+_AFTER_NP = None if _np is None else _np.array(_AFTER, _np.int64)
 
 
-def _max_offset(offs) -> int:
-    """The largest of one site's offsets: affine along each axis of the
-    iteration space, so it sits at a corner."""
-    if offs.ndim == 1:
-        return max(int(offs[0]), int(offs[-1]))
-    return int(max(offs[0, 0], offs[0, -1], offs[-1, 0], offs[-1, -1]))
+def _merge_py(part: _Part, offs, es, cur: int, first: int, name: str) -> None:
+    """Record that the owner's current iteration (stamp *cur*) touched
+    the elements at *offs*, each with the summary *e* (flag 8: its first
+    touch reads; flag 1: written) and under *name*; an entry below
+    *first* is untouched by the owner.  A scalar access is the summary
+    1 (a write) or 8."""
+    dense, far = part.dense, part.far
+    n = len(dense)
+    new = []
+    for off, e in zip(offs, es):
+        s = dense[off] if off < n else far.get(off, 0)
+        if s < first:  # the owner's first touch
+            s = cur | e & 9
+            new.append(off)
+        elif s < cur:  # this iteration's first touch
+            s = cur | _AFTER[(e & 9) << 4 | s & 15]
+        else:  # touched earlier in this iteration
+            s |= e & 1
+        if off < n:
+            dense[off] = s
+        else:
+            far[off] = s
+    if new:
+        part.add(new, name)
+
+
+def _merge_site(part: _Part, offs, e: int, cur: int, first: int, name: str) -> None:
+    """:func:`_merge_py` of one block site: one summary *e* for every
+    element, and every offset inside the shadow."""
+    dense = part.dense
+    w = e & 1
+    e4 = e << 4
+    new = []
+    for off in offs:
+        s = dense[off]
+        if s >= cur:
+            if w:
+                dense[off] = s | 1
+        elif s < first:
+            dense[off] = cur | e
+            new.append(off)
+        else:
+            dense[off] = cur | _AFTER[e4 | s & 15]
+    if new:
+        part.add(new, name)
+
+
+def _merge_np(dense: array, idx, offs, e, cur: int, first: int):
+    """:func:`_merge_py` over ``dense[idx]`` (a slice or int64 offsets,
+    no element twice; *offs* their offsets) with one summary *e* for
+    every element (an int) or one each (an int64 array).  Returns the
+    offsets of the owner's first touches, or None for none."""
+    sh = _np.frombuffer(dense, _np.int64)
+    old = sh[idx]
+    hi = int(old.max())
+    if hi < first:  # every element is new to the owner
+        sh[idx] = e & 9 | cur
+        return offs
+    lo = int(old.min())
+    one = isinstance(e, int)
+    if lo >= cur and one:  # every element touched earlier in this iteration
+        if e & 1:
+            sh[idx] = old | 1
+        return None
+    new = old & 15
+    new |= (e if one else e & 9) << 4
+    _AFTER_NP.take(new, out=new)
+    new |= cur
+    fresh = None
+    if lo < first:  # some new to the owner
+        fresh = old < first
+        new[fresh] = (e if one else e[fresh]) & 9 | cur
+    if hi >= cur:  # some touched earlier in this iteration
+        same = old >= cur
+        new[same] = old[same] | (e if one else e[same]) & 1
+    sh[idx] = new
+    return None if fresh is None else offs[fresh]
+
+
+def _site_index(offs):
+    """One block site's elements (two or more offsets), each once:
+    ``(index into the shadow, their offsets)``, or None for a site that
+    stays on one element.  Offsets are affine in the loop variables, so
+    a 1-D site, or a nest site whose rows continue one another, steps
+    evenly and indexes the shadow with a slice."""
+    flat = offs.reshape(-1)
+    a = flat.item(0)
+    d = flat.item(1) - a
+    if offs.ndim == 2 and 1 < offs.shape[1] < offs.size and (
+        offs.item(1, 0) - offs.item(0, -1) != d
+    ):
+        if _site_distinct(offs) != offs.size:
+            flat = _np.unique(flat)
+            if len(flat) == 1:
+                return None
+        return flat, flat
+    if not d:
+        return None
+    stop = a + len(flat) * d  # below 0 for a step down to element 0
+    return slice(a, stop if stop >= 0 else None, d), flat
 
 
 def _site_distinct(offs) -> int:
     """How many elements one site touches over the iteration space."""
     if offs.ndim == 1:  # affine: all equal or all different
-        return 1 if offs[0] == offs[-1] else len(offs)
+        return 1 if offs.item(0) == offs.item(-1) else len(offs)
     n_o, n_i = offs.shape
-    d_o = int(offs[1, 0] - offs[0, 0]) if n_o > 1 else 0
-    d_i = int(offs[0, 1] - offs[0, 0]) if n_i > 1 else 0
+    d_o = offs.item(1, 0) - offs.item(0, 0) if n_o > 1 else 0
+    d_i = offs.item(0, 1) - offs.item(0, 0) if n_i > 1 else 0
     if not d_o:
         return n_i if d_i else 1
     if not d_i:
@@ -239,41 +260,81 @@ def _site_distinct(offs) -> int:
     return len(_np.unique(offs))
 
 
-def _by_buffer(accesses) -> list:
-    """Each buffer's distinct sites' offsets (a site read and written
-    hands over one array, and counts once)."""
-    by_buf: Dict[int, dict] = {}
-    for _k, storage, offs in accesses:
-        by_buf.setdefault(storage.serial, {})[id(offs)] = offs
-    return [list(sites.values()) for sites in by_buf.values()]
+def _by_buffer(accesses) -> Dict[int, list]:
+    """A block's accesses by buffer serial: ``[storage, sites, one
+    name?]``, where *sites* maps each site (a site read and written
+    hands over one array) to ``[offsets, summary, name]``, in scalar
+    order; the summary has flag 8 if the site's first access reads and
+    flag 1 if it writes."""
+    by_buf: Dict[int, list] = {}
+    for kind, storage, offs in accesses:
+        buf = by_buf.get(storage.serial)
+        if buf is None:
+            buf = by_buf[storage.serial] = [storage, {}, True]
+        elif storage.name != buf[0].name:
+            buf[2] = False
+        site = buf[1].get(id(offs))
+        if site is None:
+            buf[1][id(offs)] = [offs, 1 if kind == "w" else 8, storage.name]
+        elif kind == "w":
+            site[1] |= 1
+    return by_buf
 
 
-def _distinct(accesses) -> int:
+def _distinct(by_buf) -> int:
     """How many elements a block touches."""
     n = 0
-    for sites in _by_buffer(accesses):
+    for _storage, sites, _one in by_buf.values():
         if len(sites) == 1:
-            n += _site_distinct(sites[0])
-        elif sum(o.size for o in sites) < _BULK_MIN:
-            n += len(set().union(*(o.ravel().tolist() for o in sites)))
+            for site in sites.values():
+                n += _site_distinct(site[0])
+            continue
+        offs = [site[0].ravel() for site in sites.values()]
+        if sum(map(len, offs)) < _BULK_MIN:
+            n += len(set().union(*(o.tolist() for o in offs)))
         else:
-            n += len(_np.unique(_np.concatenate([o.ravel() for o in sites])))
+            n += len(_np.unique(_np.concatenate(offs)))
     return n
 
 
-def _row_distinct(accesses) -> int:
+def _row_distinct(by_buf) -> int:
     """The distinct elements of each row of a nest block (one inner
     instance), summed over the rows."""
     n = 0
-    for sites in _by_buffer(accesses):
+    for _storage, sites, _one in by_buf.values():
         if len(sites) == 1:
-            offs = sites[0]
-            # a row is affine: all equal or all different
-            n += len(offs) * (1 if offs[0, 0] == offs[0, -1] else offs.shape[1])
+            for offs, _e, _name in sites.values():
+                # a row is affine: all equal or all different
+                same = offs.item(0, 0) == offs.item(0, -1)
+                n += len(offs) * (1 if same else offs.shape[1])
         else:
-            rows = _np.sort(_np.concatenate(sites, axis=1), axis=1)
+            rows = _np.concatenate([site[0] for site in sites.values()], axis=1)
+            rows.sort(axis=1)
             n += len(rows) + int(_np.count_nonzero(rows[:, 1:] != rows[:, :-1]))
     return n
+
+
+class _Instance:
+    """One dynamic execution of an instrumented loop.
+
+    ``depth`` counts the instrumented instances around it, and picks
+    its shadows.  ``first`` is the stamp of its first iteration and
+    ``cur`` that of its current one (both shifted).  ``parts`` maps a
+    buffer serial to the instance's :class:`_Part` of that buffer and
+    ``views`` caches the storage -> part lookup.  A vector block's own
+    instance keeps only ``count``, its distinct elements (see
+    ``_ElpdHook.block``)."""
+
+    __slots__ = ("label", "iters", "depth", "first", "cur", "parts", "views", "count")
+
+    def __init__(self, label: str, depth: int, first: int) -> None:
+        self.label = label
+        self.iters = 0
+        self.depth = depth
+        self.first = self.cur = first
+        self.parts: Dict[int, _Part] = {}
+        self.views: Dict[ArrayStorage, _Part] = {}
+        self.count: Optional[int] = None
 
 
 @dataclass
@@ -330,65 +391,42 @@ class ElpdReport:
 
 
 class _ElpdHook:
-    """Interpreter loop hook: one access log for the whole run."""
+    """Interpreter loop hook: dense stamped shadows, updated at the
+    nearest instrumented instance and folded outward at loop exit."""
+
+    __slots__ = (
+        "targets", "active", "stack", "shadows", "stamp", "views", "cur", "first",
+        "report",
+    )
 
     def __init__(self, targets: Optional[Set[str]]) -> None:
         self.targets = targets
-        self.active: List[Optional[_Instance]] = []
-        self.live = 0  # active target instances
+        self.active: List[Optional[_Instance]] = []  # one per loop token
+        self.stack: List[_Instance] = []  # the instrumented ones, outermost first
+        #: (depth, buffer serial) -> (dense shadow, far offsets)
+        self.shadows: Dict[Tuple[int, int], Tuple[array, dict]] = {}
+        self.stamp = 0  # the run's last iteration stamp, shifted
+        # the nearest instance's views, current and first stamps
+        self.views = _NO_VIEWS
+        self.cur = self.first = 0
         self.report = ElpdReport()
-        self._reset_log()
-
-    def _reset_log(self) -> None:
-        self.cur: list = []  # the log's tail, where scalar entries go
-        self.segs: list = [self.cur]  # lists and (vector block) arrays
-        self.seg_pos = [0]  # log position of each segment's start
-        self.views: Dict[ArrayStorage, int] = {}  # storage -> entry bits
-        self.view_of: Dict[Tuple[int, str], int] = {}
-        self.view_buf: List[int] = []  # view -> first view of its buffer
-        self.view_name: List[str] = []
-        self.first_view: Dict[int, int] = {}  # buffer serial -> view
-        self.aliased = False  # a buffer seen under two names
-        self.wide = False  # views past _NP_VIEWS: plain Python only
-
-    def _pos(self) -> int:
-        return self.seg_pos[-1] + len(self.cur)
-
-    def _view(self, storage: ArrayStorage) -> int:
-        pair = (storage.serial, storage.name)
-        v = self.view_of.get(pair)
-        if v is None:
-            v = self.view_of[pair] = len(self.view_name)
-            first = self.first_view.setdefault(storage.serial, v)
-            self.aliased |= first != v
-            self.wide |= v >= _NP_VIEWS
-            self.view_buf.append(first)
-            self.view_name.append(storage.name)
-        bits = self.views[storage] = v << _VIEW_SHIFT
-        return bits
 
     # -- the loop hook protocol -----------------------------------------
     def enter_loop(self, stmt, frame, ran_parallel):
         if self.targets is not None and stmt.label not in self.targets:
             self.active.append(None)  # placeholder to keep stack aligned
         else:
-            self.active.append(_Instance(stmt.label))
-            self.live += 1
+            inst = _Instance(stmt.label, len(self.stack), self.stamp + 16)
+            self.active.append(inst)
+            self.stack.append(inst)
+            self.views, self.cur, self.first = inst.views, inst.cur, inst.first
         return len(self.active) - 1
 
     def iter_start(self, token, ivalue):
         inst = self.active[token]
-        if inst is not None:
+        if inst is not None:  # the nearest instance: no loop inside it runs
             inst.iters += 1
-            pos = self.seg_pos[-1] + len(self.cur)
-            if inst.start < 0:
-                inst.start = pos
-                inst.bounds.append(pos)
-            elif not inst.bounds or inst.bounds[-1] != pos:
-                # an iteration without accesses needs no ordinal
-                inst.bounds.append(pos)
-        if self.live and self._pos() - self.seg_pos[0] > _LOG_MAX:
-            self._fold()
+            self.stamp = self.cur = inst.cur = self.stamp + 16
 
     def block(self, token, lo, step, trips, accesses, inner=None):
         """A vector program's whole run: one loop, or with *inner* a
@@ -400,185 +438,210 @@ class _ElpdHook:
         name on a written buffer, so no element is written in one
         iteration of either loop and touched in another.  Those
         instances are independent; each counts its distinct elements.
-        The entries go to the log for the enclosing instances."""
+        The accesses go to the nearest instrumented instance around the
+        block, all in its current iteration."""
         inst = self.active[token]
+        k = len(self.stack) - (inst is not None)
         rows = inner is not None and (
             self.targets is None or inner.stmt.label in self.targets
         )
-        if not (self.live or rows):
+        if not (k or rows or inst):
             return
-        for _kind, storage, offs in accesses:
-            if _max_offset(offs) > _OFF_MASK:
-                raise RuntimeError_(
-                    f"array {storage.name}: flat offset beyond the ELPD "
-                    f"shadow's 2**{_OFF_BITS}"
-                )
+        by_buf = _by_buffer(accesses)
         if inst is not None:
             inst.iters += trips
-            inst.count = _distinct(accesses)
+            inst.count = _distinct(by_buf)
         if rows:
             label = inner.stmt.label
             obs = self.report.observations.get(label)
             if obs is None:
                 obs = self.report.observations[label] = LoopObservation(label)
             obs.merge("independent", set(), set(), trips * inner.trips, trips)
-            perf.bump("elpd.shadow.elements", _row_distinct(accesses))
-        if self.live <= (inst is not None):
-            return  # no enclosing instance reads the log
-        bits = []
-        for kind, storage, _offs in accesses:
-            b = self.views.get(storage)
-            if b is None:
-                b = self._view(storage)
-            bits.append(b | (kind == "w"))
-        entries = self._block_entries(accesses, bits)
-        if isinstance(entries, list):
-            self.cur += entries
-        else:
-            pos = self._pos()
-            if self.cur:
-                self.segs.append(entries)
-                self.seg_pos.append(pos)
-            else:
-                self.segs[-1] = entries
-            self.cur = []
-            self.segs.append(self.cur)
-            self.seg_pos.append(pos + len(entries))
-        if self._pos() - self.seg_pos[0] > _LOG_MAX:
-            self._fold()
+            perf.bump("elpd.shadow.elements", _row_distinct(by_buf))
+        if k:
+            with perf.phase("elpd.shadow"):
+                self._apply_block(self.stack[k - 1], by_buf)
 
     def exit_loop(self, token):
         inst = self.active.pop()
         if inst is None:
             return
-        if inst.start >= 0:
+        stack = self.stack
+        stack.pop()
+        outer = stack[-1] if stack else None
+        if outer is None:
+            self.views, self.cur, self.first = _NO_VIEWS, 0, 0
+        else:
+            self.views, self.cur, self.first = outer.views, outer.cur, outer.first
+        conflicts: Set[str] = set()
+        flows: Set[str] = set()
+        n = 0
+        if inst.count is not None:
+            n = inst.count
+        elif inst.parts:
             with perf.phase("elpd.shadow"):
-                self._scan(inst, max(inst.start, self.seg_pos[0]), self._pos())
-        cls, conflicts, flows = self._classify(inst)
-        self.live -= 1
-        if not self.live:
-            self._reset_log()
+                n = self._close(inst, outer, conflicts, flows)
+        perf.bump("elpd.shadow.elements", n)
+        if flows:
+            cls = "dependent"
+        elif conflicts:
+            cls = "privatizable"
+        else:
+            cls = "independent"
         obs = self.report.observations.get(inst.label)
         if obs is None:
             obs = self.report.observations[inst.label] = LoopObservation(inst.label)
         obs.merge(cls, conflicts, flows, inst.iters)
 
     def record_access(self, kind: str, storage: ArrayStorage, offset: int) -> None:
-        if self.live:
-            bits = self.views.get(storage)
-            if bits is None:
-                bits = self._view(storage)
-            if offset > _OFF_MASK:
-                raise RuntimeError_(
-                    f"array {storage.name}: flat offset {offset} beyond "
-                    f"the ELPD shadow's 2**{_OFF_BITS}"
-                )
-            self.cur.append(bits | offset << 1 | (kind == "w"))
-
-    # -- the log ----------------------------------------------------------
-    def _block_entries(self, accesses, bits):
-        """A block's entries in scalar order (iteration by iteration,
-        outer level first): a list when small (or too wide for int64),
-        else an int64 array."""
-        m = len(bits)
-        n = accesses[0][2].size
-        if self.wide or n * m < _BULK_MIN:
-            out = [0] * (n * m)
-            for j, (b, (_k, _s, offs)) in enumerate(zip(bits, accesses)):
-                out[j::m] = [b | o << 1 for o in offs.ravel().tolist()]
-            return out
-        out = _np.empty((n, m), _np.int64)
-        for j, (b, (_k, _s, offs)) in enumerate(zip(bits, accesses)):
-            _np.left_shift(offs.reshape(-1), 1, out=out[:, j])
-            out[:, j] |= b
-        return out.reshape(-1)
-
-    def _entries(self, a: int, b: int, as_array: bool):
-        """The log entries at positions ``a..b``."""
-        parts = []
-        seg_pos, segs = self.seg_pos, self.segs
-        for i in range(bisect_right(seg_pos, a) - 1, len(segs)):
-            s0 = seg_pos[i]
-            if s0 >= b:
-                break
-            seg = segs[i]
-            s1 = s0 + len(seg)
-            if s1 > a:
-                part = seg[max(a, s0) - s0:min(b, s1) - s0]
-                if as_array:
-                    parts.append(_np.asarray(part, _np.int64))
-                else:
-                    parts.append(part if isinstance(part, list) else part.tolist())
-        if as_array:
-            return _np.concatenate(parts) if len(parts) != 1 else parts[0]
-        return parts[0] if len(parts) == 1 else [e for p in parts for e in p]
-
-    def _scan(self, inst: _Instance, a: int, b: int) -> None:
-        """Fold *inst*'s entries at log positions ``a..b`` into its state."""
-        if a == b:
+        part = self.views.get(storage)
+        if part is None:
+            if self.stack:
+                self._access(kind, storage, offset)
             return
-        bulk = _np is not None and not self.wide and (
-            isinstance(inst.state, tuple)
-            or (inst.state is None and b - a >= _BULK_MIN)
-        )
-        entries = self._entries(a, b, bulk)
-        if bulk:
-            inst.state = _scan_np(self, inst, entries, a)
-        else:
-            inst.state = _scan_py(self, inst, entries, a)
+        dense = part.dense
+        try:
+            s = dense[offset]
+        except IndexError:  # past the shadow: the buffer grew, or a far read
+            self._access(kind, storage, offset)
+            return
+        # _merge_py of one access, inline
+        cur = self.cur
+        if s >= cur:  # touched earlier in this iteration
+            if kind == "w":
+                dense[offset] = s | 1
+        elif s < self.first:  # the instance's first touch
+            dense[offset] = cur | 1 if kind == "w" else cur | 8
+            if part.name != storage.name:
+                part.rename(storage.name)
+            part.fresh.append(offset)
+        elif kind == "w":
+            dense[offset] = cur | s & 15 | 3
+        else:  # this iteration's first touch reads
+            dense[offset] = cur | s & 15 | 2 | (s & 1) << 2
 
-    def _fold(self) -> None:
-        """Fold the log into every active instance; start it empty."""
-        pos = self._pos()
-        with perf.phase("elpd.shadow"):
-            for inst in self.active:
-                if inst is not None and inst.start >= 0:
-                    self._scan(inst, max(inst.start, self.seg_pos[0]), pos)
-                    # later entries count ordinals on from the folded ones
-                    inst.o0 += len(inst.bounds)
-                    inst.bounds = []
-                    inst.start = pos
-        self.cur = []
-        self.segs = [self.cur]
-        self.seg_pos = [pos]
-        self.views.clear()
+    # -- the shadows ------------------------------------------------------
+    def _part(self, inst: _Instance, serial: int, size: int, name: str) -> _Part:
+        """*inst*'s part of buffer *serial*, its shadow at least *size*
+        long; a new part's first touch is under *name*."""
+        part = inst.parts.get(serial)
+        if part is None:
+            key = (inst.depth, serial)
+            shadow = self.shadows.get(key)
+            if shadow is None:
+                shadow = self.shadows[key] = (array("q"), {})
+            part = inst.parts[serial] = _Part(shadow, name)
+        if size > len(part.dense):
+            part.grow(size)
+        return part
 
-    # -- classification ---------------------------------------------------
-    def _classify(self, inst: _Instance) -> Tuple[str, Set[str], Set[str]]:
-        conflict_bufs: Set[int] = set()
-        flow_bufs: Set[int] = set()
-        state = inst.state
-        if inst.count is not None:
-            n = inst.count
-        elif state is None:
-            n = 0
-        elif isinstance(state, dict):
-            n = len(state)
-            for key, s in state.items():
-                if s & 4:
-                    flow_bufs.add(key >> _OFF_BITS)
-                elif s & 3 == 3:
-                    conflict_bufs.add(key >> _OFF_BITS)
-        else:
-            keys, _last, flags = state
-            n = len(keys)
-            flow = (flags & 4) != 0
-            conf = ((flags & 3) == 3) & ~flow
-            if flow.any() or conf.any():
-                bufs = keys >> _OFF_BITS
-                flow_bufs = set(_np.unique(bufs[flow]).tolist())
-                conflict_bufs = set(_np.unique(bufs[conf]).tolist())
-        perf.bump("elpd.shadow.elements", n)
-        # a buffer's name: the one its latest fresh element was first
-        # touched under (a buffer seen under one name keeps it)
-        names, latest = self.view_name, inst.latest
-        flow_arrays = {names[latest.get(b, b)] for b in flow_bufs}
-        conflict_arrays = {names[latest.get(b, b)] for b in conflict_bufs}
-        if flow_arrays:
-            return "dependent", conflict_arrays, flow_arrays
-        if conflict_arrays:
-            return "privatizable", conflict_arrays, flow_arrays
-        return "independent", conflict_arrays, flow_arrays
+    def _access(self, kind: str, storage: ArrayStorage, offset: int) -> None:
+        """:meth:`record_access` off its fast path: the instance's first
+        access through *storage*, an offset the shadow does not cover
+        yet, or a read past the buffer."""
+        inst = self.stack[-1]
+        part = self._part(inst, storage.serial, len(storage.buf), storage.name)
+        views = inst.views
+        if len(views) >= _VIEWS_MAX:
+            views.clear()
+        views[storage] = part
+        e = 1 if kind == "w" else 8
+        _merge_py(part, (offset,), (e,), inst.cur, inst.first, storage.name)
+
+    def _apply_block(self, target: _Instance, by_buf) -> None:
+        """Record a block's accesses (:func:`_by_buffer`) in *target*'s
+        current iteration.
+
+        Site by site is scalar order: a written buffer is reached through
+        one site (one subscript tuple, one name), each of whose elements
+        one iteration touches with the site's accesses in order, and an
+        element of any other buffer is only read, which any order
+        records alike.  Only names depend on the order: a buffer read
+        under two names replays its sites in scalar order."""
+        cur, first = target.cur, target.first
+        for serial, (storage, sites, one_name) in by_buf.items():
+            name = storage.name
+            part = self._part(target, serial, len(storage.buf), name)
+            if not one_name:
+                flat = [
+                    (offs.reshape(-1).tolist(), e, s_name)
+                    for offs, e, s_name in sites.values()
+                ]
+                for t in range(len(flat[0][0])):
+                    for offs, e, s_name in flat:
+                        _merge_py(part, (offs[t],), (e,), cur, first, s_name)
+                continue
+            for offs, e, _name in sites.values():
+                if offs.size < _BULK_MIN:
+                    _merge_site(part, offs.reshape(-1).tolist(), e, cur, first, name)
+                    continue
+                at = _site_index(offs)
+                if at is None:
+                    _merge_site(part, (offs.item(0),), e, cur, first, name)
+                    continue
+                chunk = _merge_np(part.dense, at[0], at[1], e, cur, first)
+                if chunk is not None and len(chunk):
+                    part.add(chunk, name)
+
+    def _close(
+        self, inst: _Instance, outer: Optional[_Instance], conflicts, flows
+    ) -> int:
+        """Classify *inst*'s touched elements into the names of
+        *conflicts* and *flows*, and fold each element's summary into
+        *outer*'s current iteration, one run of names at a time (so
+        *outer* sees the first touches in order).  Returns the element
+        count."""
+        n = 0
+        for serial, part in inst.parts.items():
+            dense, far = part.dense, part.far
+            size = len(dense)
+            flow = conflict = False
+            opart = None
+            for pieces, name in part.runs():
+                m = sum(map(len, pieces))
+                n += m
+                if outer is not None and opart is None:
+                    opart = self._part(outer, serial, size, name)
+                offs = None
+                if m >= _BULK_MIN and _np is not None:
+                    offs = _np.concatenate(
+                        [_np.asarray(p, _np.int64) for p in pieces]
+                    ) if len(pieces) > 1 else _np.asarray(pieces[0], _np.int64)
+                    if int(offs.max()) >= size:
+                        offs = None  # a read past the buffer: plain Python
+                if offs is not None:
+                    es = _np.frombuffer(dense, _np.int64)[offs]
+                    flow = flow or bool((es & 4).any())
+                    conflict = conflict or bool(((es & 7) == 3).any())
+                    if opart is not None:
+                        chunk = _merge_np(
+                            opart.dense, offs, offs, es, outer.cur, outer.first
+                        )
+                        if chunk is not None and len(chunk):
+                            opart.add(chunk, name)
+                    continue
+                if len(pieces) == 1 and isinstance(pieces[0], list):
+                    offs = pieces[0]
+                else:
+                    offs = [
+                        o
+                        for p in pieces
+                        for o in (p if isinstance(p, list) else p.tolist())
+                    ]
+                if far:
+                    es = [dense[o] if o < size else far[o] for o in offs]
+                else:
+                    es = list(map(dense.__getitem__, offs))
+                codes = set(map((7).__and__, es))
+                flow = flow or any(c & 4 for c in codes)
+                conflict = conflict or 3 in codes
+                if opart is not None:
+                    _merge_py(opart, offs, es, outer.cur, outer.first, name)
+            if flow:
+                flows.add(part.name)
+            if conflict:
+                conflicts.add(part.name)
+        return n
 
 
 def static_scalar_obstacles(program: Program) -> Dict[str, Set[str]]:

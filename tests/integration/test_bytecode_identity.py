@@ -1,6 +1,6 @@
 """Bit-identity of every suite program against the reference runtime.
 
-The bytecode engine and the ELPD access log are pure cost
+The bytecode engine and the ELPD hook's dense shadows are pure cost
 optimizations: for each of the suite programs (the paper's benchmark
 set) the full ``ExecutionResult`` — printed output, step count, final
 scalar and array state down to the IEEE-754 bit pattern, and the

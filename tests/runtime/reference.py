@@ -2,9 +2,10 @@
 per-element ELPD shadow.
 
 The shipped runtime is the bytecode engine (:mod:`repro.runtime.bytecode`)
-feeding the ELPD access log (``repro.runtime.elpd._ElpdHook``).  This
-module keeps the straightforward implementations they replaced, as the
-reference semantics the differential suites compare them against:
+feeding the ELPD hook's stamped dense shadows
+(``repro.runtime.elpd._ElpdHook``).  This module keeps the
+straightforward implementations they replaced, as the reference
+semantics the differential suites compare them against:
 
 * :class:`TreeInterpreter` walks the AST on every execution.  It takes
   the same arguments as :class:`~repro.runtime.interp.Interpreter` and

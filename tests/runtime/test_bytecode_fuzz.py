@@ -8,8 +8,8 @@ array state (compared through their IEEE-754 bit patterns, so ``-0.0``
 vs ``0.0`` or any least-significant-bit drift in the vectorized path
 would fail), and — when a program faults — the exception type and
 message.  A second sweep runs the same programs under ELPD
-instrumentation (vector blocks included) and pins the access log's
-verdicts against the reference per-element shadow.
+instrumentation (vector blocks included) and pins the shipped
+shadows' verdicts against the reference per-element shadow.
 
 The generator leans on the constructs where the engines genuinely
 differ: straight-line affine loops the vectorizer takes, recurrences

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import perf
 from repro.lang.parser import parse_program
 from repro.runtime import elpd as shipped
 from repro.runtime.elpd import run_elpd
@@ -315,11 +316,11 @@ end
 
 
 class TestWideViews:
-    """Once a run numbers more views than an int64 entry holds, it
-    classifies in plain Python with unbounded ints.  A 61-bit offset
-    field leaves room for two views, so ``c`` is the first wide one; it
-    appears only in the last outer iteration, after the log has been
-    folded into NumPy state, and ``a(900)``'s flow spans that fold."""
+    """A buffer first touched late in a long outer instance (``c``, in
+    the last outer iteration only) and a flow that spans the whole
+    instance (``a(900)``, written in the first outer iteration and read
+    in the last), through 81 inner instances, vector blocks and scalar
+    loops that fold into it."""
 
     SRC = """
 program t
@@ -343,11 +344,7 @@ program t
 end
 """
 
-    def test_plain_python_matches_reference(self, monkeypatch):
-        monkeypatch.setattr(shipped, "_OFF_BITS", 61)
-        monkeypatch.setattr(shipped, "_OFF_MASK", (1 << 61) - 1)
-        monkeypatch.setattr(shipped, "_VIEW_SHIFT", 62)
-        monkeypatch.setattr(shipped, "_NP_VIEWS", 2)
+    def test_plain_python_matches_reference(self):
         reports = [
             {
                 label: (
@@ -404,3 +401,213 @@ class TestStaticScalarScreen:
             assert got == reference.static_scalar_obstacles(parse_program(src)), src
             screened += bool(got)
         assert screened >= 3  # not a vacuous comparison
+
+
+def _facts(run, program, inputs=()):
+    """*run*'s ELPD report on *program* as comparable facts, with the
+    run's ``elpd.shadow.elements`` count."""
+    before = perf.counter("elpd.shadow.elements")
+    report = run(program, inputs)
+    return (
+        {
+            label: (
+                obs.classification,
+                obs.instances,
+                obs.total_iterations,
+                obs.conflict_arrays,
+                obs.flow_arrays,
+            )
+            for label, obs in report.observations.items()
+        },
+        report.steps,
+        perf.counter("elpd.shadow.elements") - before,
+    )
+
+
+def _same_as_reference(src, inputs=()):
+    program = parse_program(src)
+    got = _facts(shipped.run_elpd, program, inputs)
+    assert got == _facts(reference.run_elpd, program, inputs)
+    return got[0]
+
+
+class TestDenseShadows:
+    """Edges of the per-(depth, buffer) shadows: offsets past the
+    buffer, a buffer that grows, names, and both sides of the NumPy
+    threshold."""
+
+    def test_far_read_past_shorter_actual(self):
+        # reads ~10^7 elements past a 10-element actual: the offsets go
+        # to the shadow's dict, not into a dense part (80 MB as int64)
+        import tracemalloc
+
+        src = """
+program t
+  real a(10)
+  integer k
+  read k
+  do r = 1, 3
+    call f(a, k)
+  enddo
+end
+subroutine f(x, k)
+  real x(*)
+  integer k
+  do i = 1, 4
+    x(i) = x(k + i) + 1.0
+  enddo
+end
+"""
+        program = parse_program(src)
+        tracemalloc.start()
+        try:
+            got = _facts(shipped.run_elpd, program, [10**7])
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert got == _facts(reference.run_elpd, program, [10**7])
+        assert got[0]["t:L1"][:1] == ("privatizable",)
+
+    def test_block_over_a_grown_region(self):
+        # the scalar write x(300) grows the 10-element buffer; the vector
+        # loop then covers the grown region, and both shadow depths grow
+        src = """
+program t
+  real a(10)
+  do r = 1, 2
+    call g(a)
+  enddo
+end
+subroutine g(x)
+  real x(*)
+  x(300) = 1.0
+  do i = 1, 300
+    x(i) = x(i) + 1.0
+  enddo
+end
+"""
+        obs = _same_as_reference(src)
+        assert obs["t:L1"][0] == "dependent"
+
+    @pytest.mark.parametrize("n", [40, 400])
+    @pytest.mark.parametrize(
+        "expr", ["v(i + 1) + u(i)", "u(i) + v(i + 1)"], ids=["v_first", "u_first"]
+    )
+    def test_read_only_second_name_in_a_block(self, n, expr):
+        # u and v view one buffer, read in one block: in scalar order the
+        # latest fresh element is first touched through v (site by site
+        # the first expression would give u; the block's first name is u
+        # in the second), and a(5)'s conflict across r reports the buffer
+        # under that name
+        src = f"""
+program t
+  real a({n}), b({n})
+  do r = 1, 3
+    a(5) = r * 1.0
+    call h(a, a, b)
+  enddo
+end
+subroutine h(u, v, w)
+  real u({n}), v({n}), w({n})
+  do i = 1, {n - 1}
+    w(i) = {expr}
+  enddo
+end
+"""
+        obs = _same_as_reference(src)
+        assert obs["t:L1"][3] == {"v", "w"}
+
+    def test_block_sites_in_scalar_order(self):
+        # overlapping read sites, a site read then written, a site
+        # written then read: the enclosing instance takes them site by
+        # site, which must equal scalar order
+        src = """
+program t
+  real a(600), b(600), c(600), d(600)
+  do r = 1, 4
+    do i = 1, 500
+      a(i) = a(i) + b(i) + b(i + 1)
+      c(i) = a(i) * 2.0
+      d(i) = c(i) + b(i + 2)
+    enddo
+    b(r) = d(r + 1)
+  enddo
+end
+"""
+        obs = _same_as_reference(src)
+        assert obs["t:L1"][0] == "dependent"
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_sizes_around_the_numpy_threshold(self, delta):
+        # each j instance's block sites and fold runs hold n elements
+        n = shipped._BULK_MIN + delta
+        src = f"""
+program t
+  real a({n}), b({n})
+  do r = 1, 3
+    do j = 1, 2
+      do i = 1, {n}
+        a(i) = b(i) + 1.0
+      enddo
+      do i = 2, {n}
+        b(i) = b(i - 1) * 0.5 + a(i)
+      enddo
+    enddo
+  enddo
+end
+"""
+        obs = _same_as_reference(src)
+        assert obs["t:L2"][0] == "dependent"
+
+    def test_three_deep_scalar_nest(self):
+        src = """
+program t
+  real a(12, 12), b(12)
+  do k = 2, 12
+    do j = 1, 12
+      do i = 2, 12
+        a(i, j) = a(i - 1, j) + b(k - 1)
+      enddo
+    enddo
+    b(k) = a(12, k)
+  enddo
+end
+"""
+        obs = _same_as_reference(src)
+        assert obs["t:L1"][0] == "dependent"
+
+    def test_time_loop_over_large_blocks(self):
+        src = """
+program t
+  real a(3000), b(3000), c(3000)
+  do r = 1, 30
+    do i = 1, 3000
+      a(i) = b(i) * 0.5 + c(i)
+    enddo
+    do i = 1, 3000
+      c(i) = a(i) + 1.0
+    enddo
+  enddo
+end
+"""
+        obs = _same_as_reference(src)
+        assert obs["t:L1"] == ("dependent", 1, 30, {"a"}, {"c"})
+
+
+class TestCheckMixParity:
+    """``run_oracle`` equals the reference on perfbench's generated
+    programs, the check campaign's mix."""
+
+    def test_generated_programs_match_reference(self):
+        import sys
+        from pathlib import Path
+
+        sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "perfbench"))
+        import gen
+
+        for op in gen.Generator(17).programs(120):
+            program = parse_program(op["source"])
+            got = _facts(shipped.run_oracle, program, op["inputs"])
+            want = _facts(reference.run_oracle, program, op["inputs"])
+            assert got == want, op["name"]
